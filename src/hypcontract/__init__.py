@@ -27,7 +27,7 @@ from .weights import (
     strip_weight,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "ball",

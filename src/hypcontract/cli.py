@@ -22,6 +22,7 @@ from .catalog import catalog
 from .domains import HalfPlane, PoincareDisk, Strip, distance, gauss_curvature
 from .harness import (
     DEFAULT_SEED,
+    WEIGHT_FACTORIES,
     CaseSpec,
     ConfigError,
     SampleSpec,
@@ -36,19 +37,11 @@ from .weights import (
     Interval,
     WeightFamily,
     curvature_k,
-    disk_diameter_weight,
     family_weight,
-    half_plane_weight,
     strip_weight,
 )
 
 _CONSTANTS = {"e": math.e, "pi": math.pi}
-
-_WEIGHTS = {
-    "strip": strip_weight,
-    "half_plane": half_plane_weight,
-    "disk_diameter": disk_diameter_weight,
-}
 
 
 def _fmt(x: float) -> str:
@@ -70,7 +63,10 @@ def _env_seed() -> int:
     raw = os.environ.get("HYPCONTRACT_SEED")
     if raw is None:
         return DEFAULT_SEED
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError([f"HYPCONTRACT_SEED: not an integer: {raw!r}"]) from None
 
 
 def _config_from_dict(raw: dict, args) -> SuiteConfig:
@@ -110,10 +106,14 @@ def _config_from_dict(raw: dict, args) -> SuiteConfig:
                 factor=c.get("factor"),
             )
         )
+    ball_dims = raw.get("ball_dims", [1, 2, 3])
+    if not isinstance(ball_dims, list):
+        errors.append("ball_dims: must be a list of integers")
+        ball_dims = []
     config = SuiteConfig(
         sample=sample,
         cases=tuple(cases),
-        ball_dims=tuple(raw.get("ball_dims", (1, 2, 3))),
+        ball_dims=tuple(ball_dims),
         workers=int(args.workers if args.workers is not None else raw.get("workers", 1)),
         schema_version=int(schema),
     )
@@ -185,8 +185,8 @@ def cmd_distance(args) -> int:
         dom = _parse_domain(args.domain)
         z = parse_point(args.z)
         w = parse_point(args.w)
-        res = distance(dom, z, w, force_variational=args.variational)
-    except ValueError as exc:
+        res = distance(dom, z, w)
+    except (ValueError, RuntimeError) as exc:  # RuntimeError: the strip solver failed
         sys.stderr.write(f"error: {exc}\n")
         return 2
     out = {"value": float(_fmt(res.value)), "method": res.method}
@@ -200,9 +200,9 @@ def cmd_distance(args) -> int:
 def cmd_curvature(args) -> int:
     try:
         if args.weight is not None:
-            w = _WEIGHTS[args.weight]() if args.weight in _WEIGHTS else None
-            if w is None:
+            if args.weight not in WEIGHT_FACTORIES:
                 raise ValueError(f"unknown weight {args.weight!r}")
+            w = WEIGHT_FACTORIES[args.weight]()
             ts = GridSpec(n=args.points).points(w.domain)
             ks = np.asarray(curvature_k(w, ts), dtype=float)
         else:
@@ -287,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("domain", help="disk | halfplane | strip")
     p.add_argument("z")
     p.add_argument("w")
-    p.add_argument("--variational", action="store_true", help="force the variational solver")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("curvature", help="curvature table of a weight or domain")

@@ -7,14 +7,14 @@ Three domain kinds, each a conformal metric h(z)|dz|:
     Strip          h(z) = w(Re z)              on J x R for a weight w on J
 
 Gauss curvature is -(Laplacian log h)/h^2; the disk and half-plane have
-curvature -1, a strip has curvature curv_w(Re z).  Distances are closed-form
-for the disk and half-plane and variational (discretized path-length
-minimization) for strips; the variational route can be forced on any domain
-for cross-validation.
+curvature -1, a strip has curvature curv_w(Re z) <= 0.  Distances are
+closed-form for the disk and half-plane; on a strip, Clairaut's first integral
+of the geodesic equation reduces them to a root find and two quadratures.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -29,6 +29,7 @@ from .weights import (
     GridSpec,
     QuadratureError,
     Weight,
+    _fd_first,
     curvature_k,
     omega_distance,
 )
@@ -49,11 +50,6 @@ class PoincareDisk:
     def density(self, z):
         return 2.0 / (1.0 - np.abs(z) ** 2)
 
-    def density_grad(self, z):
-        """Euclidean gradient of the density, packed as d/dx + i d/dy."""
-        z = np.asarray(z, dtype=complex)
-        return 4.0 * z / (1.0 - np.abs(z) ** 2) ** 2
-
     def curvature(self, z):
         return -1.0 + 0.0 * np.real(z)
 
@@ -71,9 +67,6 @@ class HalfPlane:
     def density(self, z):
         return 1.0 / np.real(z)
 
-    def density_grad(self, z):
-        return -1.0 / np.real(z) ** 2 + 0.0j * np.asarray(z)
-
     def curvature(self, z):
         return -1.0 + 0.0 * np.real(z)
 
@@ -89,6 +82,9 @@ class Strip:
         ts = GridSpec(n=65, shrink=1e-3).points(self.weight.domain)
         if np.any(np.asarray(self.weight.density(ts)) <= 0.0):
             raise ValueError("strip weight must be positive on its interval")
+        if np.any(np.asarray(curvature_k(self.weight, ts)) > 0.0):
+            # the geodesic solver needs w log-convex: curv_w = -(log w)''/w^2 <= 0
+            raise ValueError("strip weight must be log-convex (curv_w <= 0) on its interval")
 
     def contains(self, z) -> bool:
         z = np.asarray(z, dtype=complex)
@@ -96,14 +92,6 @@ class Strip:
 
     def density(self, z):
         return self.weight.density(np.real(z))
-
-    def density_grad(self, z):
-        x = np.real(z)
-        if self.weight.d1 is not None:
-            return self.weight.d1(x) + 0.0j * np.asarray(z)
-        h = _FD_STEP_D1 * np.maximum(1.0, np.abs(x))
-        slope = (self.weight.density(x + h) - self.weight.density(x - h)) / (2.0 * h)
-        return slope + 0.0j * np.asarray(z)
 
     def curvature(self, z):
         return curvature_k(self.weight, np.real(z))
@@ -218,95 +206,128 @@ def _closed_form_half_plane(z: complex, w: complex) -> float:
     return float(2.0 * np.arctanh(q))
 
 
-def _variational(
-    d: PlanarDomain,
-    z: complex,
-    w: complex,
-    n_interior: int = 65,
-    quad_n: int = 8,
-    gtol: float = 1e-8,
-    maxiter: int = 500,
-) -> DistanceResult:
-    ts = np.linspace(0.0, 1.0, n_interior + 2)
-    init = z + (w - z) * ts
-    x_nodes, wq = leggauss(quad_n)
-    tq = 0.5 * (x_nodes + 1.0)
-    wt = 0.5 * wq
+# Tanh-sinh rule on (0, 1), step 1/32 over |t| <= 5.7: node offsets from 0 reach
+# 1e-200, resolving the sqrt singularity at a turning point and the peak at the
+# minimizer of w.  Every second node forms the step-1/16 rule, for the estimate.
+_DE_T = np.arange(-182, 183) / 32.0
+_DE_X = 1.0 / (1.0 + np.exp(-np.pi * np.sinh(_DE_T)))
+_DE_W = (np.pi / 128.0) * np.cosh(_DE_T) / np.cosh(0.5 * np.pi * np.sinh(_DE_T)) ** 2
+_EPS = float(np.finfo(float).eps)
+_T_LIMIT = -16.0  # log10 of the closest approach to a branch limit: double precision
+_GEODESIC_RTOL = 1e-7  # relative error bound above which a strip distance is unconverged
 
-    def unpack(x: np.ndarray) -> np.ndarray:
-        interior = x[0::2] + 1j * x[1::2]
-        return np.concatenate(([z], interior, [w]))
 
-    def objective(x: np.ndarray):
-        nodes = unpack(x)
-        a, b = nodes[:-1], nodes[1:]
-        delta = b - a
-        span = np.maximum(np.abs(delta), 1e-300)
-        pts = a[:, np.newaxis] + delta[:, np.newaxis] * tq[np.newaxis, :]
-        if not d.contains(pts):
-            # infeasible probe from the line search; flat huge value backtracks
-            return 1e12, np.zeros_like(x)
-        hv = np.asarray(d.density(pts))
-        gh = np.asarray(d.density_grad(pts))
-        hsum = hv @ wt
-        value = float(np.sum(span * hsum))
-        unit = delta / span
-        # endpoint sensitivities of each segment's length
-        d_a = -unit * hsum + span * (gh @ (wt * (1.0 - tq)))
-        d_b = unit * hsum + span * (gh @ (wt * tq))
-        grad_nodes = d_b[:-1] + d_a[1:]
-        grad = np.empty_like(x)
-        grad[0::2] = grad_nodes.real
-        grad[1::2] = grad_nodes.imag
-        return value, grad
+def _slope(wt: Weight, x: float) -> float:
+    """w'(x): the weight's analytic d1 when it has one, else a central difference inside J."""
+    if wt.d1 is not None:
+        return float(wt.d1(x))
+    h = min(_FD_STEP_D1 * max(1.0, abs(x)), 0.5 * (x - wt.domain.lo), 0.5 * (wt.domain.hi - x))
+    return float(_fd_first(wt.density, x, h))
 
-    x0 = np.empty(2 * n_interior)
-    x0[0::2] = init[1:-1].real
-    x0[1::2] = init[1:-1].imag
-    res = optimize.minimize(
-        objective,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": maxiter, "gtol": gtol, "ftol": 1e-12, "maxfun": 20 * maxiter},
-    )
-    grad_norm = float(np.max(np.abs(res.jac)))
-    converged = bool(grad_norm <= gtol * 10.0 or res.success)
-    final = PathPolyline(tuple(unpack(res.x)))
-    value = path_length(d, final)
-    certificate = {
-        "iterations": int(res.nit),
-        "converged": converged,
-        "grad_inf_norm": grad_norm,
-        "n_interior": n_interior,
-        "path": final,
-    }
-    if d.kind == "strip":
-        certificate["lower_bound"] = omega_distance(d.weight, np.real(z), np.real(w))
+
+def _minimizer(wt: Weight) -> float:
+    """Where the log-convex w is least: the zero of w', or the end of J it falls toward."""
+    lo, hi = GridSpec(n=2, shrink=1e-15).points(wt.domain)
+    if _slope(wt, lo) >= 0.0:
+        return lo
+    if _slope(wt, hi) <= 0.0:
+        return hi
+    return optimize.brentq(lambda x: _slope(wt, x), lo, hi, xtol=1e-15)
+
+
+def _clairaut(wt: Weight, a: float, ends, c: float, e0: float):
+    """Integrals of c/sqrt(E) and sqrt(E), E = w^2 - c^2, over [a, b] summed over b in ``ends``.
+
+    ``a`` is the lowest-density point of every piece and E(a) = e0.  Where
+    w^2 - w(a)^2 is rounding noise, E comes from the tangent of w^2 at a, which
+    lies below w^2 because w is log-convex.  Returns the sums and error estimates.
+    """
+    wa = float(wt.density(a))
+    b = np.asarray(ends, dtype=float)[:, np.newaxis]
+    x = np.clip(a + (b - a) * _DE_X, np.minimum(a, b), np.maximum(a, b))
+    wx2 = np.asarray(wt.density(x)) ** 2
+    rate = 2.0 * wa * abs(_slope(wt, a))
+    tangent = rate * np.abs(b - a) * _DE_X
+    above = wx2 - wa * wa - tangent
+    noisy = above <= 4.0 * _EPS * (wx2 + rate * np.abs(x))
+    e = np.maximum(e0 + tangent + np.where(noisy, 0.0, above), np.finfo(float).tiny)
+    terms = np.stack([c / np.sqrt(e), np.sqrt(e)]) * (np.abs(b - a) * _DE_W)
+    fine = terms.sum(axis=(1, 2))
+    return fine, np.abs(fine - 2.0 * terms[..., ::2].sum(axis=(1, 2)))
+
+
+def _strip_geodesic(d: Strip, z: complex, w: complex) -> DistanceResult:
+    """Strip distance from Clairaut's first integral w(x) sin(theta) = c of a geodesic.
+
+    dy = int c/sqrt(w^2 - c^2) dx fixes c, and the length c dy + int
+    sqrt(w^2 - c^2) dx is stationary in c, so an error in c enters it squared.
+    A pair that straddles the minimizer m of w, or whose dy the monotone branch
+    reaches, is joined by a path monotone in x; else the path turns at x*
+    between m and the lower-density end a, where w(x*) = c.
+    """
+    wt, dy = d.weight, abs(w.imag - z.imag)
+    lower = omega_distance(wt, z.real, w.real)
+    certificate = {"iterations": 0, "converged": True, "lower_bound": lower, "c": 0.0,
+                   "turning_point": None, "error_estimate": 0.0}
+    if dy == 0.0:  # the horizontal segment
+        return DistanceResult(value=lower, method="variational", certificate=certificate)
+    m = _minimizer(wt)
+    xa, xb = sorted((z.real, w.real))
+    a = m if xa <= m <= xb else xa if m < xa else xb
+    ends = (xa, xb) if a == m else (xb if a == xa else xa,)
+    wa, um = float(wt.density(a)), math.atan(m)
+
+    def monotone(t):  # the path is monotone in x; sqrt(E(a)) / w(a) = 10**t, c = 0 at t = 0
+        return None, a, wa * math.sqrt(1.0 - 100.0**t), wa * wa * 100.0**t, ends
+
+    def turning(t):  # the path turns at x*, 10**t of the way from m to a in the atan chart
+        x_turn = min(max(math.tan(um + 10.0**t * (math.atan(a) - um)), min(a, m)), max(a, m))
+        return x_turn, x_turn, float(wt.density(x_turn)), 0.0, (a, ends[0])
+
+    def excess(t):
+        _, a0, c, e0, pieces = path(t)
+        return _clairaut(wt, a0, pieces, c, e0)[0][0] - dy
+
+    path = monotone
+    reach = excess(_T_LIMIT)
+    if a != m and reach < 0.0:
+        path = turning
+        reach = excess(_T_LIMIT)
+    solved = reach > 0.0
+    if solved:
+        root, info = optimize.brentq(excess, _T_LIMIT, 0.0, xtol=1e-12, full_output=True, disp=False)
+        certificate.update(iterations=int(info.iterations), converged=bool(info.converged))
+    else:
+        # dy is beyond double precision or an incomplete metric's reach: c takes
+        # its limit w(m), the path runs along x = m, and its length is the infimum
+        root = _T_LIMIT
+    turning_point, base, c, e0, pieces = path(root)
+    sums, errs = _clairaut(wt, base, pieces, c, e0)
+    # a first-order bound: the dy integral's error only moves the root c
+    error = float(errs[1] + (c * errs[0] if solved else 0.0))
+    value = float(c * dy + sums[1])
+    certificate.update(c=c, turning_point=turning_point, error_estimate=error)
+    certificate["converged"] &= error <= _GEODESIC_RTOL * value
     return DistanceResult(value=value, method="variational", certificate=certificate)
 
 
-def distance(
-    d: PlanarDomain, z: complex, w: complex, force_variational: bool = False
-) -> DistanceResult:
+def distance(d: PlanarDomain, z: complex, w: complex) -> DistanceResult:
     """Geodesic distance between interior points.
 
-    Disk and half-plane use closed forms; strips minimize discretized path
-    length over polylines with fixed endpoints (certificate records optimizer
-    stats).  ``force_variational`` routes closed-form domains through the
-    variational solver for cross-validation.
+    Disk and half-plane use closed forms; strips solve Clairaut's first
+    integral, and the certificate records the root, the turning point and the
+    quadrature error estimate.
     """
     z, w = complex(z), complex(w)
     _check_inside(d, z, "z")
     _check_inside(d, w, "w")
     if z == w:
         return DistanceResult(value=0.0, method="closed_form")
-    if not force_variational:
-        if d.kind == "poincare_disk":
-            return DistanceResult(value=float(disk_sigma(z, w)), method="closed_form")
-        if d.kind == "half_plane":
-            return DistanceResult(value=_closed_form_half_plane(z, w), method="closed_form")
-    return _variational(d, z, w)
+    if d.kind == "poincare_disk":
+        return DistanceResult(value=float(disk_sigma(z, w)), method="closed_form")
+    if d.kind == "half_plane":
+        return DistanceResult(value=_closed_form_half_plane(z, w), method="closed_form")
+    return _strip_geodesic(d, z, w)
 
 
 def unit_tangent_norm_check(

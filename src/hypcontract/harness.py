@@ -609,13 +609,16 @@ def validate_config(config: SuiteConfig) -> list:
     if config.workers < 1:
         errors.append("workers: must be >= 1")
     for dim in config.ball_dims:
-        if not 1 <= int(dim) <= 8:
-            errors.append(f"ball_dims: {dim} outside 1..8")
+        if not isinstance(dim, int) or not 1 <= dim <= 8:
+            errors.append(f"ball_dims: {dim!r} is not an integer in 1..8")
     if not config.cases:
         errors.append("cases: empty suite")
     validated_functions = set()
     for cs in config.cases:
         label = cs.case_id
+        factor = cs.factor
+        if factor is not None and not (isinstance(factor, (int, float)) and 0.0 < factor < math.inf):
+            errors.append(f"{label}: factor must be a finite positive number, got {factor!r}")
         if cs.op not in OPS:
             errors.append(f"{label}: unknown op {cs.op!r}")
             continue

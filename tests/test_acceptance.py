@@ -13,10 +13,12 @@ from hypcontract import ball, disk
 from hypcontract.catalog import catalog, get
 from hypcontract.domains import (
     HalfPlane,
+    PathPolyline,
     PoincareDisk,
     Strip,
     density,
     distance,
+    path_length,
 )
 from hypcontract.harness import (
     KV_FACTOR,
@@ -162,20 +164,29 @@ def test_criterion_03_liouville_solver_matches_closed_forms():
 
 
 def test_criterion_04_variational_distance_cross_validation():
-    # the path minimizer agrees with closed forms on the disk, transports
-    # through the Cayley map, and its secant ratios converge to the density
+    # the strip geodesic from Clairaut's first integral agrees with the
+    # conformal transport of the disk distance and with the half-plane closed
+    # form, stays under the straight polyline; Cayley transport and secant
+    # ratios tie the closed forms to the densities
     dk, hp, st = PoincareDisk(), HalfPlane(), Strip(strip_weight())
+    st_hp = Strip(half_plane_weight())
     rng = np.random.default_rng(4)
+    strip_map = get("strip_map")
 
     worst_rel = 0.0
     for _ in range(100):
-        z, w = (complex(*p) for p in rng.uniform(-1.0, 1.0, size=(2, 2)) * 0.9 / math.sqrt(2))
-        if z == w:
-            continue
-        exact = float(disk.sigma(z, w))
-        got = distance(dk, z, w, force_variational=True).value
-        worst_rel = max(worst_rel, abs(got - exact) / exact)
-    assert worst_rel < 1e-3
+        z, w = (complex(rng.uniform(-0.99, 0.99), rng.uniform(-2.0, 2.0)) for _ in range(2))
+        pre_z, pre_w = np.tanh(-0.25j * math.pi * z), np.tanh(-0.25j * math.pi * w)
+        assert abs(strip_map.eval(pre_z) - z) < 1e-12
+        exact = float(disk.sigma(pre_z, pre_w))
+        got = distance(st, z, w)
+        assert got.certificate["converged"]
+        assert got.value <= path_length(st, PathPolyline.straight(z, w)) + 1e-9
+        worst_rel = max(worst_rel, abs(got.value - exact) / exact)
+        z, w = (complex(rng.uniform(0.05, 3.0), rng.uniform(-2.0, 2.0)) for _ in range(2))
+        exact = distance(hp, z, w).value
+        worst_rel = max(worst_rel, abs(distance(st_hp, z, w).value - exact) / exact)
+    assert worst_rel < 1e-6
 
     worst_cayley = 0.0
     for _ in range(100):
@@ -199,7 +210,7 @@ def test_criterion_04_variational_distance_cross_validation():
         assert errs[0] > errs[1] > errs[2]
         finals.append(errs[2])
     print(
-        f"criterion 4: variational rel {worst_rel:.3e}, cayley {worst_cayley:.3e}, "
+        f"criterion 4: first-integral rel {worst_rel:.3e}, cayley {worst_cayley:.3e}, "
         f"secant finals {[f'{e:.2e}' for e in finals]}"
     )
     assert max(finals) < 1e-2

@@ -1,11 +1,17 @@
 """Command-line interface, exercised in process through main(argv)."""
 
+import cmath
 import json
 import math
+import tomllib
+from pathlib import Path
 
 import pytest
 
+import hypcontract
+from hypcontract import cli
 from hypcontract.cli import main, parse_point
+from hypcontract.weights import QuadratureError
 
 LOG_3 = 1.0986122886681096914
 
@@ -105,6 +111,32 @@ class TestVerify:
         for line in lines[1:50]:
             float(line.rsplit(",", 1)[1])
 
+    def test_non_integer_seed_variable_is_a_config_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("HYPCONTRACT_SEED", "abc")
+        rc = main(["verify", "--count", "64"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert any("HYPCONTRACT_SEED" in e for e in json.loads(err)["errors"])
+
+    @pytest.mark.parametrize(
+        "field,fragment",
+        [
+            ({"cases": [{"op": "kv_factor", "function": "strip_map", "factor": "x"}]}, "factor"),
+            ({"cases": [{"op": "kv_factor", "function": "strip_map", "factor": -1.0}]}, "factor"),
+            ({"ball_dims": "ab"}, "ball_dims"),
+            ({"ball_dims": ["a", 2]}, "ball_dims"),
+        ],
+    )
+    def test_bad_field_is_a_config_error(self, tmp_path, capsys, field, fragment):
+        cfg = {"sample": {"count": 16}, "cases": [{"op": "abs_inequalities"}]}
+        cfg.update(field)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["verify", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert any(fragment in e for e in json.loads(err)["errors"])
+
     def test_seed_precedence(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("HYPCONTRACT_SEED", "777")
         jpath = tmp_path / "env.json"
@@ -163,12 +195,32 @@ class TestDistance:
         assert isinstance(out["iterations"], int)
         assert out["value"] == pytest.approx(0.881373587019543, rel=1e-6)
 
-    def test_forced_variational(self, capsys):
-        rc = main(["distance", "disk", "0", "0.5", "--variational"])
+    def test_strip_matches_conformal_oracle(self, capsys):
+        rc = main(["distance", "strip", "--", "0.2+0.4i", "-0.3+1i"])
         out = json.loads(capsys.readouterr().out)
+        a, b = (cmath.tanh(-0.25j * math.pi * p) for p in (0.2 + 0.4j, -0.3 + 1.0j))
+        exact = 2.0 * math.atanh(abs((a - b) / (1.0 - a.conjugate() * b)))
         assert rc == 0
-        assert out["method"] == "variational"
-        assert out["value"] == pytest.approx(LOG_3, rel=1e-3)
+        assert out["converged"] is True
+        assert out["value"] == pytest.approx(exact, rel=1e-12)
+
+    def test_near_boundary_point_has_no_traceback(self, capsys):
+        rc = main(["distance", "strip", "0.999999999999", "0"])
+        captured = capsys.readouterr()
+        assert rc in (0, 2)
+        if rc == 0:
+            assert json.loads(captured.out)["value"] > 0.0
+        else:
+            assert captured.err.startswith("error:")
+
+    def test_solver_failure_exits_2(self, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise QuadratureError("quadrature did not converge", 1.0)
+
+        monkeypatch.setattr(cli, "distance", failing)
+        rc = main(["distance", "strip", "0", "0.5"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: quadrature did not converge")
 
     def test_bad_point(self, capsys):
         rc = main(["distance", "disk", "zzz", "0"])
@@ -270,3 +322,9 @@ def test_missing_subcommand_exits_with_usage_error(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_version_matches_pyproject():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert hypcontract.__version__ == tomllib.load(fh)["project"]["version"]

@@ -1,5 +1,6 @@
 """Planar domains: densities, curvature, path length, and geodesic distance."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from hypcontract.weights import (
     Interval,
     Weight,
     disk_diameter_weight,
+    half_plane_weight,
     strip_weight,
 )
 
@@ -34,6 +36,11 @@ D_HP_ORACLE = 1.4505745138225802087         # half-plane distance 1+i -> 2+3i
 DISK = PoincareDisk()
 HP = HalfPlane()
 STRIP = Strip(strip_weight())
+
+
+def strip_oracle(z, w):
+    """Exact strip distance: sigma at the preimages under strip_map, z = tanh(-i pi zeta / 4)."""
+    return float(sigma(np.tanh(-0.25j * np.pi * z), np.tanh(-0.25j * np.pi * w)))
 
 
 class TestDensity:
@@ -198,19 +205,66 @@ class TestDistanceVariational:
         straight = path_length(STRIP, PathPolyline.straight(-0.3 + 0.0j, 0.4 + 0.9j))
         assert r.value <= straight + 1e-9
 
-    def test_forced_variational_matches_disk_closed_form(self):
-        r = distance(DISK, 0.3, -0.2 + 0.4j, force_variational=True)
-        exact = float(sigma(0.3, -0.2 + 0.4j))
-        assert r.method == "variational"
-        assert abs(r.value - exact) / exact < 1e-3
+    def test_half_plane_weight_matches_half_plane(self):
+        # 1/t on (0, inf) is the half-plane metric, whose minimum lies at the
+        # infinite end; every branch of the first integral meets the closed form
+        strip_hp = Strip(half_plane_weight())
+        rng = np.random.default_rng(5)
+        pairs = [(1.0, 1.0 + 3.0j), (1.0, 1.0 + 100.0j), (0.01, 0.01 + 1.0j), (2.0 + 1.0j, 5.0 - 3.0j)]
+        pairs += [tuple(complex(rng.uniform(0.05, 3.0), rng.uniform(-2.0, 2.0)) for _ in range(2))
+                  for _ in range(20)]
+        for z, w in pairs:
+            r = distance(strip_hp, z, w)
+            exact = distance(HP, z, w).value
+            assert r.certificate["converged"]
+            assert abs(r.value - exact) / exact < 1e-6
 
     def test_certificate_contents(self):
         r = distance(STRIP, 0.1, 0.3 + 0.2j)
         cert = r.certificate
-        assert set(cert) >= {"iterations", "converged", "grad_inf_norm", "n_interior", "path"}
-        assert isinstance(cert["path"], PathPolyline)
-        assert cert["path"].nodes[0] == 0.1 + 0.0j
-        assert cert["path"].nodes[-1] == 0.3 + 0.2j
+        assert set(cert) >= {"iterations", "converged", "lower_bound", "c", "turning_point",
+                             "error_estimate"}
+        assert isinstance(cert["iterations"], int) and cert["converged"]
+        assert 0.0 < cert["c"] < float(STRIP.weight.density(0.1))
+        assert cert["turning_point"] is None
+        assert 0.0 <= cert["error_estimate"] < 1e-9
+        turned = distance(STRIP, 0.6, 0.6 + 2.0j).certificate
+        assert 0.0 < turned["turning_point"] < 0.6
+        assert turned["c"] == pytest.approx(float(STRIP.weight.density(turned["turning_point"])))
+
+    @pytest.mark.parametrize(
+        "strip",
+        # the second has no analytic derivatives, as lambda_to_weight weights
+        [STRIP, Strip(dataclasses.replace(strip_weight(), d1=None, d2=None))],
+        ids=["analytic", "numeric"],
+    )
+    def test_strip_matches_conformal_oracle(self, strip):
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for _ in range(60):
+            z, w = (complex(rng.uniform(-0.99, 0.99), rng.uniform(-2.0, 2.0)) for _ in range(2))
+            r = distance(strip, z, w)
+            assert r.certificate["converged"]
+            worst = max(worst, abs(r.value - strip_oracle(z, w)) / strip_oracle(z, w))
+        assert worst < 1e-6
+
+    @pytest.mark.parametrize(
+        "z,w",
+        [
+            (0.0, 3.0j),  # equal Re on the minimizer of w: the vertical line
+            (1e-3, 1e-3 + 3.0j),  # equal Re near the minimizer
+            (1e-12, 1e-12 + 3.0j),
+            (0.98, 0.98 + 3.0j),  # same side, near the boundary
+            (-0.98, 0.97 + 0.1j),  # opposite sides
+            (0.2 + 1.0j, -0.7 + 1.0j),  # dy = 0
+            (0.3 + 1.0j, 0.3 + 1.0001j),  # separation 1e-4
+            (0.3 + 1.0j, 0.30007 + 1.00007j),
+        ],
+    )
+    def test_edge_cases_match_conformal_oracle(self, z, w):
+        r = distance(STRIP, z, w)
+        assert r.certificate["converged"]
+        assert abs(r.value - strip_oracle(z, w)) / strip_oracle(z, w) < 1e-6
 
 
 def test_triangle_inequality_closed_form_domains():
@@ -230,8 +284,8 @@ def test_triangle_inequality_closed_form_domains():
 
 
 def test_triangle_inequality_strip_variational():
-    # each leg is an upper estimate of the true distance with error well under
-    # the slack, so violations would indicate a broken minimizer
+    # each leg is accurate far below the slack, so a violation would indicate
+    # a broken geodesic solver
     rng = np.random.default_rng(42)
     for _ in range(15):
         pts = rng.uniform(-0.6, 0.6, 3) + 1j * rng.uniform(-1.5, 1.5, 3)
@@ -287,3 +341,10 @@ def test_strip_requires_positive_weight():
     bad = Weight(domain=Interval(-1.0, 1.0), density=lambda t: np.asarray(t), name="signed")
     with pytest.raises(ValueError):
         Strip(bad)
+
+
+def test_strip_requires_log_convex_weight():
+    # exp(-t^2) has curv_w = 2 exp(2 t^2) > 0; the first integral needs curv_w <= 0
+    bump = Weight(domain=Interval(-1.0, 1.0), density=lambda t: np.exp(-np.square(t)), name="bump")
+    with pytest.raises(ValueError, match="log-convex"):
+        Strip(bump)
