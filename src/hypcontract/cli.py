@@ -73,7 +73,6 @@ def _config_from_dict(raw: dict, args) -> SuiteConfig:
     errors = []
     if not isinstance(raw, dict):
         raise ConfigError(["config root must be a JSON object"])
-    schema = raw.get("schema_version", 1)
     sample_raw = raw.get("sample", {})
     if not isinstance(sample_raw, dict):
         errors.append("sample: must be an object")
@@ -86,7 +85,7 @@ def _config_from_dict(raw: dict, args) -> SuiteConfig:
             radius_cap=float(sample_raw.get("radius_cap", 0.99)),
             scheme=sample_raw.get("scheme", "uniform_disk"),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         errors.append(f"sample: {exc}")
         sample = SampleSpec(count=1, seed=DEFAULT_SEED)
     cases_raw = raw.get("cases", [])
@@ -114,8 +113,8 @@ def _config_from_dict(raw: dict, args) -> SuiteConfig:
         sample=sample,
         cases=tuple(cases),
         ball_dims=tuple(ball_dims),
-        workers=int(args.workers if args.workers is not None else raw.get("workers", 1)),
-        schema_version=int(schema),
+        workers=args.workers if args.workers is not None else raw.get("workers", 1),
+        schema_version=raw.get("schema_version", 1),
     )
     errors.extend(validate_config(config))
     if errors:
@@ -126,11 +125,14 @@ def _config_from_dict(raw: dict, args) -> SuiteConfig:
 def _load_config(args) -> SuiteConfig:
     if args.config is None:
         seed = args.seed if args.seed is not None else _env_seed()
-        return default_config(
-            seed=int(seed),
-            count=int(args.count) if args.count is not None else 10_000,
-            workers=int(args.workers) if args.workers is not None else 1,
-        )
+        try:
+            return default_config(
+                seed=seed,
+                count=args.count if args.count is not None else 10_000,
+                workers=args.workers if args.workers is not None else 1,
+            )
+        except ValueError as exc:
+            raise ConfigError([f"sample: {exc}"]) from None
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -208,9 +210,12 @@ def cmd_curvature(args) -> int:
         else:
             dom = _parse_domain(args.domain)
             if dom.kind == "poincare_disk":
-                ts = GridSpec(n=args.points).points(Interval(-1.0, 1.0))
+                interval = Interval(-1.0, 1.0)
+            elif dom.kind == "strip":
+                interval = dom.weight.domain
             else:
-                ts = GridSpec(n=args.points).points(Interval(0.0, math.inf))
+                interval = Interval(0.0, math.inf)
+            ts = GridSpec(n=args.points).points(interval)
             zs = ts.astype(complex)
             ks = np.asarray(gauss_curvature(dom, zs), dtype=float)
     except ValueError as exc:

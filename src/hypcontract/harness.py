@@ -1,11 +1,18 @@
 """Deterministic sampled verification of the contraction inequalities.
 
-Every checker draws sample pairs from seeded substreams (one PCG64 stream per
-fixed-size chunk of 1024 samples, keyed by seed and chunk index), evaluates
-both sides of its inequality with vectorized module operations, and reports
-margin statistics (margin = rhs - lhs).  Chunk boundaries never depend on the
-worker count, and per-chunk results are merged in chunk order, so a suite is
-bitwise reproducible at any parallelism level.
+``OPS`` is the one op table: what each op needs of its catalog function and
+the case defaults it carries.  ``validate_config`` and ``run_suite`` read it;
+``run_suite`` calls the checker ``verify_<op>(case, spec, workers)``.  The
+four disk-pair checkers (``re_contraction``, ``modulus_contraction``,
+``schwarz_pick``, ``kv_factor``) are one driver, ``_verify_pairs``, each
+supplying only its ``lhs(f(z), f(w))`` against ``factor * sigma(z, w)``.
+
+Pairs come from seeded substreams (one PCG64 stream per fixed-size chunk of
+1024 samples, keyed by seed, ball dimension and chunk index); ``_map_chunks``
+evaluates both sides chunk by chunk and merges the chunks in chunk order.
+Chunk boundaries never depend on the worker count, so a suite is bitwise
+reproducible at any parallelism level.  Reports carry margin statistics
+(margin = rhs - lhs).
 
 A sampled pair with margin below -(tol_abs + tol_rel*|rhs|) is a violation;
 the hypotheses are theorems, so violations indicate implementation bugs.  The
@@ -24,7 +31,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -33,7 +40,6 @@ from numpy.polynomial.legendre import leggauss
 from . import ball
 from .catalog import HoloFunction, catalog, get as catalog_get, validate_entry
 from .disk import BOUNDARY_GUARD, mobius, sigma, sigma_real
-from .domains import PoincareDisk
 from .weights import (
     Weight,
     disk_diameter_weight,
@@ -46,6 +52,7 @@ from .weights import (
 KV_FACTOR = 4.0 / math.pi
 DEFAULT_SEED = 101
 CHUNK_SIZE = 1024
+MAX_WORKERS = 64
 
 SCHEMES = ("uniform_disk", "boundary_biased")
 
@@ -76,6 +83,8 @@ class SampleSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("sample count must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 < self.radius_cap <= 1.0 - BOUNDARY_GUARD:
             raise ValueError("radius_cap must lie in (0, 1 - boundary_guard]")
         if self.scheme not in SCHEMES:
@@ -89,7 +98,6 @@ class InequalityCase:
     id: str
     function: HoloFunction | None = None
     target: object = "sigma"  # Weight | "sigma" | "beta"
-    source: object = field(default_factory=PoincareDisk)
     factor: float = 1.0
     tol_abs: float = 1e-9
     tol_rel: float = 1e-9
@@ -142,13 +150,6 @@ def _radius(spec: SampleSpec, u: np.ndarray, ball_dim: int = 1) -> np.ndarray:
     return np.minimum(1.0 - 10.0 ** (-3.0 * u), spec.radius_cap)
 
 
-def _chunk_layout(count: int) -> list:
-    return [
-        (ci, min(CHUNK_SIZE, count - ci * CHUNK_SIZE))
-        for ci in range((count + CHUNK_SIZE - 1) // CHUNK_SIZE)
-    ]
-
-
 def disk_pair_chunk(spec: SampleSpec, ci: int, n: int, last: bool):
     """Chunk ``ci`` of the disk-pair stream; the very last pair is degenerate."""
     rng = np.random.default_rng([spec.seed, ci])
@@ -177,21 +178,18 @@ def ball_pair_chunk(spec: SampleSpec, dim: int, ci: int, n: int, last: bool):
 
 def _map_chunks(spec: SampleSpec, chunk_fn: Callable, eval_fn: Callable, workers: int):
     """Evaluate ``eval_fn(z, w)`` over every chunk; merge fields in chunk order."""
-    layout = _chunk_layout(spec.count)
+    n_chunks = (spec.count + CHUNK_SIZE - 1) // CHUNK_SIZE
 
-    def one(item):
-        ci, n = item
-        z, w = chunk_fn(spec, ci, n, ci == len(layout) - 1)
-        out = eval_fn(z, w)
-        out.setdefault("z", z)
-        out.setdefault("w", w)
-        return out
+    def one(ci):
+        n = min(CHUNK_SIZE, spec.count - ci * CHUNK_SIZE)
+        z, w = chunk_fn(spec, ci, n, ci == n_chunks - 1)
+        return {"z": z, "w": w, **eval_fn(z, w)}
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(one, layout))
+            results = list(ex.map(one, range(n_chunks)))
     else:
-        results = [one(item) for item in layout]
+        results = [one(ci) for ci in range(n_chunks)]
     return {k: np.concatenate([r[k] for r in results]) for k in results[0]}
 
 
@@ -233,7 +231,11 @@ def _finalize(
     )
 
 
-def _hypothesis_not_met(case: InequalityCase, seed: int, t0: float, gate) -> VerificationReport:
+def _gate(case: InequalityCase, seed: int, t0: float) -> VerificationReport | None:
+    """The hypothesis-not-met report if ``case.target`` fails curv_w <= -1, else None."""
+    gate = verify_curvature_bound(case.target, tol=1e-8)
+    if gate.passed:
+        return None
     return VerificationReport(
         case_id=case.id,
         status="hypothesis-not-met",
@@ -251,32 +253,52 @@ def _hypothesis_not_met(case: InequalityCase, seed: int, t0: float, gate) -> Ver
     )
 
 
-def _curvature_gate(weight: Weight):
-    return verify_curvature_bound(weight, tol=1e-8)
+def _verify_pairs(
+    case: InequalityCase, spec: SampleSpec, workers: int, lhs_of: Callable, gated: bool = False
+):
+    """lhs_of(f(z), f(w)) <= case.factor * sigma(z, w) over the disk-pair stream.
 
+    Returns the report and the merged chunk fields ``z``, ``w``, ``lhs`` and
+    ``sigma``; the fields are None when the curvature gate fails.
+    """
+    t0 = time.perf_counter()
+    failed = _gate(case, spec.seed, t0) if gated else None
+    if failed:
+        return failed, None
+    f = case.function
 
-def _vector_omega_distance(weight: Weight, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if weight.antiderivative is not None:
-        return np.asarray(omega_distance(weight, a, b), dtype=float)
-    return np.array([omega_distance(weight, ai, bi) for ai, bi in zip(a, b)])
+    def chunk(z, w):
+        lhs = np.asarray(lhs_of(f.eval(z), f.eval(w)), dtype=float)
+        return {"lhs": lhs, "sigma": np.asarray(sigma(z, w), dtype=float)}
+
+    data = _map_chunks(spec, disk_pair_chunk, chunk, workers)
+    rhs = case.factor * data["sigma"]
+    return _finalize(case, spec.seed, data["z"], data["w"], data["lhs"], rhs, t0), data
 
 
 def verify_re_contraction(
     case: InequalityCase, spec: SampleSpec, workers: int = 1
 ) -> VerificationReport:
     """d_w(Re f(z), Re f(w)) <= sigma(z, w), gated on curv_w <= -1."""
-    t0 = time.perf_counter()
-    weight, f = case.target, case.function
-    gate = _curvature_gate(weight)
-    if not gate.passed:
-        return _hypothesis_not_met(case, spec.seed, t0, gate)
+    weight = case.target
 
-    def chunk(z, w):
-        lhs = _vector_omega_distance(weight, np.real(f.eval(z)), np.real(f.eval(w)))
-        return {"lhs": lhs, "rhs": np.asarray(sigma(z, w), dtype=float)}
+    def lhs_of(fz, fw):
+        a, b = np.real(fz), np.real(fw)
+        if weight.antiderivative is not None:  # closed form: vectorized
+            return omega_distance(weight, a, b)
+        return [omega_distance(weight, ai, bi) for ai, bi in zip(a, b)]
 
-    data = _map_chunks(spec, disk_pair_chunk, chunk, workers)
-    return _finalize(case, spec.seed, data["z"], data["w"], data["lhs"], data["rhs"], t0)
+    return _verify_pairs(case, spec, workers, lhs_of, gated=True)[0]
+
+
+def _gradient_lhs(weight: Weight, f: HoloFunction, z) -> np.ndarray:
+    """w(Re f(z)) |f'(z)| (1-|z|^2)/2, the left side of the surface gradient bound."""
+    return (
+        np.asarray(weight.density(np.real(f.eval(z))), dtype=float)
+        * np.abs(f.deriv(z))
+        * (1.0 - np.abs(z) ** 2)
+        / 2.0
+    )
 
 
 def polar_grid(n_r: int = 101, n_theta: int = 101, radius_cap: float = 0.99) -> np.ndarray:
@@ -286,68 +308,52 @@ def polar_grid(n_r: int = 101, n_theta: int = 101, radius_cap: float = 0.99) -> 
     return (r[:, np.newaxis] * np.exp(1j * theta)[np.newaxis, :]).ravel()
 
 
+# The grid checkers read only the seed and the radius cap of their spec.
+_GRID_SPEC = SampleSpec(count=1)
+
+
 def verify_pointwise_gradient(
-    case: InequalityCase, grid: np.ndarray | None = None, seed: int = DEFAULT_SEED
+    case: InequalityCase, spec: SampleSpec = _GRID_SPEC, workers: int = 1
 ) -> VerificationReport:
-    """Surface gradient bound w(Re f(z)) |f'(z)| (1-|z|^2)/2 <= 1 on a grid."""
+    """Surface gradient bound w(Re f(z)) |f'(z)| (1-|z|^2)/2 <= 1 on the polar grid."""
     t0 = time.perf_counter()
-    weight, f = case.target, case.function
-    gate = _curvature_gate(weight)
-    if not gate.passed:
-        return _hypothesis_not_met(case, seed, t0, gate)
-    z = polar_grid() if grid is None else np.asarray(grid)
-    lhs = (
-        np.asarray(weight.density(np.real(f.eval(z))), dtype=float)
-        * np.abs(f.deriv(z))
-        * (1.0 - np.abs(z) ** 2)
-        / 2.0
-    )
+    failed = _gate(case, spec.seed, t0)
+    if failed:
+        return failed
+    z = polar_grid(radius_cap=spec.radius_cap)
+    lhs = _gradient_lhs(case.target, case.function, z)
     rhs = np.ones_like(lhs)
     extras = {"max_lhs": float(np.max(lhs)), "argmax": _serialize_point(z[int(np.argmax(lhs))])}
-    return _finalize(case, seed, z, z, lhs, rhs, t0, extras)
+    return _finalize(case, spec.seed, z, z, lhs, rhs, t0, extras)
 
 
 def verify_modulus_contraction(
     case: InequalityCase, spec: SampleSpec, workers: int = 1
 ) -> VerificationReport:
     """sigma(|f(z)|, |f(w)|) <= sigma(z, w) for disk-codomain entries."""
-    t0 = time.perf_counter()
-    f = case.function
-
-    def chunk(z, w):
-        lhs = np.asarray(sigma_real(np.abs(f.eval(z)), np.abs(f.eval(w))), dtype=float)
-        return {"lhs": lhs, "rhs": np.asarray(sigma(z, w), dtype=float)}
-
-    data = _map_chunks(spec, disk_pair_chunk, chunk, workers)
-    return _finalize(case, spec.seed, data["z"], data["w"], data["lhs"], data["rhs"], t0)
+    return _verify_pairs(
+        case, spec, workers, lambda fz, fw: sigma_real(np.abs(fz), np.abs(fw))
+    )[0]
 
 
 def verify_schwarz_pick(
     case: InequalityCase, spec: SampleSpec, workers: int = 1
 ) -> VerificationReport:
     """sigma(f(z), f(w)) <= sigma(z, w) for disk-codomain entries."""
-    t0 = time.perf_counter()
-    f = case.function
-
-    def chunk(z, w):
-        lhs = np.asarray(sigma(f.eval(z), f.eval(w)), dtype=float)
-        return {"lhs": lhs, "rhs": np.asarray(sigma(z, w), dtype=float)}
-
-    data = _map_chunks(spec, disk_pair_chunk, chunk, workers)
-    return _finalize(case, spec.seed, data["z"], data["w"], data["lhs"], data["rhs"], t0)
+    return _verify_pairs(case, spec, workers, sigma)[0]
 
 
 def verify_pavlovic(
-    case: InequalityCase, grid: np.ndarray | None = None, seed: int = DEFAULT_SEED
+    case: InequalityCase, spec: SampleSpec = _GRID_SPEC, workers: int = 1
 ) -> VerificationReport:
-    """Modulus gradient bound |f'(z)| (1-|z|^2) <= 1 - |f(z)|^2 on a grid.
+    """Modulus gradient bound |f'(z)| (1-|z|^2) <= 1 - |f(z)|^2 on the polar grid.
 
     |f'| equals the upper gradient of |f| off the zero set and still dominates
     it at zeros; both branches are recorded separately in the extras.
     """
     t0 = time.perf_counter()
     f = case.function
-    z = polar_grid() if grid is None else np.asarray(grid)
+    z = polar_grid(radius_cap=spec.radius_cap)
     fz = f.eval(z)
     lhs = np.abs(f.deriv(z)) * (1.0 - np.abs(z) ** 2)
     rhs = 1.0 - np.abs(fz) ** 2
@@ -359,7 +365,7 @@ def verify_pavlovic(
         "min_margin_zero": float(np.min(margins[zero])) if np.any(zero) else None,
         "min_margin_nonzero": float(np.min(margins[~zero])) if np.any(~zero) else None,
     }
-    return _finalize(case, seed, z, z, lhs, rhs, t0, extras)
+    return _finalize(case, spec.seed, z, z, lhs, rhs, t0, extras)
 
 
 def verify_kv_factor(
@@ -371,98 +377,68 @@ def verify_kv_factor(
     |2 atanh U(z) - 2 atanh U(w)| for U = Re f.  The empirical supremum of the
     ratio lhs/sigma is recorded (pairs with sigma = 0 are excluded from it).
     """
-    t0 = time.perf_counter()
-    f = case.function
-    factor = case.factor
-
-    def chunk(z, w):
-        u_z = np.real(f.eval(z))
-        u_w = np.real(f.eval(w))
-        lhs = np.abs(2.0 * np.arctanh(u_z) - 2.0 * np.arctanh(u_w))
-        s = np.asarray(sigma(z, w), dtype=float)
-        ratio = np.where(s > 0.0, lhs / np.where(s > 0.0, s, 1.0), 0.0)
-        return {"lhs": lhs, "rhs": factor * s, "ratio": ratio}
-
-    data = _map_chunks(spec, disk_pair_chunk, chunk, workers)
-    i_sup = int(np.argmax(data["ratio"]))
+    report, data = _verify_pairs(
+        case,
+        spec,
+        workers,
+        lambda fz, fw: np.abs(2.0 * np.arctanh(np.real(fz)) - 2.0 * np.arctanh(np.real(fw))),
+    )
+    s = data["sigma"]
+    ratio = np.where(s > 0.0, data["lhs"] / np.where(s > 0.0, s, 1.0), 0.0)
+    i_sup = int(np.argmax(ratio))
     extras = {
-        "factor": factor,
-        "sup_ratio": float(data["ratio"][i_sup]),
+        "factor": case.factor,
+        "sup_ratio": float(ratio[i_sup]),
         "sup_ratio_pair": [
             _serialize_point(data["z"][i_sup]),
             _serialize_point(data["w"][i_sup]),
         ],
     }
-    return _finalize(case, spec.seed, data["z"], data["w"], data["lhs"], data["rhs"], t0, extras)
+    return replace(report, extras=extras)
+
+
+def _abs_disk_chunk(z, w):
+    az, aw = np.abs(z), np.abs(w)
+    rho_zw = np.abs((z - w) / (1.0 - np.conj(z) * w))
+    rho_abs = np.abs(az - aw) / (1.0 - az * aw)
+    sigma_zw = 2.0 * np.arctanh(rho_zw)
+    sigma_abs = np.abs(2.0 * np.arctanh(az) - 2.0 * np.arctanh(aw))
+    return {"rho_zw": rho_zw, "rho_abs": rho_abs, "sigma_zw": sigma_zw, "sigma_abs": sigma_abs}
+
+
+def _abs_ball_chunk(z, w):
+    beta_abs = np.asarray(ball.beta(ball.embed_modulus(z), ball.embed_modulus(w)))
+    return {"beta_abs": beta_abs, "beta_zw": np.asarray(ball.beta(z, w))}
+
+
+def _abs_report(case_id: str, seed: int, d: dict, name: str, t0: float) -> VerificationReport:
+    case = InequalityCase(id=case_id, tol_abs=1e-12, tol_rel=0.0)
+    return _finalize(case, seed, d["z"], d["w"], d[f"{name}_abs"], d[f"{name}_zw"], t0)
 
 
 def verify_abs_inequalities(
     spec: SampleSpec, dims: tuple = (1, 2, 3), workers: int = 1
 ) -> list:
     """Modulus-monotonicity margins: disk rho, disk sigma, ball beta per dim."""
-    reports = []
     t0 = time.perf_counter()
-
-    def disk_chunk(z, w):
-        az, aw = np.abs(z), np.abs(w)
-        rho_zw = np.abs((z - w) / (1.0 - np.conj(z) * w))
-        rho_abs = np.abs(az - aw) / (1.0 - az * aw)
-        sig_zw = 2.0 * np.arctanh(rho_zw)
-        sig_abs = np.abs(2.0 * np.arctanh(az) - 2.0 * np.arctanh(aw))
-        return {"rho_zw": rho_zw, "rho_abs": rho_abs, "sig_zw": sig_zw, "sig_abs": sig_abs}
-
-    data = _map_chunks(spec, disk_pair_chunk, disk_chunk, workers)
-    tight = {"tol_abs": 1e-12, "tol_rel": 0.0}
-    reports.append(
-        _finalize(
-            InequalityCase(id="abs_rho_disk", **tight),
-            spec.seed, data["z"], data["w"], data["rho_abs"], data["rho_zw"], t0,
-        )
-    )
-    reports.append(
-        _finalize(
-            InequalityCase(id="abs_sigma_disk", **tight),
-            spec.seed, data["z"], data["w"], data["sig_abs"], data["sig_zw"], t0,
-        )
-    )
-
+    d = _map_chunks(spec, disk_pair_chunk, _abs_disk_chunk, workers)
+    reports = [_abs_report(f"abs_{name}_disk", spec.seed, d, name, t0) for name in ("rho", "sigma")]
     for dim in dims:
         t1 = time.perf_counter()
-
-        def ball_eval(z, w):
-            lhs = np.asarray(ball.beta(ball.embed_modulus(z), ball.embed_modulus(w)))
-            return {"lhs": lhs, "rhs": np.asarray(ball.beta(z, w))}
-
-        layout = _chunk_layout(spec.count)
-
-        def one(item, d=dim):
-            ci, n = item
-            z, w = ball_pair_chunk(spec, d, ci, n, ci == len(layout) - 1)
-            out = ball_eval(z, w)
-            out["z"], out["w"] = z, w
-            return out
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                results = list(ex.map(one, layout))
-        else:
-            results = [one(item) for item in layout]
-        zs = np.concatenate([r["z"] for r in results])
-        ws = np.concatenate([r["w"] for r in results])
-        lhs = np.concatenate([r["lhs"] for r in results])
-        rhs = np.concatenate([r["rhs"] for r in results])
-        reports.append(
-            _finalize(
-                InequalityCase(id=f"abs_beta_ball_n{dim}", **tight),
-                spec.seed, zs, ws, lhs, rhs, t1,
-            )
+        d = _map_chunks(
+            spec,
+            lambda sp, ci, n, last, dim=dim: ball_pair_chunk(sp, dim, ci, n, last),
+            _abs_ball_chunk,
+            workers,
         )
+        reports.append(_abs_report(f"abs_beta_ball_n{dim}", spec.seed, d, "beta", t1))
     return reports
 
 
 def verify_proof_chain(
     case: InequalityCase,
     spec: SampleSpec,
+    workers: int = 1,
     n_pairs: int = 128,
 ) -> VerificationReport:
     """Replay the contraction proof along arc-length hyperbolic geodesics.
@@ -474,13 +450,14 @@ def verify_proof_chain(
 
     whose integrand is exactly the gradient-bound left side, hence <= 1.  The
     replayed chain is d_w(Re f(z), Re f(w)) <= I <= sigma(z, w); both link
-    margins are checked at tolerance 1e-6.
+    margins are checked at tolerance 1e-6.  The replay is serial; ``workers``
+    is accepted for the common checker call shape.
     """
     t0 = time.perf_counter()
     weight, f = case.target, case.function
-    gate = _curvature_gate(weight)
-    if not gate.passed:
-        return _hypothesis_not_met(case, spec.seed, t0, gate)
+    failed = _gate(case, spec.seed, t0)
+    if failed:
+        return failed
 
     count = min(spec.count, n_pairs)
     z, w = disk_pair_chunk(spec, 0, min(spec.count, CHUNK_SIZE), False)
@@ -505,20 +482,8 @@ def verify_proof_chain(
         widths = np.diff(edges)
         s = edges[:-1, np.newaxis] + widths[:, np.newaxis] * tq[np.newaxis, :]
         pts = mobius(zi, np.tanh(0.5 * s) * (zeta / r))
-        integrand = (
-            np.asarray(weight.density(np.real(f.eval(pts))), dtype=float)
-            * np.abs(f.deriv(pts))
-            * (1.0 - np.abs(pts) ** 2)
-            / 2.0
-        )
-        integral = float(np.sum(widths * (integrand @ wt)))
-        d_w = float(
-            _vector_omega_distance(
-                weight,
-                np.real(np.asarray(f.eval(zi))).reshape(1),
-                np.real(np.asarray(f.eval(wi))).reshape(1),
-            )[0]
-        )
+        integral = float(np.sum(widths * (_gradient_lhs(weight, f, pts) @ wt)))
+        d_w = omega_distance(weight, float(np.real(f.eval(zi))), float(np.real(f.eval(wi))))
         first_link[i] = integral - d_w
         second_link[i] = sig - integral
 
@@ -532,19 +497,21 @@ def verify_proof_chain(
     return _finalize(case, spec.seed, z, w, lhs, rhs, t0, extras)
 
 
-OPS = (
-    "re_contraction",
-    "pointwise_gradient",
-    "modulus_contraction",
-    "schwarz_pick",
-    "pavlovic",
-    "kv_factor",
-    "abs_inequalities",
-    "proof_chain",
-)
-
-_WEIGHT_OPS = ("re_contraction", "pointwise_gradient", "proof_chain")
-_DISK_OPS = ("modulus_contraction", "schwarz_pick", "pavlovic")
+# op -> (what the op needs of its catalog function, InequalityCase defaults).
+# Needs: "weight", a weight whose domain holds the Re-image; "disk", a disk
+# codomain; "strip", the Re-image (-1, 1); None, no function or weight at all.
+# A ``weight`` is accepted only by "weight" ops, a ``factor`` only by ops whose
+# defaults carry one.
+OPS = {
+    "re_contraction": ("weight", {}),
+    "pointwise_gradient": ("weight", {}),
+    "modulus_contraction": ("disk", {}),
+    "schwarz_pick": ("disk", {}),
+    "pavlovic": ("disk", {}),
+    "kv_factor": ("strip", {"factor": KV_FACTOR}),
+    "abs_inequalities": (None, {}),
+    "proof_chain": ("weight", {"tol_abs": 1e-6}),
+}
 
 
 @dataclass(frozen=True)
@@ -558,12 +525,7 @@ class CaseSpec:
 
     @property
     def case_id(self) -> str:
-        parts = [self.op]
-        if self.function:
-            parts.append(self.function)
-        if self.weight:
-            parts.append(self.weight)
-        return ":".join(parts)
+        return ":".join(str(part) for part in (self.op, self.function, self.weight) if part)
 
 
 @dataclass(frozen=True)
@@ -606,26 +568,33 @@ def validate_config(config: SuiteConfig) -> list:
         errors.append("sample: not a SampleSpec")
     if config.schema_version != 1:
         errors.append(f"schema_version: unsupported {config.schema_version!r}")
-    if config.workers < 1:
-        errors.append("workers: must be >= 1")
+    if type(config.workers) is not int or not 1 <= config.workers <= MAX_WORKERS:
+        errors.append(f"workers: {config.workers!r} is not an integer in 1..{MAX_WORKERS}")
     for dim in config.ball_dims:
-        if not isinstance(dim, int) or not 1 <= dim <= 8:
+        if type(dim) is not int or not 1 <= dim <= 8:
             errors.append(f"ball_dims: {dim!r} is not an integer in 1..8")
     if not config.cases:
         errors.append("cases: empty suite")
     validated_functions = set()
     for cs in config.cases:
         label = cs.case_id
-        factor = cs.factor
-        if factor is not None and not (isinstance(factor, (int, float)) and 0.0 < factor < math.inf):
-            errors.append(f"{label}: factor must be a finite positive number, got {factor!r}")
         if cs.op not in OPS:
             errors.append(f"{label}: unknown op {cs.op!r}")
             continue
-        if cs.op == "abs_inequalities":
+        needs, defaults = OPS[cs.op]
+        factor = cs.factor
+        if factor is not None and "factor" not in defaults:
+            errors.append(f"{label}: {cs.op} takes no factor")
+        elif factor is not None and not (
+            isinstance(factor, (int, float)) and 0.0 < factor < math.inf
+        ):
+            errors.append(f"{label}: factor must be a finite positive number, got {factor!r}")
+        if needs is None:
             if cs.function or cs.weight:
-                errors.append(f"{label}: abs_inequalities takes no function or weight")
+                errors.append(f"{label}: {cs.op} takes no function or weight")
             continue
+        if cs.weight and needs != "weight":
+            errors.append(f"{label}: {cs.op} takes no weight")
         if not cs.function:
             errors.append(f"{label}: missing function")
             continue
@@ -640,11 +609,11 @@ def validate_config(config: SuiteConfig) -> list:
                 validated_functions.add(f.name)
             except ValueError as exc:
                 errors.append(f"{label}: {exc}")
-        if cs.op in _WEIGHT_OPS:
+        if needs == "weight":
             if not cs.weight:
                 errors.append(f"{label}: missing weight")
                 continue
-            if cs.weight not in WEIGHT_FACTORIES:
+            if not isinstance(cs.weight, str) or cs.weight not in WEIGHT_FACTORIES:
                 errors.append(f"{label}: unknown weight {cs.weight!r}")
                 continue
             weight = WEIGHT_FACTORIES[cs.weight]()
@@ -654,28 +623,25 @@ def validate_config(config: SuiteConfig) -> list:
                     f"{label}: Re-image ({lo}, {hi}) not contained in weight "
                     f"domain ({weight.domain.lo}, {weight.domain.hi})"
                 )
-        elif cs.op in _DISK_OPS:
+        elif needs == "disk":
             if f.codomain not in ("disk", "ball_slice"):
                 errors.append(f"{label}: needs a disk-codomain function, got {f.codomain!r}")
-        elif cs.op == "kv_factor":
+        elif needs == "strip":
             if f.re_interval != (-1.0, 1.0):
                 errors.append(f"{label}: Re-image must be (-1, 1)")
     return errors
 
 
 def _build_case(cs: CaseSpec) -> InequalityCase:
-    f = catalog_get(cs.function) if cs.function else None
-    target: object = "sigma"
-    if cs.weight:
-        target = WEIGHT_FACTORIES[cs.weight]()
-    kwargs = {}
-    if cs.op == "kv_factor":
-        kwargs["factor"] = cs.factor if cs.factor is not None else KV_FACTOR
-    elif cs.factor is not None:
+    kwargs = dict(OPS[cs.op][1])
+    if cs.factor is not None:
         kwargs["factor"] = cs.factor
-    if cs.op == "proof_chain":
-        kwargs["tol_abs"] = 1e-6
-    return InequalityCase(id=cs.case_id, function=f, target=target, **kwargs)
+    return InequalityCase(
+        id=cs.case_id,
+        function=catalog_get(cs.function) if cs.function else None,
+        target=WEIGHT_FACTORIES[cs.weight]() if cs.weight else "sigma",
+        **kwargs,
+    )
 
 
 @dataclass(frozen=True)
@@ -729,28 +695,14 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     spec = config.sample
     reports = []
     for cs in config.cases:
-        if cs.op == "abs_inequalities":
+        if OPS[cs.op][0] is None:  # the function-free family: one report per distance
             reports.extend(
                 verify_abs_inequalities(spec, dims=config.ball_dims, workers=config.workers)
             )
             continue
-        case = _build_case(cs)
-        if cs.op == "re_contraction":
-            reports.append(verify_re_contraction(case, spec, workers=config.workers))
-        elif cs.op == "pointwise_gradient":
-            grid = polar_grid(radius_cap=spec.radius_cap)
-            reports.append(verify_pointwise_gradient(case, grid, seed=spec.seed))
-        elif cs.op == "modulus_contraction":
-            reports.append(verify_modulus_contraction(case, spec, workers=config.workers))
-        elif cs.op == "schwarz_pick":
-            reports.append(verify_schwarz_pick(case, spec, workers=config.workers))
-        elif cs.op == "pavlovic":
-            grid = polar_grid(radius_cap=spec.radius_cap)
-            reports.append(verify_pavlovic(case, grid, seed=spec.seed))
-        elif cs.op == "kv_factor":
-            reports.append(verify_kv_factor(case, spec, workers=config.workers))
-        elif cs.op == "proof_chain":
-            reports.append(verify_proof_chain(case, spec))
+        # Resolved at call time, so a wrapper set on the module attribute is used.
+        check = globals()[f"verify_{cs.op}"]
+        reports.append(check(_build_case(cs), spec, config.workers))
     overall = all(r.status == "pass" for r in reports)
     return SuiteResult(
         overall_pass=overall,

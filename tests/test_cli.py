@@ -1,12 +1,17 @@
 """Command-line interface, exercised in process through main(argv)."""
 
 import cmath
+import contextlib
+import io
 import json
 import math
+import tempfile
 import tomllib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypcontract
 from hypcontract import cli
@@ -125,6 +130,26 @@ class TestVerify:
             ({"cases": [{"op": "kv_factor", "function": "strip_map", "factor": -1.0}]}, "factor"),
             ({"ball_dims": "ab"}, "ball_dims"),
             ({"ball_dims": ["a", 2]}, "ball_dims"),
+            ({"ball_dims": [True]}, "ball_dims"),
+            ({"workers": "x"}, "workers"),
+            ({"workers": 65}, "workers"),
+            ({"schema_version": "x"}, "schema_version"),
+            ({"sample": {"count": 16, "seed": -1}}, "seed"),
+            ({"sample": {"count": float("inf")}}, "sample"),
+            (
+                {"cases": [{"op": "re_contraction", "function": "strip_map", "weight": ["s"]}]},
+                "unknown weight",
+            ),
+            ({"cases": [{"op": "schwarz_pick", "function": 5}]}, "unknown catalog function"),
+            (
+                {"cases": [{"op": "re_contraction", "function": "strip_map", "weight": "strip",
+                            "factor": 7}]},
+                "takes no factor",
+            ),
+            (
+                {"cases": [{"op": "kv_factor", "function": "strip_map", "weight": "nope"}]},
+                "takes no weight",
+            ),
         ],
     )
     def test_bad_field_is_a_config_error(self, tmp_path, capsys, field, fragment):
@@ -137,6 +162,13 @@ class TestVerify:
         assert rc == 2
         assert any(fragment in e for e in json.loads(err)["errors"])
 
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--count", "0"], ["--workers", "0"]])
+    def test_bad_flag_value_is_a_config_error(self, capsys, flags):
+        rc = main(["verify", *flags])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert json.loads(err)["errors"]
+
     def test_seed_precedence(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("HYPCONTRACT_SEED", "777")
         jpath = tmp_path / "env.json"
@@ -146,6 +178,58 @@ class TestVerify:
         assert main(["verify", "--count", "64", "--seed", "5", "--json-out", str(jpath2)]) == 0
         assert json.loads(jpath2.read_text())["data"]["seed"] == 5
         capsys.readouterr()
+
+
+# Malformed values for the config fuzz.  Numbers stay small so that no drawn
+# config asks for more than a few samples or worker threads.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 4),
+    st.floats(max_value=4.0),
+    st.just(math.nan),
+    st.text(alphabet="xyz-_. ", max_size=4),
+    st.sampled_from(["abs_inequalities", "pavlovic", "strip", "cayley", "strip_map"]),
+    st.lists(st.integers(-1, 9), max_size=3),
+    st.dictionaries(st.sampled_from("ab"), st.integers(0, 2), max_size=2),
+)
+_TOP_FIELDS = ("workers", "schema_version", "ball_dims", "sample", "cases")
+_SAMPLE_FIELDS = ("count", "seed", "radius_cap", "scheme")
+_CASE_FIELDS = ("op", "function", "weight", "factor")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    count=st.integers(1, 64),
+    overrides=st.dictionaries(
+        st.sampled_from(_TOP_FIELDS + _SAMPLE_FIELDS + _CASE_FIELDS), _JUNK, min_size=1, max_size=3
+    ),
+)
+def test_fuzzed_config_never_tracebacks(count, overrides):
+    cfg = {
+        "sample": {"count": count, "seed": 3},
+        "cases": [
+            {"op": "kv_factor", "function": "strip_map"},
+            {"op": "re_contraction", "function": "strip_map", "weight": "strip"},
+            {"op": "abs_inequalities"},
+        ],
+        "ball_dims": [1],
+    }
+    for key, value in overrides.items():
+        if key in _TOP_FIELDS:
+            cfg[key] = value
+        elif key in _SAMPLE_FIELDS and isinstance(cfg["sample"], dict):
+            cfg["sample"][key] = value
+        elif key in _CASE_FIELDS and isinstance(cfg["cases"], list) and cfg["cases"]:
+            cfg["cases"][0][key] = value
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["verify", "--config", str(path)])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestReport:
@@ -264,6 +348,16 @@ class TestCurvature:
         assert len(lines) == 12
         for line in lines[1:]:
             assert float(line.split(",")[1]) == pytest.approx(-1.0, abs=1e-10)
+
+    def test_strip_domain_route(self, capsys):
+        rc = main(["curvature", "--domain", "strip", "--points", "11"])
+        lines = _rows(capsys.readouterr().out)
+        assert rc == 0
+        assert len(lines) == 12
+        for line in lines[1:]:
+            t, k = (float(x) for x in line.split(","))
+            assert -1.0 < t < 1.0
+            assert k == pytest.approx(-1.0, abs=1e-8)
 
     def test_unknown_weight(self, capsys):
         rc = main(["curvature", "--weight", "nope"])

@@ -1,5 +1,6 @@
 """Sampled verification harness: determinism, gating, violations, reports."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -41,6 +42,10 @@ class TestSampleSpec:
             SampleSpec(count=10, radius_cap=1.0)
         with pytest.raises(ValueError):
             SampleSpec(count=10, radius_cap=0.0)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError):
+            SampleSpec(count=10, seed=-1)
 
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -123,6 +128,35 @@ class TestValidation:
         with pytest.raises(ConfigError) as exc:
             run_suite(cfg)
         assert exc.value.errors and "unknown op" in exc.value.errors[0]
+
+    def test_factor_only_on_kv_factor(self):
+        cases = (
+            CaseSpec(op="re_contraction", function="strip_map", weight="strip", factor=7),
+            CaseSpec(op="schwarz_pick", function="blaschke", factor=2.0),
+            CaseSpec(op="abs_inequalities", factor=1.0),
+            CaseSpec(op="kv_factor", function="strip_map", factor=7),
+        )
+        errors = validate_config(SuiteConfig(sample=SampleSpec(count=10), cases=cases))
+        assert errors == [
+            "re_contraction:strip_map:strip: re_contraction takes no factor",
+            "schwarz_pick:blaschke: schwarz_pick takes no factor",
+            "abs_inequalities: abs_inequalities takes no factor",
+        ]
+
+    @pytest.mark.parametrize("workers", [0, 65, 10**6, 2.0, "2", True, None])
+    def test_workers_must_be_an_integer_up_to_the_cap(self, workers):
+        # validation only: a config this checks is never run
+        cfg = SuiteConfig(
+            sample=SampleSpec(count=10), cases=(CaseSpec(op="abs_inequalities"),), workers=workers
+        )
+        errors = validate_config(cfg)
+        assert errors == [f"workers: {workers!r} is not an integer in 1..64"]
+
+    def test_workers_cap_is_inclusive(self):
+        cfg = SuiteConfig(
+            sample=SampleSpec(count=10), cases=(CaseSpec(op="abs_inequalities"),), workers=64
+        )
+        assert validate_config(cfg) == []
 
     def test_empty_suite_rejected(self):
         assert validate_config(SuiteConfig(sample=SampleSpec(count=10), cases=())) == [
@@ -332,6 +366,32 @@ class TestDeterminism:
     def test_repeat_run_identical(self):
         cfg = default_config(count=1537)
         assert run_suite(cfg).data_json() == run_suite(cfg).data_json()
+
+
+# sha256 of the default suite's data JSON and margins CSV at 10k samples,
+# captured before the checkers were folded into one pair driver; any change
+# to sampling, arithmetic order or report layout moves these bytes
+GOLDEN_10K = {
+    101: (
+        "517fe51c92dd463bb7ee9e74f60d0819c8f98ce22027a4d1a47749b31e24b8ba",
+        "9f4683aa4a324546cb16de86143737f867b92bc7497e67265545f599d59f4ab2",
+    ),
+    7: (
+        "596c5b5110527899f206c075cf7460d44f72fdff6185554c7e244d418a903c7b",
+        "ce25fc83d1d57d94bce0af90beae75a80534f0767dddbc957d97044101ff78f4",
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("seed", sorted(GOLDEN_10K))
+def test_default_suite_matches_golden_hashes(seed, workers):
+    result = run_suite(default_config(seed=seed, count=10_000, workers=workers))
+    digests = tuple(
+        hashlib.sha256(text.encode()).hexdigest()
+        for text in (result.data_json(), result.margins_csv())
+    )
+    assert digests == GOLDEN_10K[seed]
 
 
 @pytest.fixture(scope="module")
