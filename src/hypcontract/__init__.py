@@ -3,7 +3,7 @@
 Submodules:
     disk      unit-disk Mobius maps, pseudo-hyperbolic and hyperbolic distance
     weights   interval weights, weighted distances, the curvature quantity
-    liouville lambda'' = exp(lambda) solver and the closed-form families
+    liouville exact lambda'' = exp(lambda) solutions and the closed-form families
     domains   conformal planar metrics: density, curvature, geodesic distance
     ball      unit-ball automorphisms and the Bergman distance
     catalog   holomorphic test maps with analytic derivatives

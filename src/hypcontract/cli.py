@@ -143,12 +143,12 @@ def _load_config(args) -> SuiteConfig:
     return _config_from_dict(raw, args)
 
 
-def _print_report_line(r: dict) -> None:
+def _report_line(r: dict) -> str:
     status = r["status"]
     tag = {"pass": "PASS", "violated": "FAIL", "hypothesis-not-met": "HYPO"}[status]
     mm = r["min_margin"]
     detail = f"min_margin={_fmt(mm)}" if mm is not None else "margins=n/a"
-    print(f"{tag:<5} {r['case_id']:<40} {detail}  samples={r['samples_used']}")
+    return f"{tag:<5} {r['case_id']:<40} {detail}  samples={r['samples_used']}"
 
 
 def cmd_verify(args) -> int:
@@ -160,7 +160,7 @@ def cmd_verify(args) -> int:
         sys.stderr.write("\n")
         return 2
     for r in result.reports:
-        _print_report_line(r.to_dict())
+        print(_report_line(r.to_dict()))
     print(f"overall: {'PASS' if result.overall_pass else 'FAIL'}")
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
@@ -229,21 +229,23 @@ def cmd_curvature(args) -> int:
 
 def cmd_ode(args) -> int:
     try:
+        if args.rows < 1:
+            raise ValueError("--rows must be at least 1")
         domain = Interval(min(args.t0, args.t1) - 1e-9, max(args.t0, args.t1) + 1e-9)
         fam = WeightFamily(
             kind=args.family, k=args.k, C1=args.C1, C2=args.C2, C=args.C, domain=domain
         )
         family_weight(fam)  # validates the interval is singularity-free
         initial = family_initial_state(fam, args.t0)
-        traj = solve_liouville(initial, args.t1, tol=args.tol)
-    except (ValueError, RuntimeError) as exc:
+        traj = solve_liouville(initial, args.t1)
+        ts = np.linspace(traj.t_min, traj.t_max, args.rows)
+        lam_num = np.asarray(traj.interpolate(ts), dtype=float)
+        lam_exact = np.asarray(closed_form_lambda(fam, ts), dtype=float)
+    except (ValueError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if traj.blown_up:
         sys.stderr.write("warning: trajectory hit the blow-up cap; rows cover the partial span\n")
-    ts = np.linspace(traj.t_min, traj.t_max, args.rows)
-    lam_num = np.asarray(traj.interpolate(ts), dtype=float)
-    lam_exact = np.asarray(closed_form_lambda(fam, ts), dtype=float)
     print("t,lambda_num,lambda_exact,error")
     for t, a, b in zip(ts, lam_num, lam_exact):
         print(f"{_fmt(t)},{_fmt(a)},{_fmt(b)},{_fmt(a - b)}")
@@ -264,9 +266,19 @@ def cmd_report(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    data = payload.get("data", payload)
-    for r in data.get("cases", []):
-        _print_report_line(r)
+    try:
+        data = payload.get("data", payload) if isinstance(payload, dict) else None
+        if not isinstance(data, dict):
+            raise ValueError("the report and its 'data' must be JSON objects")
+        cases = data.get("cases", [])
+        if not (isinstance(cases, list) and all(isinstance(r, dict) for r in cases)):
+            raise ValueError("'cases' must be a list of JSON objects")
+        lines = [_report_line(r) for r in cases]
+    except (KeyError, TypeError, ValueError) as exc:
+        sys.stderr.write(f"error: malformed report: {exc}\n")
+        return 2
+    for line in lines:
+        print(line)
     ok = bool(data.get("overall_pass"))
     print(f"overall: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -301,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=21)
     p.set_defaults(func=cmd_curvature)
 
-    p = sub.add_parser("ode", help="integrate lambda'' = exp(lambda) against a closed form")
+    p = sub.add_parser("ode", help="solve lambda'' = exp(lambda) against a closed form")
     p.add_argument("--family", choices=("sin", "sinh", "linear"), required=True)
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--C1", type=float, default=1.0)
@@ -309,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=float, default=0.0)
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--rows", type=int, default=101)
     p.set_defaults(func=cmd_ode)
 

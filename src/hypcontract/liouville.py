@@ -1,4 +1,4 @@
-"""Numerical solution of lambda'' = exp(lambda) and its closed-form solutions.
+"""Exact solution of lambda'' = exp(lambda) and its closed-form families.
 
 The equation is the log-density form of the constant-curvature condition:
 substituting lambda = log(2 k^2 w^2) into curv_w == -k^2 yields it.  Its
@@ -9,10 +9,12 @@ appear as
     exp(lambda) sinh^2(C1 t + C2) = 2 C1^2
     exp(lambda) (t + C)^2         = 2
 
-The integrator is an embedded Cash-Karp 5(4) pair with adaptive steps (local
-error <= tol per unit step) and cubic Hermite dense output between accepted
-steps.  Solutions of the sin family blow up at the sine zeros, so a cap on
-lambda turns runaway trajectories into flagged partial results.
+The solver uses Liouville's linearization (J. Math. Pures Appl. 18 (1853)):
+E = lambda'^2/2 - exp(lambda) is conserved, and y = exp(-lambda/2) solves
+y'' = kappa y with kappa = E/2.  So y = y0 (C(tau) + a S(tau)), with
+tau = t - t0, a = y0'/y0 = -lambda0'/2 and C, S the cosh/sinh, cos/sin or
+1/tau pair by the sign of kappa.  lambda blows up where y falls to 0, and the
+blow-up time is closed-form too.
 """
 
 from __future__ import annotations
@@ -28,18 +30,6 @@ DEFAULT_LAMBDA_CAP = 50.0
 
 _SQRT2 = math.sqrt(2.0)
 
-# Cash-Karp tableau; the 5th-order solution is propagated.
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
-)
-_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
-_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
-
 
 @dataclass(frozen=True)
 class LiouvilleState:
@@ -54,84 +44,75 @@ class LiouvilleState:
             raise ValueError("non-finite Liouville state")
 
 
-def _rhs(y: np.ndarray) -> np.ndarray:
-    return np.array([y[1], math.exp(min(y[0], 700.0))])
+def _fundamental(kappa: float, tau: np.ndarray):
+    """(log m, C/m, S/m) for the solutions C, S of y'' = kappa y.
+
+    C(0) = S'(0) = 1 and C'(0) = S(0) = 0.  The scale m is cosh(sqrt(kappa)
+    tau) on the cosh/sinh branch, so that nothing overflows, and 1 elsewhere.
+    sin and tanh keep their relative accuracy at small arguments, so these
+    forms stay accurate to rounding as kappa -> 0.
+    """
+    r = math.sqrt(abs(kappa))
+    rt = r * tau
+    if kappa > 0.0:
+        return np.logaddexp(rt, -rt) - math.log(2.0), 1.0, np.tanh(rt) / r
+    if kappa < 0.0:
+        return 0.0, np.cos(rt), np.sin(rt) / r
+    return 0.0, 1.0, tau
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted integration steps (t ascending) plus step-control metadata.
+    """The exact solution through ``initial``, valid on [t_min, t_max].
 
-    Dense output between steps is cubic Hermite, built from the stored values
-    and derivatives; ``interpolate`` evaluates it.
+    ``kappa`` is half the conserved energy.  The closed form meets any ``tol``
+    to rounding in one exact step, as ``accepted`` and ``rejected`` record.
     """
 
-    ts: np.ndarray
-    lams: np.ndarray
-    dlams: np.ndarray
+    initial: LiouvilleState
+    kappa: float
+    t_min: float
+    t_max: float
     tol: float
-    accepted: int
-    rejected: int
     blown_up: bool
     lam_cap: float
 
-    @property
-    def states(self) -> list[LiouvilleState]:
-        return [
-            LiouvilleState(float(t), float(l), float(d))
-            for t, l, d in zip(self.ts, self.lams, self.dlams)
-        ]
+    accepted = 1
+    rejected = 0
 
-    @property
-    def t_min(self) -> float:
-        return float(self.ts[0])
-
-    @property
-    def t_max(self) -> float:
-        return float(self.ts[-1])
-
-    def energy(self) -> np.ndarray:
-        """First integral dlam^2/2 - exp(lam) at the accepted steps."""
-        return 0.5 * self.dlams**2 - np.exp(self.lams)
-
-    def _locate(self, t: np.ndarray) -> np.ndarray:
-        if np.any(t < self.ts[0] - 1e-12) or np.any(t > self.ts[-1] + 1e-12):
+    def _log_y(self, t):
+        """log(y(t)/y0) and y'(t)/y(t) on the span."""
+        t_arr = np.asarray(t, dtype=float)
+        if np.any(t_arr < self.t_min - 1e-12) or np.any(t_arr > self.t_max + 1e-12):
             raise ValueError("interpolation point outside the trajectory span")
-        return np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.ts) - 2)
+        log_m, c, s = _fundamental(self.kappa, t_arr - self.initial.t)
+        a = -0.5 * self.initial.dlam
+        y = c + a * s
+        return log_m + np.log(y), (self.kappa * s + a * c) / y
 
     def interpolate(self, t):
-        """Dense-output lambda(t) by cubic Hermite interpolation."""
-        t_arr = np.asarray(t, dtype=float)
-        idx = self._locate(t_arr)
-        t0, t1 = self.ts[idx], self.ts[idx + 1]
-        h = t1 - t0
-        x = np.clip((t_arr - t0) / h, 0.0, 1.0)
-        x2, x3 = x * x, x * x * x
-        out = (
-            (2 * x3 - 3 * x2 + 1) * self.lams[idx]
-            + (x3 - 2 * x2 + x) * h * self.dlams[idx]
-            + (-2 * x3 + 3 * x2) * self.lams[idx + 1]
-            + (x3 - x2) * h * self.dlams[idx + 1]
-        )
+        """lambda(t) = lambda0 - 2 log(y(t)/y0)."""
+        out = self.initial.lam - 2.0 * self._log_y(t)[0]
         return float(out) if out.ndim == 0 else out
 
     def interpolate_dlam(self, t):
-        """Dense-output lambda'(t); Hermite data is (lambda', exp(lambda))."""
-        t_arr = np.asarray(t, dtype=float)
-        idx = self._locate(t_arr)
-        t0, t1 = self.ts[idx], self.ts[idx + 1]
-        h = t1 - t0
-        x = np.clip((t_arr - t0) / h, 0.0, 1.0)
-        x2, x3 = x * x, x * x * x
-        dd0 = np.exp(self.lams[idx])
-        dd1 = np.exp(self.lams[idx + 1])
-        out = (
-            (2 * x3 - 3 * x2 + 1) * self.dlams[idx]
-            + (x3 - 2 * x2 + x) * h * dd0
-            + (-2 * x3 + 3 * x2) * self.dlams[idx + 1]
-            + (x3 - x2) * h * dd1
-        )
+        """lambda'(t) = -2 y'(t)/y(t)."""
+        out = -2.0 * self._log_y(t)[1]
         return float(out) if out.ndim == 0 else out
+
+    def energy(self, t):
+        """First integral lambda'^2/2 - exp(lambda), evaluated at t."""
+        return 0.5 * self.interpolate_dlam(t) ** 2 - np.exp(self.interpolate(t))
+
+
+def _rise_time(kappa: float, h: float, y: float, dy: float) -> float:
+    """Time in which Y climbs from 0 to y, where |Y'| = dy, if Y'^2 - kappa Y^2 = h."""
+    r = math.sqrt(abs(kappa))
+    if kappa < 0.0:
+        return math.atan2(r * y, dy) / r
+    if kappa > 0.0:
+        return math.asinh(r * y / math.sqrt(h)) / r
+    return y / dy
 
 
 def solve_liouville(
@@ -139,100 +120,45 @@ def solve_liouville(
     t_end: float,
     tol: float = 1e-10,
     lam_cap: float = DEFAULT_LAMBDA_CAP,
-    max_steps: int = 200_000,
 ) -> Trajectory:
-    """Integrate lambda'' = exp(lambda) from ``initial`` to ``t_end``.
+    """The solution of lambda'' = exp(lambda) from ``initial`` to ``t_end``.
 
-    Adaptive Cash-Karp 5(4): a step of size h is accepted when the embedded
-    error estimate is at most tol * |h|.  Integration runs forward or backward
-    depending on the sign of ``t_end - initial.t``.  If lambda exceeds
-    ``lam_cap`` the partial trajectory is returned with ``blown_up`` set.
+    ``t_end`` may lie before or after ``initial.t``.  If lambda reaches
+    ``lam_cap`` on the way, the trajectory ends where it first does, with
+    ``blown_up`` set.  ``tol`` must be positive; it is recorded.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if not math.isfinite(t_end):
+        raise ValueError("t_end must be finite")
     span = t_end - initial.t
     if span == 0.0:
         raise ValueError("t_end coincides with the initial time")
     direction = math.copysign(1.0, span)
 
-    t = initial.t
-    y = np.array([initial.lam, initial.dlam], dtype=float)
-    ts = [t]
-    lams = [y[0]]
-    dlams = [y[1]]
-    accepted = 0
-    rejected = 0
-    blown_up = False
-
-    h = direction * min(abs(span) / 50.0, 0.1 / (1.0 + abs(initial.dlam)))
-    h_floor = 1e-14 * max(1.0, abs(span))
-    k = np.empty((6, 2))
-
-    while (t_end - t) * direction > 0.0:
-        if abs(h) < h_floor:
-            if direction * y[1] > 0.0:
-                # Finite-time blow-up: every derivative of lambda explodes at
-                # the singularity, so the error control squeezes h below the
-                # floor long before lambda reaches the cap.  Step collapse
-                # while lambda rises along the march is the detection signal.
-                blown_up = True
-                break
-            raise RuntimeError("step size underflow in Liouville integration")
-        if (t + h - t_end) * direction > 0.0:
-            h = t_end - t
-
-        k[0] = _rhs(y)
-        bad = False
-        for i in range(1, 6):
-            yi = y + h * (np.asarray(_A[i]) @ k[:i])
-            if not np.all(np.isfinite(yi)) or yi[0] > lam_cap + 5.0:
-                bad = True
-                break
-            k[i] = _rhs(yi)
-        if bad:
-            rejected += 1
-            h *= 0.5
-            continue
-
-        y5 = y + h * (np.asarray(_B5) @ k)
-        y4 = y + h * (np.asarray(_B4) @ k)
-        err = float(np.max(np.abs(y5 - y4)))
-        target = tol * abs(h)
-
-        if err <= target or abs(h) <= h_floor * 2.0:
-            if y5[0] > lam_cap:
-                blown_up = True
-                break
-            t += h
-            y = y5
-            ts.append(t)
-            lams.append(y[0])
-            dlams.append(y[1])
-            accepted += 1
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (target / err) ** 0.2))
-            h *= factor
+    # Y = y/y0 starts at 1 with slope a, and Y'^2 - kappa Y^2 = h throughout.
+    a = -0.5 * initial.dlam
+    h = 0.5 * math.exp(initial.lam)
+    if h == 0.0:
+        raise ValueError("exp(lambda) underflows at the initial state")
+    kappa = a * a - h
+    # s_cap: the first time, in the direction of travel, with Y = Y_cap.
+    if initial.lam >= lam_cap:
+        s_cap = 0.0
+    else:
+        y_cap = math.exp(0.5 * (initial.lam - lam_cap))
+        rise_0 = _rise_time(kappa, h, 1.0, abs(a))
+        rise_cap = _rise_time(kappa, h, y_cap, math.sqrt(h + kappa * y_cap * y_cap))
+        if direction * a < 0.0:
+            s_cap = rise_0 - rise_cap
+        elif kappa < 0.0:  # over the top of the arch Y = sqrt(h / -kappa) sin(r s + phi)
+            s_cap = math.pi / math.sqrt(-kappa) - rise_0 - rise_cap
         else:
-            rejected += 1
-            h *= max(0.2, 0.9 * (target / err) ** 0.2)
-
-        if accepted + rejected > max_steps:
-            raise RuntimeError("maximum step count exceeded in Liouville integration")
-
-    ts_arr = np.array(ts)
-    lams_arr = np.array(lams)
-    dlams_arr = np.array(dlams)
-    if direction < 0:
-        ts_arr, lams_arr, dlams_arr = ts_arr[::-1], lams_arr[::-1], dlams_arr[::-1]
-    return Trajectory(
-        ts=ts_arr,
-        lams=lams_arr,
-        dlams=dlams_arr,
-        tol=tol,
-        accepted=accepted,
-        rejected=rejected,
-        blown_up=blown_up,
-        lam_cap=lam_cap,
-    )
+            s_cap = math.inf
+    blown_up = s_cap <= abs(span)
+    stop = initial.t + direction * s_cap if blown_up else t_end
+    lo, hi = sorted((initial.t, stop))
+    return Trajectory(initial, kappa, lo, hi, tol, blown_up, lam_cap)
 
 
 def lambda_to_weight(traj: Trajectory, k: float = 1.0) -> Weight:
@@ -243,8 +169,8 @@ def lambda_to_weight(traj: Trajectory, k: float = 1.0) -> Weight:
     """
     if k < 1.0:
         raise ValueError("k must be >= 1")
-    if traj.accepted < 4:
-        raise ValueError("trajectory too short for a usable dense output (< 4 accepted steps)")
+    if traj.t_min == traj.t_max:
+        raise ValueError("trajectory has an empty span")
 
     def density(t):
         return np.exp(0.5 * traj.interpolate(t)) / (k * _SQRT2)
@@ -256,45 +182,36 @@ def lambda_to_weight(traj: Trajectory, k: float = 1.0) -> Weight:
     )
 
 
-def _family_u(fam: WeightFamily, t):
-    return fam.C1 * np.asarray(t, dtype=float) + fam.C2
+def _checked(fam: WeightFamily, t):
+    t_arr = np.asarray(t, dtype=float)
+    if not fam.domain.contains(t_arr):
+        raise ValueError("t outside the family interval")
+    return t_arr, fam.C1 * t_arr + fam.C2
+
+
+def _finite(out):
+    if not np.all(np.isfinite(out)):
+        raise ValueError("t at a singularity of the family")
+    return float(out) if out.ndim == 0 else out
 
 
 def closed_form_lambda(fam: WeightFamily, t):
     """lambda(t) = log(2 k^2 w(t)^2) for a family member; k drops out."""
-    t_arr = np.asarray(t, dtype=float)
-    if not fam.domain.contains(t_arr):
-        raise ValueError("t outside the family interval")
-    if fam.kind == "sin":
-        denom = np.abs(np.sin(_family_u(fam, t_arr)))
-        out = np.log(2.0 * fam.C1**2) - 2.0 * np.log(denom)
-    elif fam.kind == "sinh":
-        denom = np.abs(np.sinh(_family_u(fam, t_arr)))
-        out = np.log(2.0 * fam.C1**2) - 2.0 * np.log(denom)
-    else:
-        denom = np.abs(t_arr + fam.C)
-        out = np.log(2.0) - 2.0 * np.log(denom)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("t at a singularity of the family")
-    return float(out) if out.ndim == 0 else out
+    t_arr, u = _checked(fam, t)
+    if fam.kind == "linear":
+        return _finite(np.log(2.0) - 2.0 * np.log(np.abs(t_arr + fam.C)))
+    f = np.sin if fam.kind == "sin" else np.sinh
+    return _finite(np.log(2.0 * fam.C1**2) - 2.0 * np.log(np.abs(f(u))))
 
 
 def closed_form_dlambda(fam: WeightFamily, t):
     """lambda'(t) for a family member."""
-    t_arr = np.asarray(t, dtype=float)
-    if not fam.domain.contains(t_arr):
-        raise ValueError("t outside the family interval")
+    t_arr, u = _checked(fam, t)
     if fam.kind == "sin":
-        u = _family_u(fam, t_arr)
-        out = -2.0 * fam.C1 * np.cos(u) / np.sin(u)
-    elif fam.kind == "sinh":
-        u = _family_u(fam, t_arr)
-        out = -2.0 * fam.C1 * np.cosh(u) / np.sinh(u)
-    else:
-        out = -2.0 / (t_arr + fam.C)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("t at a singularity of the family")
-    return float(out) if out.ndim == 0 else out
+        return _finite(-2.0 * fam.C1 * np.cos(u) / np.sin(u))
+    if fam.kind == "sinh":
+        return _finite(-2.0 * fam.C1 * np.cosh(u) / np.sinh(u))
+    return _finite(-2.0 / (t_arr + fam.C))
 
 
 def family_initial_state(fam: WeightFamily, t0: float) -> LiouvilleState:

@@ -10,7 +10,7 @@ import tomllib
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypcontract
@@ -205,6 +205,9 @@ _CASE_FIELDS = ("op", "function", "weight", "factor")
         st.sampled_from(_TOP_FIELDS + _SAMPLE_FIELDS + _CASE_FIELDS), _JUNK, min_size=1, max_size=3
     ),
 )
+@example(count=1, overrides={"cases": [0], "op": None})
+@example(count=1, overrides={"weight": [0]})
+@example(count=1, overrides={"weight": math.nan})
 def test_fuzzed_config_never_tracebacks(count, overrides):
     cfg = {
         "sample": {"count": count, "seed": 3},
@@ -220,7 +223,12 @@ def test_fuzzed_config_never_tracebacks(count, overrides):
             cfg[key] = value
         elif key in _SAMPLE_FIELDS and isinstance(cfg["sample"], dict):
             cfg["sample"][key] = value
-        elif key in _CASE_FIELDS and isinstance(cfg["cases"], list) and cfg["cases"]:
+        elif (
+            key in _CASE_FIELDS
+            and isinstance(cfg["cases"], list)
+            and cfg["cases"]
+            and isinstance(cfg["cases"][0], dict)
+        ):
             cfg["cases"][0][key] = value
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -230,6 +238,107 @@ def test_fuzzed_config_never_tracebacks(count, overrides):
             rc = main(["verify", "--config", str(path)])
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def _run_quietly(argv):
+    """Exit code and stderr of ``main(argv)``; argparse usage errors count as exit codes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, err.getvalue()
+
+
+# Argument texts for the subcommand fuzz: small numbers plus the special
+# values that float() and complex() accept.
+_NUMBER_TEXT = st.one_of(
+    st.integers(-3, 4).map(str),
+    st.floats(-4.0, 4.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e300", "-1e300", "x", "", "pi", "e"]),
+)
+_POINT_TEXT = st.one_of(
+    _NUMBER_TEXT,
+    st.builds(lambda x, y: f"{x!r}{y:+}i", st.floats(-2.0, 2.0), st.floats(-3.0, 3.0)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    domain=st.sampled_from(["disk", "halfplane", "strip", "torus"]),
+    z=_POINT_TEXT,
+    w=_POINT_TEXT,
+)
+def test_fuzzed_distance_never_tracebacks(domain, z, w):
+    rc, err = _run_quietly(["distance", domain, z, w])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["sin", "sinh", "linear", "cosh"]),
+    values=st.dictionaries(
+        st.sampled_from(["--k", "--C1", "--C2", "--C"]), _NUMBER_TEXT, max_size=4
+    ),
+    t0=_NUMBER_TEXT,
+    t1=_NUMBER_TEXT,
+    rows=st.integers(-3, 12),
+)
+@example(family="sinh", values={"--C1": "1e300"}, t0="0.1", t1="1", rows=11)
+@example(family="sinh", values={}, t0="0", t1="nan", rows=11)
+def test_fuzzed_ode_never_tracebacks(family, values, t0, t1, rows):
+    argv = ["ode", "--family", family, "--t0", t0, "--t1", t1, "--rows", str(rows)]
+    for flag, value in values.items():
+        argv += [flag, value]
+    rc, err = _run_quietly(argv)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    source=st.one_of(
+        st.tuples(st.just("--weight"), st.sampled_from(["strip", "half_plane", "disk_diameter", "x"])),
+        st.tuples(st.just("--domain"), st.sampled_from(["disk", "halfplane", "strip", "torus"])),
+    ),
+    points=st.integers(-3, 40),
+)
+def test_fuzzed_curvature_never_tracebacks(source, points):
+    rc, err = _run_quietly(["curvature", *source, "--points", str(points)])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+_REPORT_KEYS = ("data", "cases", "overall_pass", "status", "min_margin", "case_id", "samples_used")
+_JSON_JUNK = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 4),
+        st.floats(-4.0, 4.0),
+        st.text(alphabet="xyz ", max_size=3),
+        st.sampled_from(["pass", "violated", "hypothesis-not-met"]),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.sampled_from(_REPORT_KEYS), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(payload=_JSON_JUNK)
+@example(payload={"cases": [{"status": "pass"}]})
+def test_fuzzed_report_never_tracebacks(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        path.write_text(json.dumps(payload))
+        rc, err = _run_quietly(["report", str(path)])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
 
 
 class TestReport:
@@ -254,6 +363,19 @@ class TestReport:
         rc = main(["report", str(tmp_path / "gone.json")])
         capsys.readouterr()
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [[1, 2], {"data": 3}, {"cases": "x"}, {"cases": [1]}, {"cases": [{"status": "pass"}]}],
+    )
+    def test_malformed_payload_exits_2(self, tmp_path, capsys, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        rc = main(["report", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: malformed report")
+        assert captured.out == ""
 
 
 class TestDistance:
@@ -381,18 +503,37 @@ class TestOde:
         assert lines[0] == "t,lambda_num,lambda_exact,error"
         assert len(lines) == 102
         errs = [abs(float(line.split(",")[3])) for line in lines[1:]]
-        assert max(errs) < 1e-6
+        assert max(errs) < 1e-12
 
     def test_row_count_option(self, capsys):
         rc = main(
-            [
-                "ode", "--family", "linear", "--C", "1",
-                "--t0", "0", "--t1", "1", "--rows", "11", "--tol", "1e-8",
-            ]
+            ["ode", "--family", "linear", "--C", "1", "--t0", "0", "--t1", "1", "--rows", "11"]
         )
         lines = _rows(capsys.readouterr().out)
         assert rc == 0
         assert len(lines) == 12
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--t1", "1", "--rows", "-3"],
+            ["--t1", "1", "--rows", "0"],
+            ["--t1", "1", "--C1", "1e300"],
+            ["--t1", "nan"],
+        ],
+    )
+    def test_bad_input_exits_2(self, capsys, flags):
+        rc = main(["ode", "--family", "sinh", "--C2", "1", "--t0", "0.1", *flags])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    def test_tol_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ode", "--family", "sinh", "--t0", "0.5", "--t1", "1", "--tol", "1e-8"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
     def test_singular_interval_rejected(self, capsys):
         rc = main(["ode", "--family", "sin", "--C1", "1", "--C2", "0", "--t0", "0", "--t1", "1"])

@@ -1,4 +1,4 @@
-"""Adaptive integration of lambda'' = exp(lambda) against the closed forms."""
+"""The linearized closed-form solution of lambda'' = exp(lambda) against the closed forms."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 
 from hypcontract.liouville import (
     LiouvilleState,
-    Trajectory,
     closed_form_dlambda,
     closed_form_lambda,
     family_initial_state,
@@ -19,6 +18,19 @@ from hypcontract.weights import GridSpec, Interval, WeightFamily, curvature_k, f
 # High-precision oracle values (mpmath, 40 digits), frozen.
 LOG_PI_SQ_HALF = 1.5963125911388550389   # log(pi^2 / 2)
 LOG_2_OVER_SINH2_1 = 0.3702684574175540422  # log(2 / sinh(1)^2)
+# (lambda, lambda') of the near-linear members C1 = C2 = 1e-5 at t = -0.4, 1, 2.4.
+NEAR_LINEAR = {
+    "sin": (
+        (1.7147984281039267498, -3.3333333332933334567),
+        (-0.69314718042661197608, -0.99999999986666666666),
+        (-1.7544036822989527163, -0.58823529389098040751),
+    ),
+    "sinh": (
+        (1.7147984280799267498, -3.3333333333733334567),
+        (-0.69314718069327864275, -1.0000000001333333333),
+        (-1.754403683069619383, -0.58823529434431374084),
+    ),
+}
 
 SINH_FAM = WeightFamily("sinh", k=1.0, C1=1.0, C2=1.0, domain=Interval(-0.5, 1.5))
 SIN_FAM = WeightFamily(
@@ -27,8 +39,8 @@ SIN_FAM = WeightFamily(
 LINEAR_FAM = WeightFamily("linear", k=1.0, C=1.0, domain=Interval(-0.5, 2.5))
 
 
-def _sup_error(fam, t0, t1, tol=1e-10, n=301):
-    traj = solve_liouville(family_initial_state(fam, t0), t1, tol=tol)
+def _sup_error(fam, t0, t1, n=301):
+    traj = solve_liouville(family_initial_state(fam, t0), t1)
     grid = np.linspace(min(t0, t1), max(t0, t1), n)
     return float(np.max(np.abs(traj.interpolate(grid) - closed_form_lambda(fam, grid)))), traj
 
@@ -77,74 +89,112 @@ class TestClosedForms:
 class TestSolver:
     def test_matches_sinh_family(self):
         err, traj = _sup_error(SINH_FAM, 0.0, 1.0)
-        assert err < 1e-6
+        assert err < 1e-12
         assert not traj.blown_up
 
     def test_matches_sin_family(self):
         err, _ = _sup_error(SIN_FAM, -0.5, 0.5)
-        assert err < 1e-6
+        assert err < 1e-12
 
     def test_matches_linear_family(self):
         err, _ = _sup_error(LINEAR_FAM, 0.0, 1.0)
-        assert err < 1e-6
+        assert err < 1e-12
         # wider window from the module contract examples
         err2, _ = _sup_error(LINEAR_FAM, 0.0, 2.0)
-        assert err2 < 1e-6
+        assert err2 < 1e-12
+
+    @pytest.mark.parametrize("kind", ["sin", "sinh"])
+    def test_near_linear_member_matches_mpmath(self, kind):
+        # kappa = -+1e-10: the sin and sinh members differ from the linear one,
+        # and from each other, by about 1e-11.
+        fam = WeightFamily(kind, k=1.0, C1=1e-5, C2=1e-5, domain=Interval(-0.5, 2.5))
+        ts = np.array([-0.4, 1.0, 2.4])
+        expected = np.array(NEAR_LINEAR[kind])
+        for t0, t1 in ((-0.4, 2.4), (2.4, -0.4)):
+            traj = solve_liouville(family_initial_state(fam, t0), t1)
+            np.testing.assert_allclose(traj.interpolate(ts), expected[:, 0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                traj.interpolate_dlam(ts), expected[:, 1], rtol=0, atol=1e-12
+            )
 
     def test_backward_integration(self):
-        traj = solve_liouville(family_initial_state(SINH_FAM, 1.0), 0.0, tol=1e-10)
-        assert np.all(np.diff(traj.ts) > 0.0)
+        traj = solve_liouville(family_initial_state(SINH_FAM, 1.0), 0.0)
+        assert (traj.t_min, traj.t_max) == (0.0, 1.0)
         grid = np.linspace(0.0, 1.0, 201)
         err = np.max(np.abs(traj.interpolate(grid) - closed_form_lambda(SINH_FAM, grid)))
-        assert err < 1e-6
+        assert err < 1e-12
+        err_d = np.max(np.abs(traj.interpolate_dlam(grid) - closed_form_dlambda(SINH_FAM, grid)))
+        assert err_d < 1e-12
 
     def test_symmetry_about_sin_minimum(self):
         # dlambda = 0 at t = 0 for the strip-family member; the trajectory must
         # mirror across the minimum.
         assert abs(closed_form_dlambda(SIN_FAM, 0.0)) < 1e-15
-        fwd = solve_liouville(family_initial_state(SIN_FAM, 0.0), 0.4, tol=1e-10)
-        bwd = solve_liouville(family_initial_state(SIN_FAM, 0.0), -0.4, tol=1e-10)
+        fwd = solve_liouville(family_initial_state(SIN_FAM, 0.0), 0.4)
+        bwd = solve_liouville(family_initial_state(SIN_FAM, 0.0), -0.4)
         s = np.linspace(0.0, 0.4, 101)
-        assert np.max(np.abs(fwd.interpolate(s) - bwd.interpolate(-s))) < 1e-6
+        assert np.max(np.abs(fwd.interpolate(s) - bwd.interpolate(-s))) < 1e-12
 
     def test_first_integral_drift(self):
         for fam, t0, t1 in ((SINH_FAM, 0.0, 1.0), (SIN_FAM, -0.5, 0.5), (LINEAR_FAM, 0.0, 2.0)):
-            traj = solve_liouville(family_initial_state(fam, t0), t1, tol=1e-10)
-            energy = traj.energy()
-            assert np.max(np.abs(energy - energy[0])) < 1e-8
-
-    def test_tolerance_convergence(self):
-        errs = [_sup_error(SINH_FAM, 0.0, 1.0, tol=tol)[0] for tol in (1e-4, 1e-6, 1e-8, 1e-10)]
-        assert all(b < 4.0 * a for a, b in zip(errs, errs[1:]))
-        assert errs[-1] < errs[0]
+            traj = solve_liouville(family_initial_state(fam, t0), t1)
+            energy = traj.energy(np.linspace(t0, t1, 301))
+            assert np.max(np.abs(energy - energy[0])) < 1e-12
+            assert energy[0] == pytest.approx(2.0 * traj.kappa, abs=1e-12)
 
     def test_dense_output_derivative(self):
-        traj = solve_liouville(family_initial_state(SINH_FAM, 0.0), 1.0, tol=1e-10)
+        traj = solve_liouville(family_initial_state(SINH_FAM, 0.0), 1.0)
         grid = np.linspace(0.0, 1.0, 201)
         err = np.max(np.abs(traj.interpolate_dlam(grid) - closed_form_dlambda(SINH_FAM, grid)))
-        assert err < 1e-6
+        assert err < 1e-12
 
     def test_interpolation_hits_knots_and_bounds(self):
-        traj = solve_liouville(family_initial_state(SINH_FAM, 0.0), 1.0, tol=1e-8)
-        np.testing.assert_array_equal(traj.interpolate(traj.ts), traj.lams)
+        # The one knot is the initial state, which the closed form reproduces
+        # exactly; points outside the span are rejected.
+        for fam, t0, t1 in ((SINH_FAM, 0.0, 1.0), (SIN_FAM, 0.3, -0.5), (LINEAR_FAM, 0.0, 1.0)):
+            initial = family_initial_state(fam, t0)
+            traj = solve_liouville(initial, t1)
+            assert traj.interpolate(t0) == initial.lam
+            assert traj.interpolate_dlam(t0) == initial.dlam
+        traj = solve_liouville(family_initial_state(SINH_FAM, 0.0), 1.0)
         with pytest.raises(ValueError):
             traj.interpolate(1.5)
         with pytest.raises(ValueError):
-            traj.interpolate(-0.2)
+            traj.interpolate_dlam(-0.2)
 
     def test_blow_up_is_flagged_not_raised(self):
         # The sin member is singular at t = 1; marching past it must return a
-        # flagged partial trajectory that stops just short of the pole.
-        traj = solve_liouville(family_initial_state(SIN_FAM, 0.0), 2.0, tol=1e-6)
+        # flagged partial trajectory that stops where lambda reaches the cap,
+        # 2e-11 short of the pole.
+        traj = solve_liouville(family_initial_state(SIN_FAM, 0.0), 2.0)
         assert traj.blown_up
-        # the numerical blow-up time tracks the pole at t = 1
-        assert abs(traj.t_max - 1.0) < 1e-6
-        assert traj.lams[-1] > 20.0
+        assert traj.t_min == 0.0
+        assert abs(traj.t_max - 1.0) < 1e-9
+        assert traj.t_max < 1.0
+        assert traj.interpolate(traj.t_max) == pytest.approx(traj.lam_cap, abs=1e-3)
 
     def test_blow_up_backward(self):
-        traj = solve_liouville(family_initial_state(SIN_FAM, 0.0), -2.0, tol=1e-6)
+        traj = solve_liouville(family_initial_state(SIN_FAM, 0.0), -2.0)
         assert traj.blown_up
-        assert abs(traj.t_min + 1.0) < 1e-6
+        assert abs(traj.t_min + 1.0) < 1e-9
+
+    @pytest.mark.parametrize("t0", [0.0, 2.0])
+    def test_blow_up_of_linear_family(self, t0):
+        # kappa is 0 up to rounding here; the pole of 2/(t+1)^2 is at t = -1.
+        traj = solve_liouville(family_initial_state(LINEAR_FAM, t0), -3.0)
+        assert traj.blown_up
+        assert abs(traj.t_min + 1.0) < 1e-9
+        assert traj.t_max == t0
+
+    def test_no_blow_up_short_of_the_pole(self):
+        traj = solve_liouville(family_initial_state(SIN_FAM, 0.0), 0.999)
+        assert not traj.blown_up
+        assert traj.t_max == 0.999
+
+    def test_tolerance_is_recorded(self):
+        traj = solve_liouville(family_initial_state(SINH_FAM, 0.0), 1.0, tol=1e-6)
+        assert traj.tol == 1e-6
+        assert (traj.accepted, traj.rejected) == (1, 0)
 
     def test_argument_validation(self):
         init = family_initial_state(SINH_FAM, 0.0)
@@ -152,6 +202,9 @@ class TestSolver:
             solve_liouville(init, 1.0, tol=0.0)
         with pytest.raises(ValueError):
             solve_liouville(init, 0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                solve_liouville(init, bad)
         with pytest.raises(ValueError):
             LiouvilleState(0.0, math.inf, 0.0)
 
@@ -164,7 +217,7 @@ class TestLambdaToWeight:
             (LINEAR_FAM, 0.0, 1.0),
             (WeightFamily("sinh", k=2.0, C1=1.0, C2=1.0, domain=Interval(-0.5, 1.5)), 0.0, 1.0),
         ):
-            traj = solve_liouville(family_initial_state(fam, t0), t1, tol=1e-12)
+            traj = solve_liouville(family_initial_state(fam, t0), t1)
             w_num = lambda_to_weight(traj, k=fam.k)
             w_ref = family_weight(fam)
             ts = np.linspace(t0 + 1e-6, t1 - 1e-6, 401)
@@ -172,15 +225,15 @@ class TestLambdaToWeight:
 
     def test_linear_family_k2_density(self):
         fam = WeightFamily("linear", k=2.0, C=1.0, domain=Interval(-0.5, 2.5))
-        traj = solve_liouville(family_initial_state(fam, 0.0), 1.0, tol=1e-12)
+        traj = solve_liouville(family_initial_state(fam, 0.0), 1.0)
         w = lambda_to_weight(traj, k=2.0)
         ts = np.linspace(0.01, 0.99, 50)
         np.testing.assert_allclose(w.density(ts), 1.0 / (2.0 * (ts + 1.0)), atol=1e-10)
 
     def test_numeric_weight_curvature(self):
         # No analytic derivatives on purpose: curvature goes through the
-        # finite-difference route applied to the dense output.
-        traj = solve_liouville(family_initial_state(SINH_FAM, 0.0), 1.0, tol=1e-12)
+        # finite-difference route applied to the solution.
+        traj = solve_liouville(family_initial_state(SINH_FAM, 0.0), 1.0)
         w = lambda_to_weight(traj, k=1.0)
         assert not w.has_analytic_derivatives
         ts = np.linspace(0.05, 0.95, 181)
@@ -188,27 +241,21 @@ class TestLambdaToWeight:
         assert np.max(np.abs(ks + 1.0)) < 1e-4
 
     def test_domain_matches_trajectory_span(self):
-        traj = solve_liouville(family_initial_state(SINH_FAM, 0.0), 1.0, tol=1e-8)
+        traj = solve_liouville(family_initial_state(SINH_FAM, 0.0), 1.0)
         w = lambda_to_weight(traj)
         assert w.domain.lo == traj.t_min
         assert w.domain.hi == traj.t_max
 
     def test_rejects_small_k_and_short_trajectories(self):
-        traj = solve_liouville(family_initial_state(SINH_FAM, 0.0), 1.0, tol=1e-8)
+        traj = solve_liouville(family_initial_state(SINH_FAM, 0.0), 1.0)
         with pytest.raises(ValueError):
             lambda_to_weight(traj, k=0.5)
-        stub = Trajectory(
-            ts=np.array([0.0, 0.1]),
-            lams=np.array([0.0, 0.01]),
-            dlams=np.array([0.1, 0.1]),
-            tol=1e-8,
-            accepted=1,
-            rejected=0,
-            blown_up=False,
-            lam_cap=50.0,
-        )
+        # lambda starts above the cap: the trajectory is the single point t0
+        empty = solve_liouville(LiouvilleState(0.0, 60.0, 1.0), 1.0)
+        assert empty.blown_up
+        assert empty.t_min == empty.t_max == 0.0
         with pytest.raises(ValueError):
-            lambda_to_weight(stub)
+            lambda_to_weight(empty)
 
 
 def test_family_initial_state_matches_closed_forms():
@@ -216,11 +263,3 @@ def test_family_initial_state_matches_closed_forms():
     assert st.t == 0.5
     assert st.lam == closed_form_lambda(SINH_FAM, 0.5)
     assert st.dlam == closed_form_dlambda(SINH_FAM, 0.5)
-
-
-def test_trajectory_states_view():
-    traj = solve_liouville(family_initial_state(LINEAR_FAM, 0.0), 0.5, tol=1e-8)
-    states = traj.states
-    assert len(states) == len(traj.ts)
-    assert states[0].t == traj.t_min
-    assert states[-1].lam == traj.lams[-1]
