@@ -154,7 +154,7 @@ def _report_line(r: dict) -> str:
 def cmd_verify(args) -> int:
     try:
         config = _load_config(args)
-        result = run_suite(config)
+        result = run_suite(config, keep_margins=args.csv_out is not None)
     except ConfigError as exc:
         json.dump({"errors": exc.errors}, sys.stderr, indent=2)
         sys.stderr.write("\n")
@@ -167,7 +167,7 @@ def cmd_verify(args) -> int:
             fh.write(result.to_json())
     if args.csv_out:
         with open(args.csv_out, "w", encoding="utf-8") as fh:
-            fh.write(result.margins_csv())
+            result.write_margins_csv(fh)
     return 0 if result.overall_pass else 1
 
 

@@ -20,7 +20,6 @@ from typing import Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import optimize
 
 from .disk import BOUNDARY_GUARD
 from .disk import sigma as disk_sigma
@@ -202,8 +201,13 @@ def path_length(d: PlanarDomain, p: PathPolyline, tol: float = 1e-12) -> float:
 
 
 def _closed_form_half_plane(z: complex, w: complex) -> float:
-    q = abs(z - w) / abs(z + np.conj(w))
-    return float(2.0 * np.arctanh(q))
+    """2 asinh(|z - w| / (2 sqrt(Re z Re w))); finite wherever the endpoints are.
+
+    The equivalent 2 atanh(|z - w| / |z + conj(w)|) rounds its argument to 1,
+    and the distance to infinity, once the points are far apart.
+    """
+    q = abs(z - w) / (2.0 * math.sqrt(z.real) * math.sqrt(w.real))
+    return 2.0 * math.asinh(q)
 
 
 # Tanh-sinh rule on (0, 1), step 1/32 over |t| <= 5.7: node offsets from 0 reach
@@ -232,6 +236,8 @@ def _minimizer(wt: Weight) -> float:
         return lo
     if _slope(wt, hi) <= 0.0:
         return hi
+    from scipy import optimize  # here, so importing hypcontract does not load scipy
+
     return optimize.brentq(lambda x: _slope(wt, x), lo, hi, xtol=1e-15)
 
 
@@ -295,6 +301,8 @@ def _strip_geodesic(d: Strip, z: complex, w: complex) -> DistanceResult:
         reach = excess(_T_LIMIT)
     solved = reach > 0.0
     if solved:
+        from scipy import optimize  # here, so importing hypcontract does not load scipy
+
         root, info = optimize.brentq(excess, _T_LIMIT, 0.0, xtol=1e-12, full_output=True, disp=False)
         certificate.update(iterations=int(info.iterations), converged=bool(info.converged))
     else:

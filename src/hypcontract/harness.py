@@ -9,10 +9,15 @@ supplying only its ``lhs(f(z), f(w))`` against ``factor * sigma(z, w)``.
 
 Pairs come from seeded substreams (one PCG64 stream per fixed-size chunk of
 1024 samples, keyed by seed, ball dimension and chunk index); ``_map_chunks``
-evaluates both sides chunk by chunk and merges the chunks in chunk order.
-Chunk boundaries never depend on the worker count, so a suite is bitwise
-reproducible at any parallelism level.  Reports carry margin statistics
-(margin = rhs - lhs).
+evaluates a case chunk by chunk and merges the chunks in chunk order.  Chunk
+boundaries never depend on the worker count, so a suite is bitwise
+reproducible at any parallelism level.  Within one ``run_suite`` call the
+disk-pair stream of a ``SampleSpec`` is shared: each chunk's ``z``, ``w`` and
+``sigma(z, w)`` are computed once, and every disk-pair case (and the disk half
+of the modulus-monotonicity family) only evaluates its own left side on them.
+Reports carry margin statistics (margin = rhs - lhs); the per-sample margins
+stay on the reports only when ``run_suite`` is asked to keep them (the CSV
+output needs them, nothing else does).
 
 A sampled pair with margin below -(tol_abs + tol_rel*|rhs|) is a violation;
 the hypotheses are theorems, so violations indicate implementation bugs.  The
@@ -27,10 +32,12 @@ rather than a violation verdict.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -52,6 +59,7 @@ from .weights import (
 KV_FACTOR = 4.0 / math.pi
 DEFAULT_SEED = 101
 CHUNK_SIZE = 1024
+CSV_BLOCK_ROWS = 65_536
 MAX_WORKERS = 64
 
 SCHEMES = ("uniform_disk", "boundary_biased")
@@ -176,21 +184,59 @@ def ball_pair_chunk(spec: SampleSpec, dim: int, ci: int, n: int, last: bool):
     return z, w
 
 
-def _map_chunks(spec: SampleSpec, chunk_fn: Callable, eval_fn: Callable, workers: int):
-    """Evaluate ``eval_fn(z, w)`` over every chunk; merge fields in chunk order."""
+def _map_chunks(spec: SampleSpec, one: Callable, workers: int) -> dict:
+    """``one(ci, a, b)`` for every chunk [a, b) of the stream; fields merged in chunk order."""
     n_chunks = (spec.count + CHUNK_SIZE - 1) // CHUNK_SIZE
 
-    def one(ci):
-        n = min(CHUNK_SIZE, spec.count - ci * CHUNK_SIZE)
-        z, w = chunk_fn(spec, ci, n, ci == n_chunks - 1)
-        return {"z": z, "w": w, **eval_fn(z, w)}
+    def bounded(ci):
+        return one(ci, ci * CHUNK_SIZE, min((ci + 1) * CHUNK_SIZE, spec.count))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(one, range(n_chunks)))
+            results = list(ex.map(bounded, range(n_chunks)))
     else:
-        results = [one(ci) for ci in range(n_chunks)]
-    return {k: np.concatenate([r[k] for r in results]) for k in results[0]}
+        results = [bounded(ci) for ci in range(n_chunks)]
+    # Field by field, dropping each field's chunks once merged, to bound the peak.
+    return {k: np.concatenate([r.pop(k) for r in results]) for k in list(results[0])}
+
+
+class _DiskStream:
+    """The disk-pair stream of one spec, with ``sigma(z, w)``; each chunk computed once.
+
+    The first ``chunk(ci, a, b)`` draws the chunk through ``disk_pair_chunk``
+    and fills rows [a, b) of the full-length ``z``, ``w`` and ``sigma``; every
+    call returns views of those rows.  Within one ``_map_chunks`` call each
+    chunk index goes to one worker, so no two threads fill the same rows.
+    """
+
+    def __init__(self, spec: SampleSpec):
+        self.spec = spec
+        self.z = np.empty(spec.count, dtype=complex)
+        self.w = np.empty(spec.count, dtype=complex)
+        self.sigma = np.empty(spec.count)
+        self._drawn = set()
+
+    def chunk(self, ci: int, a: int, b: int):
+        if ci not in self._drawn:
+            z, w = disk_pair_chunk(self.spec, ci, b - a, b == self.spec.count)
+            self.z[a:b], self.w[a:b] = z, w
+            self.sigma[a:b] = sigma(z, w)
+            self._drawn.add(ci)
+        return self.z[a:b], self.w[a:b], self.sigma[a:b]
+
+
+# SampleSpec -> _DiskStream while a run_suite call is in progress, else None.
+_SHARED_STREAMS: ContextVar[dict | None] = ContextVar("_SHARED_STREAMS", default=None)
+
+
+def _disk_stream(spec: SampleSpec) -> _DiskStream:
+    """The suite's shared stream for ``spec``; a private one outside ``run_suite``."""
+    shared = _SHARED_STREAMS.get()
+    if shared is None:
+        return _DiskStream(spec)
+    if spec not in shared:
+        shared[spec] = _DiskStream(spec)
+    return shared[spec]
 
 
 def _finalize(
@@ -258,7 +304,7 @@ def _verify_pairs(
 ):
     """lhs_of(f(z), f(w)) <= case.factor * sigma(z, w) over the disk-pair stream.
 
-    Returns the report and the merged chunk fields ``z``, ``w``, ``lhs`` and
+    Returns the report and the stream fields ``z``, ``w``, ``lhs`` and
     ``sigma``; the fields are None when the curvature gate fails.
     """
     t0 = time.perf_counter()
@@ -266,14 +312,16 @@ def _verify_pairs(
     if failed:
         return failed, None
     f = case.function
+    stream = _disk_stream(spec)
 
-    def chunk(z, w):
-        lhs = np.asarray(lhs_of(f.eval(z), f.eval(w)), dtype=float)
-        return {"lhs": lhs, "sigma": np.asarray(sigma(z, w), dtype=float)}
+    def one(ci, a, b):
+        z, w, _ = stream.chunk(ci, a, b)
+        return {"lhs": np.asarray(lhs_of(f.eval(z), f.eval(w)), dtype=float)}
 
-    data = _map_chunks(spec, disk_pair_chunk, chunk, workers)
-    rhs = case.factor * data["sigma"]
-    return _finalize(case, spec.seed, data["z"], data["w"], data["lhs"], rhs, t0), data
+    lhs = _map_chunks(spec, one, workers)["lhs"]
+    rhs = case.factor * stream.sigma
+    data = {"z": stream.z, "w": stream.w, "lhs": lhs, "sigma": stream.sigma}
+    return _finalize(case, spec.seed, stream.z, stream.w, lhs, rhs, t0), data
 
 
 def verify_re_contraction(
@@ -397,41 +445,47 @@ def verify_kv_factor(
     return replace(report, extras=extras)
 
 
-def _abs_disk_chunk(z, w):
-    az, aw = np.abs(z), np.abs(w)
-    rho_zw = np.abs((z - w) / (1.0 - np.conj(z) * w))
-    rho_abs = np.abs(az - aw) / (1.0 - az * aw)
-    sigma_zw = 2.0 * np.arctanh(rho_zw)
-    sigma_abs = np.abs(2.0 * np.arctanh(az) - 2.0 * np.arctanh(aw))
-    return {"rho_zw": rho_zw, "rho_abs": rho_abs, "sigma_zw": sigma_zw, "sigma_abs": sigma_abs}
-
-
-def _abs_ball_chunk(z, w):
-    beta_abs = np.asarray(ball.beta(ball.embed_modulus(z), ball.embed_modulus(w)))
-    return {"beta_abs": beta_abs, "beta_zw": np.asarray(ball.beta(z, w))}
-
-
 def _abs_report(case_id: str, seed: int, d: dict, name: str, t0: float) -> VerificationReport:
     case = InequalityCase(id=case_id, tol_abs=1e-12, tol_rel=0.0)
     return _finalize(case, seed, d["z"], d["w"], d[f"{name}_abs"], d[f"{name}_zw"], t0)
+
+
+def _abs_disk_reports(spec: SampleSpec, workers: int) -> list:
+    t0 = time.perf_counter()
+    stream = _disk_stream(spec)
+
+    def one(ci, a, b):
+        z, w, _ = stream.chunk(ci, a, b)
+        az, aw = np.abs(z), np.abs(w)
+        return {
+            "rho_zw": np.abs((z - w) / (1.0 - np.conj(z) * w)),
+            "rho_abs": np.abs(az - aw) / (1.0 - az * aw),
+            "sigma_abs": np.abs(2.0 * np.arctanh(az) - 2.0 * np.arctanh(aw)),
+        }
+
+    d = _map_chunks(spec, one, workers)
+    d.update(z=stream.z, w=stream.w, sigma_zw=stream.sigma)
+    return [_abs_report(f"abs_{name}_disk", spec.seed, d, name, t0) for name in ("rho", "sigma")]
+
+
+def _abs_ball_report(spec: SampleSpec, dim: int, workers: int) -> VerificationReport:
+    t0 = time.perf_counter()
+
+    def one(ci, a, b):
+        z, w = ball_pair_chunk(spec, dim, ci, b - a, b == spec.count)
+        beta_abs = np.asarray(ball.beta(ball.embed_modulus(z), ball.embed_modulus(w)))
+        return {"z": z, "w": w, "beta_abs": beta_abs, "beta_zw": np.asarray(ball.beta(z, w))}
+
+    d = _map_chunks(spec, one, workers)
+    return _abs_report(f"abs_beta_ball_n{dim}", spec.seed, d, "beta", t0)
 
 
 def verify_abs_inequalities(
     spec: SampleSpec, dims: tuple = (1, 2, 3), workers: int = 1
 ) -> list:
     """Modulus-monotonicity margins: disk rho, disk sigma, ball beta per dim."""
-    t0 = time.perf_counter()
-    d = _map_chunks(spec, disk_pair_chunk, _abs_disk_chunk, workers)
-    reports = [_abs_report(f"abs_{name}_disk", spec.seed, d, name, t0) for name in ("rho", "sigma")]
-    for dim in dims:
-        t1 = time.perf_counter()
-        d = _map_chunks(
-            spec,
-            lambda sp, ci, n, last, dim=dim: ball_pair_chunk(sp, dim, ci, n, last),
-            _abs_ball_chunk,
-            workers,
-        )
-        reports.append(_abs_report(f"abs_beta_ball_n{dim}", spec.seed, d, "beta", t1))
+    reports = _abs_disk_reports(spec, workers)
+    reports.extend(_abs_ball_report(spec, dim, workers) for dim in dims)
     return reports
 
 
@@ -676,33 +730,49 @@ class SuiteResult:
         """The deterministic payload only (no wall times); for golden comparison."""
         return json.dumps(self.data_dict(), indent=2, sort_keys=True)
 
-    def margins_csv(self) -> str:
-        lines = ["case_id,sample_index,margin"]
+    def write_margins_csv(self, fh) -> None:
+        """Write the per-sample margins CSV to ``fh``, a block of rows at a time."""
+        fh.write("case_id,sample_index,margin\n")
         for r in self.reports:
             if r.margins is None:
                 continue
-            for i, m in enumerate(r.margins):
-                lines.append(f"{r.case_id},{i},{float(m)!r}")
-        return "\n".join(lines) + "\n"
+            for a in range(0, len(r.margins), CSV_BLOCK_ROWS):
+                block = r.margins[a : a + CSV_BLOCK_ROWS].tolist()
+                fh.write("".join(f"{r.case_id},{i},{m!r}\n" for i, m in enumerate(block, a)))
+
+    def margins_csv(self) -> str:
+        buf = io.StringIO()
+        self.write_margins_csv(buf)
+        return buf.getvalue()
 
 
-def run_suite(config: SuiteConfig) -> SuiteResult:
-    """Run every configured case; deterministic for a fixed config and seed."""
+def run_suite(config: SuiteConfig, keep_margins: bool = True) -> SuiteResult:
+    """Run every configured case; deterministic for a fixed config and seed.
+
+    The cases share one disk-pair stream per ``SampleSpec``, released on
+    return.  With ``keep_margins`` false each report drops its per-sample
+    margins as soon as it is made; only ``margins_csv`` reads them.
+    """
     errors = validate_config(config)
     if errors:
         raise ConfigError(errors)
     t0 = time.perf_counter()
     spec = config.sample
     reports = []
-    for cs in config.cases:
-        if OPS[cs.op][0] is None:  # the function-free family: one report per distance
-            reports.extend(
-                verify_abs_inequalities(spec, dims=config.ball_dims, workers=config.workers)
-            )
-            continue
-        # Resolved at call time, so a wrapper set on the module attribute is used.
-        check = globals()[f"verify_{cs.op}"]
-        reports.append(check(_build_case(cs), spec, config.workers))
+    token = _SHARED_STREAMS.set({})
+    try:
+        for cs in config.cases:
+            if OPS[cs.op][0] is None:  # the function-free family: one report per distance
+                made = verify_abs_inequalities(spec, dims=config.ball_dims, workers=config.workers)
+            else:
+                # Resolved at call time, so a wrapper set on the module attribute is used.
+                check = globals()[f"verify_{cs.op}"]
+                made = [check(_build_case(cs), spec, config.workers)]
+            if not keep_margins:
+                made = [replace(r, margins=None) for r in made]
+            reports.extend(made)
+    finally:
+        _SHARED_STREAMS.reset(token)
     overall = all(r.status == "pass" for r in reports)
     return SuiteResult(
         overall_pass=overall,

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 # Central-difference steps.  First derivatives use the classic cbrt(eps) rule;
 # second derivatives use eps**(1/4), which balances truncation against the
@@ -129,9 +128,12 @@ class WeightFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.k < 1.0:
-            raise ValueError("family exponent k must be >= 1")
-        if self.kind in ("sin", "sinh") and self.C1 <= 0.0:
+        # Written as "not ... <" so that NaN, for which every comparison is false, fails too.
+        if not 1.0 <= self.k < math.inf:
+            raise ValueError("family exponent k must be finite and >= 1")
+        if not all(-math.inf < c < math.inf for c in (self.C1, self.C2, self.C)):
+            raise ValueError("family constants C1, C2 and C must be finite")
+        if self.kind in ("sin", "sinh") and not self.C1 > 0.0:
             raise ValueError("C1 must be positive")
 
 
@@ -185,6 +187,8 @@ def omega_distance(w: Weight, a, b):
     b = _check_endpoint(w, b, "b")
     if a == b:
         return 0.0
+    from scipy import integrate  # here, so importing hypcontract does not load scipy
+
     value, abserr, info, *message = integrate.quad(
         w.density, a, b, epsabs=1e-12, epsrel=1e-10, full_output=1
     )

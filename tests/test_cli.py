@@ -5,8 +5,12 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tomllib
+import warnings
 from pathlib import Path
 
 import pytest
@@ -288,6 +292,7 @@ def test_fuzzed_distance_never_tracebacks(domain, z, w):
 )
 @example(family="sinh", values={"--C1": "1e300"}, t0="0.1", t1="1", rows=11)
 @example(family="sinh", values={}, t0="0", t1="nan", rows=11)
+@example(family="sinh", values={"--k": "nan"}, t0="0.1", t1="1", rows=11)
 def test_fuzzed_ode_never_tracebacks(family, values, t0, t1, rows):
     argv = ["ode", "--family", family, "--t0", t0, "--t1", t1, "--rows", str(rows)]
     for flag, value in values.items():
@@ -391,6 +396,14 @@ class TestDistance:
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert out["value"] == pytest.approx(1.0, rel=1e-13)
+
+    def test_half_plane_far_apart_is_finite(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["distance", "halfplane", "3", "1e300"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert out["value"] == pytest.approx(math.log(1e300 / 3.0), rel=1e-13)
 
     def test_strip_variational_fields(self, capsys):
         rc = main(["distance", "strip", "0", "0.5"])
@@ -520,6 +533,8 @@ class TestOde:
             ["--t1", "1", "--rows", "0"],
             ["--t1", "1", "--C1", "1e300"],
             ["--t1", "nan"],
+            ["--t1", "1", "--k", "nan"],
+            ["--t1", "1", "--C2", "inf"],
         ],
     )
     def test_bad_input_exits_2(self, capsys, flags):
@@ -540,6 +555,26 @@ class TestOde:
         err = capsys.readouterr().err
         assert rc == 2
         assert "vanishes" in err
+
+
+_SCIPY_PROBE = """
+import sys
+import hypcontract.cli
+from hypcontract import domains, harness, weights
+harness.run_suite(harness.default_config(count=2048))
+print("scipy" in sys.modules)
+domains.distance(domains.Strip(weights.strip_weight()), 0.2 + 0.4j, -0.3 + 1.0j)
+print("scipy" in sys.modules)
+"""
+
+
+def test_scipy_is_loaded_only_by_a_strip_distance():
+    src = str(Path(hypcontract.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["False", "True"]
 
 
 def test_catalog_listing(capsys):

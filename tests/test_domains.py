@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -161,6 +162,27 @@ class TestDistanceClosedForm:
         assert distance(HP, 1.0 + 1.0j, 2.0 + 3.0j).value == pytest.approx(
             D_HP_ORACLE, rel=1e-13
         )
+
+    @pytest.mark.parametrize(
+        "z,w",
+        [
+            (3.0, 1e300),
+            (1e-300, 1e300),
+            (1.0 + 1.0j, 1e200 - 1e200j),
+            (1e-200 + 5.0j, 1.0),
+            (1.0 + 1.0j, 1.0 + 1.0j + 1e-12),
+            (2.0, 2.0 + 1e-9j),
+            (1e-100, 1.000001e-100),
+        ],
+    )
+    def test_half_plane_matches_mpmath_far_and_near(self, z, w):
+        z, w = complex(z), complex(w)
+        with mpmath.workdps(60):
+            zm, wm = mpmath.mpc(z.real, z.imag), mpmath.mpc(w.real, w.imag)
+            oracle = mpmath.acosh(1 + abs(zm - wm) ** 2 / (2 * zm.real * wm.real))
+        value = distance(HP, z, w).value
+        assert math.isfinite(value)
+        assert value == pytest.approx(float(oracle), rel=1e-14)
 
     def test_coincident_points(self):
         r = distance(STRIP, 0.2 + 1.0j, 0.2 + 1.0j)

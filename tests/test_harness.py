@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import sys
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hypcontract import harness
 from hypcontract.catalog import get
+from hypcontract.cli import main
 from hypcontract.disk import sigma
 from hypcontract.harness import (
     CHUNK_SIZE,
@@ -392,6 +397,100 @@ def test_default_suite_matches_golden_hashes(seed, workers):
         for text in (result.data_json(), result.margins_csv())
     )
     assert digests == GOLDEN_10K[seed]
+
+
+def test_cli_csv_file_matches_golden_hash(tmp_path, capsys):
+    path = tmp_path / "margins.csv"
+    rc = main(["verify", "--count", "10000", "--seed", "101", "--csv-out", str(path)])
+    capsys.readouterr()
+    assert rc == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_10K[101][1]
+
+
+class TestSharedDiskStream:
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_each_chunk_drawn_once_per_suite(self, monkeypatch, workers):
+        config = default_config(count=4 * CHUNK_SIZE, workers=workers)
+        serial = run_suite(replace(config, workers=1))
+        drawn = []  # list.append is atomic; a Counter increment is not
+        original = harness.disk_pair_chunk
+
+        def counting(spec, ci, n, last):
+            drawn.append(ci)
+            return original(spec, ci, n, last)
+
+        monkeypatch.setattr(harness, "disk_pair_chunk", counting)
+        # frequent thread switches, so a chunk filled twice or half filled would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = run_suite(config)
+        finally:
+            sys.setswitchinterval(interval)
+        n_proof_chain = sum(cs.op == "proof_chain" for cs in config.cases)
+        assert n_proof_chain == 2
+        # every chunk once for the shared stream; chunk 0 again per proof-chain replay
+        assert Counter(drawn) == {0: 1 + n_proof_chain, 1: 1, 2: 1, 3: 1}
+        assert result.overall_pass
+        assert result.data_json() == serial.data_json()
+        assert result.margins_csv() == serial.margins_csv()
+
+    def test_released_after_the_suite_and_never_set_by_a_bare_call(self, monkeypatch):
+        run_suite(default_config(count=512))
+        assert harness._SHARED_STREAMS.get() is None
+        drawn = []
+        original = harness.disk_pair_chunk
+
+        def counting(spec, ci, n, last):
+            drawn.append(ci)
+            return original(spec, ci, n, last)
+
+        monkeypatch.setattr(harness, "disk_pair_chunk", counting)
+        case = InequalityCase(id="schwarz_pick:power", function=get("power"))
+        spec = SampleSpec(count=2 * CHUNK_SIZE)
+        first = verify_schwarz_pick(case, spec)
+        second = verify_schwarz_pick(case, spec)
+        assert harness._SHARED_STREAMS.get() is None
+        assert Counter(drawn) == {0: 2, 1: 2}  # no cache outlives a bare call
+        np.testing.assert_array_equal(first.margins, second.margins)
+
+    def test_released_when_a_case_raises(self, monkeypatch):
+        def broken(case, spec, workers):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(harness, "verify_pavlovic", broken)
+        with pytest.raises(RuntimeError):
+            run_suite(default_config(count=256))
+        assert harness._SHARED_STREAMS.get() is None
+
+    def test_shared_stream_matches_private_draws(self):
+        # a suite case reads the shared stream; a bare call draws its own
+        config = default_config(count=2 * CHUNK_SIZE + 3)
+        suite = {r.case_id: r for r in run_suite(config).reports}
+        case = InequalityCase(id="schwarz_pick:power", function=get("power"))
+        bare = verify_schwarz_pick(case, config.sample)
+        assert bare.to_dict() == suite["schwarz_pick:power"].to_dict()
+        np.testing.assert_array_equal(bare.margins, suite["schwarz_pick:power"].margins)
+        abs_bare = {r.case_id: r for r in verify_abs_inequalities(config.sample)}
+        for case_id in ("abs_rho_disk", "abs_sigma_disk"):
+            np.testing.assert_array_equal(abs_bare[case_id].margins, suite[case_id].margins)
+
+
+class TestKeepMargins:
+    def test_dropped_margins_leave_the_data_unchanged(self):
+        config = default_config(count=1500)
+        kept = run_suite(config)
+        dropped = run_suite(config, keep_margins=False)
+        assert dropped.data_json() == kept.data_json()
+        assert all(r.margins is None for r in dropped.reports)
+        assert all(r.margins is not None for r in kept.reports if r.samples_used)
+        assert dropped.margins_csv() == "case_id,sample_index,margin\n"
+
+    def test_csv_blocks_do_not_move_bytes(self, monkeypatch):
+        result = run_suite(default_config(count=300))
+        whole = result.margins_csv()
+        monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", 7)
+        assert result.margins_csv() == whole
 
 
 @pytest.fixture(scope="module")

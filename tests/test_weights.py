@@ -197,6 +197,13 @@ class TestFamilies:
             WeightFamily("sin", C1=-1.0)
         assert set(FAMILY_KINDS) == {"sin", "sinh", "linear"}
 
+    @pytest.mark.parametrize("kind", ["sin", "sinh", "linear"])
+    @pytest.mark.parametrize("name", ["k", "C1", "C2", "C"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, kind, name, value):
+        with pytest.raises(ValueError):
+            WeightFamily(kind, domain=Interval(0.1, 1.0), **{name: value})
+
     def test_denominator_must_not_vanish(self):
         with pytest.raises(ValueError):
             family_weight(WeightFamily("sin", C1=1.0, C2=0.0, domain=Interval(-1, 1)))
