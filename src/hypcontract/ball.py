@@ -33,7 +33,9 @@ _MAX_NORM = 1.0 - BOUNDARY_GUARD
 
 def inner(u, v):
     """Hermitian inner product over the last axis, second slot conjugated."""
-    return np.sum(np.asarray(u) * np.conj(np.asarray(v)), axis=-1)
+    # Named, so numpy's temporary elision cannot turn u * cv into cv * u (other bits).
+    cv = np.conj(np.asarray(v))
+    return np.sum(np.asarray(u) * cv, axis=-1)
 
 
 def norm(z):

@@ -64,7 +64,9 @@ def _blaschke_product(zeros: tuple):
     def ev(z):
         out = factors[0][0](z)
         for f, _ in factors[1:]:
-            out = out * f(z)
+            # Named, so numpy's temporary elision cannot turn out * fz into fz * out (other bits).
+            fz = f(z)
+            out = out * fz
         return out
 
     def dv(z):
@@ -113,10 +115,16 @@ def _build_catalog() -> tuple[HoloFunction, ...]:
     )
 
     c, d = 0.7 + 0.2j, 3
+
+    def power(z):
+        # Named, so numpy's temporary elision cannot turn c * zd into zd * c (other bits).
+        zd = z**d
+        return c * zd
+
     entries.append(
         HoloFunction(
             name="power",
-            eval=lambda z: c * z**d,
+            eval=power,
             deriv=lambda z: c * d * z ** (d - 1),
             codomain="disk",
             params={"c": c, "d": d},

@@ -11,6 +11,7 @@ seed in the config file still wins).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -18,6 +19,7 @@ import sys
 
 import numpy as np
 
+from . import harness
 from .catalog import catalog
 from .domains import HalfPlane, PoincareDisk, Strip, distance, gauss_curvature
 from .harness import (
@@ -29,7 +31,6 @@ from .harness import (
     SuiteConfig,
     default_config,
     run_suite,
-    validate_config,
 )
 from .liouville import closed_form_lambda, family_initial_state, solve_liouville
 from .weights import (
@@ -116,23 +117,30 @@ def _config_from_dict(raw: dict, args) -> SuiteConfig:
         workers=args.workers if args.workers is not None else raw.get("workers", 1),
         schema_version=raw.get("schema_version", 1),
     )
-    errors.extend(validate_config(config))
+    errors.extend(harness.validate_config(config))
     if errors:
         raise ConfigError(errors)
     return config
 
 
 def _load_config(args) -> SuiteConfig:
+    """The validated suite config of ``verify``; ConfigError lists what is wrong."""
     if args.config is None:
         seed = args.seed if args.seed is not None else _env_seed()
         try:
-            return default_config(
+            config = default_config(
                 seed=seed,
                 count=args.count if args.count is not None else 10_000,
                 workers=args.workers if args.workers is not None else 1,
             )
         except ValueError as exc:
             raise ConfigError([f"sample: {exc}"]) from None
+        # Through the module attribute, so the traced benchmark run counts this
+        # call as validation, as it does run_suite's own.
+        errors = harness.validate_config(config)
+        if errors:
+            raise ConfigError(errors)
+        return config
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -154,20 +162,28 @@ def _report_line(r: dict) -> str:
 def cmd_verify(args) -> int:
     try:
         config = _load_config(args)
-        result = run_suite(config, keep_margins=args.csv_out is not None)
     except ConfigError as exc:
         json.dump({"errors": exc.errors}, sys.stderr, indent=2)
         sys.stderr.write("\n")
         return 2
-    for r in result.reports:
-        print(_report_line(r.to_dict()))
-    print(f"overall: {'PASS' if result.overall_pass else 'FAIL'}")
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(result.to_json())
-    if args.csv_out:
-        with open(args.csv_out, "w", encoding="utf-8") as fh:
-            result.write_margins_csv(fh)
+    with contextlib.ExitStack() as stack:
+        # Open the outputs before the suite runs, so a bad path costs no run.
+        out = {}
+        for kind, path in (("json", args.json_out), ("csv", args.csv_out)):
+            if path:
+                try:
+                    out[kind] = stack.enter_context(open(path, "w", encoding="utf-8"))
+                except OSError as exc:
+                    sys.stderr.write(f"error: cannot write {path}: {exc.strerror or exc}\n")
+                    return 2
+        result = run_suite(config, keep_margins="csv" in out)
+        for r in result.reports:
+            print(_report_line(r.to_dict()))
+        print(f"overall: {'PASS' if result.overall_pass else 'FAIL'}")
+        if "json" in out:
+            out["json"].write(result.to_json())
+        if "csv" in out:
+            result.write_margins_csv(out["csv"])
     return 0 if result.overall_pass else 1
 
 

@@ -8,13 +8,26 @@ four disk-pair checkers (``re_contraction``, ``modulus_contraction``,
 supplying only its ``lhs(f(z), f(w))`` against ``factor * sigma(z, w)``.
 
 Pairs come from seeded substreams (one PCG64 stream per fixed-size chunk of
-1024 samples, keyed by seed, ball dimension and chunk index); ``_map_chunks``
-evaluates a case chunk by chunk and merges the chunks in chunk order.  Chunk
-boundaries never depend on the worker count, so a suite is bitwise
-reproducible at any parallelism level.  Within one ``run_suite`` call the
-disk-pair stream of a ``SampleSpec`` is shared: each chunk's ``z``, ``w`` and
-``sigma(z, w)`` are computed once, and every disk-pair case (and the disk half
-of the modulus-monotonicity family) only evaluates its own left side on them.
+1024 samples, keyed by seed, ball dimension and chunk index); chunks define
+the stream.  The unit of evaluation is the block, ``BLOCK_CHUNKS`` consecutive
+chunks: ``_map_chunks`` hands each pool task one block, which draws its chunks
+one by one and then evaluates the catalog map and the distance kernels once
+on all of them, and merges the blocks in order.  Neither chunk nor block
+boundaries depend on the worker count, so a suite is bitwise reproducible at
+any parallelism level.  Within one ``run_suite`` call the disk-pair stream of
+a ``SampleSpec`` is shared: each block's ``z``, ``w`` and ``sigma(z, w)`` are
+computed once, and every disk-pair case (and the disk half of the
+modulus-monotonicity family) only evaluates its own left side on them.
+
+A block gives the bits its chunks would give one at a time only while every
+kernel is elementwise and blind to array size.  numpy breaks the second: a
+commutative op whose right operand is a temporary of at least 256 KiB is
+computed in place into that temporary with the operands swapped, and the
+product of two complex arrays is not bitwise commutative (a real factor is
+harmless).  Chunks (at most 48 KiB) never reach the threshold, blocks do; so
+a kernel on the block path binds the right-hand temporary of a complex
+product to a name first (the sites say so), and the tests compare every
+kernel on one block against its chunks.
 Reports carry margin statistics (margin = rhs - lhs); the per-sample margins
 stay on the reports only when ``run_suite`` is asked to keep them (the CSV
 output needs them, nothing else does).
@@ -39,6 +52,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -59,6 +73,9 @@ from .weights import (
 KV_FACTOR = 4.0 / math.pi
 DEFAULT_SEED = 101
 CHUNK_SIZE = 1024
+# Chunks per pool task.  Evaluation cost per numpy call is a few microseconds,
+# so per-chunk tasks spend the run trading the GIL; blocks of 16 amortize it.
+BLOCK_CHUNKS = 16
 CSV_BLOCK_ROWS = 65_536
 MAX_WORKERS = 64
 
@@ -185,28 +202,45 @@ def ball_pair_chunk(spec: SampleSpec, dim: int, ci: int, n: int, last: bool):
 
 
 def _map_chunks(spec: SampleSpec, one: Callable, workers: int) -> dict:
-    """``one(ci, a, b)`` for every chunk [a, b) of the stream; fields merged in chunk order."""
+    """``one(chunks, a, b)`` for every block: the chunk range ``chunks`` covering rows [a, b).
+
+    A block is ``BLOCK_CHUNKS`` consecutive chunks (fewer at the end of the
+    stream); each pool task evaluates one block, and the fields are merged in
+    block order.
+    """
     n_chunks = (spec.count + CHUNK_SIZE - 1) // CHUNK_SIZE
 
-    def bounded(ci):
-        return one(ci, ci * CHUNK_SIZE, min((ci + 1) * CHUNK_SIZE, spec.count))
+    def bounded(c0):
+        chunks = range(c0, min(c0 + BLOCK_CHUNKS, n_chunks))
+        return one(chunks, c0 * CHUNK_SIZE, min(chunks.stop * CHUNK_SIZE, spec.count))
 
+    starts = range(0, n_chunks, BLOCK_CHUNKS)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(bounded, range(n_chunks)))
+            results = list(ex.map(bounded, starts))
     else:
-        results = [bounded(ci) for ci in range(n_chunks)]
-    # Field by field, dropping each field's chunks once merged, to bound the peak.
+        results = [bounded(c0) for c0 in starts]
+    # Field by field, dropping each field's blocks once merged, to bound the peak.
     return {k: np.concatenate([r.pop(k) for r in results]) for k in list(results[0])}
 
 
-class _DiskStream:
-    """The disk-pair stream of one spec, with ``sigma(z, w)``; each chunk computed once.
+def _draw_block(spec: SampleSpec, chunks: range, draw: Callable) -> tuple:
+    """``z`` and ``w`` of the chunks ``chunks``, each drawn by ``draw(ci, n, last)``."""
+    drawn = []
+    for ci in chunks:
+        n = min(CHUNK_SIZE, spec.count - ci * CHUNK_SIZE)
+        drawn.append(draw(ci, n, (ci + 1) * CHUNK_SIZE >= spec.count))
+    return tuple(np.concatenate(part) for part in zip(*drawn))
 
-    The first ``chunk(ci, a, b)`` draws the chunk through ``disk_pair_chunk``
-    and fills rows [a, b) of the full-length ``z``, ``w`` and ``sigma``; every
+
+class _DiskStream:
+    """The disk-pair stream of one spec, with ``sigma(z, w)``; each block computed once.
+
+    The first ``block(chunks, a, b)`` draws every chunk of the block through
+    ``disk_pair_chunk`` into rows [a, b) of the full-length ``z`` and ``w``,
+    then fills those rows of ``sigma`` with one call on the whole block; every
     call returns views of those rows.  Within one ``_map_chunks`` call each
-    chunk index goes to one worker, so no two threads fill the same rows.
+    block goes to one worker, so no two threads fill the same rows.
     """
 
     def __init__(self, spec: SampleSpec):
@@ -216,12 +250,12 @@ class _DiskStream:
         self.sigma = np.empty(spec.count)
         self._drawn = set()
 
-    def chunk(self, ci: int, a: int, b: int):
-        if ci not in self._drawn:
-            z, w = disk_pair_chunk(self.spec, ci, b - a, b == self.spec.count)
-            self.z[a:b], self.w[a:b] = z, w
-            self.sigma[a:b] = sigma(z, w)
-            self._drawn.add(ci)
+    def block(self, chunks: range, a: int, b: int):
+        if chunks not in self._drawn:
+            draw = partial(disk_pair_chunk, self.spec)
+            self.z[a:b], self.w[a:b] = _draw_block(self.spec, chunks, draw)
+            self.sigma[a:b] = sigma(self.z[a:b], self.w[a:b])
+            self._drawn.add(chunks)
         return self.z[a:b], self.w[a:b], self.sigma[a:b]
 
 
@@ -239,11 +273,15 @@ def _disk_stream(spec: SampleSpec) -> _DiskStream:
     return shared[spec]
 
 
+def _rows_of(z, w) -> Callable:
+    """The pair lookup ``i -> (z[i], w[i])`` of two full-length arrays."""
+    return lambda i: (z[i], w[i])
+
+
 def _finalize(
     case: InequalityCase,
     spec_seed: int,
-    z,
-    w,
+    pair_at: Callable,
     lhs: np.ndarray,
     rhs: np.ndarray,
     t0: float,
@@ -251,25 +289,26 @@ def _finalize(
 ) -> VerificationReport:
     margins = np.asarray(rhs, dtype=float) - np.asarray(lhs, dtype=float)
     tol = case.tol_abs + case.tol_rel * np.abs(rhs)
-    bad = np.nonzero(margins < -tol)[0]
-    violations = tuple(
-        {
-            "index": int(i),
-            "z": _serialize_point(z[i]),
-            "w": _serialize_point(w[i]),
-            "lhs": float(lhs[i]),
-            "rhs": float(rhs[i]),
-            "margin": float(margins[i]),
-        }
-        for i in bad
-    )
+    violations = []
+    for i in np.nonzero(margins < -tol)[0]:
+        zi, wi = pair_at(int(i))
+        violations.append(
+            {
+                "index": int(i),
+                "z": _serialize_point(zi),
+                "w": _serialize_point(wi),
+                "lhs": float(lhs[i]),
+                "rhs": float(rhs[i]),
+                "margin": float(margins[i]),
+            }
+        )
     return VerificationReport(
         case_id=case.id,
         status="violated" if violations else "pass",
         samples_used=len(margins),
         min_margin=float(np.min(margins)),
         mean_margin=float(np.mean(margins)),
-        violations=violations,
+        violations=tuple(violations),
         seed=spec_seed,
         wall_time=time.perf_counter() - t0,
         extras=extras or {},
@@ -314,21 +353,25 @@ def _verify_pairs(
     f = case.function
     stream = _disk_stream(spec)
 
-    def one(ci, a, b):
-        z, w, _ = stream.chunk(ci, a, b)
+    def one(chunks, a, b):
+        z, w, _ = stream.block(chunks, a, b)
         return {"lhs": np.asarray(lhs_of(f.eval(z), f.eval(w)), dtype=float)}
 
     lhs = _map_chunks(spec, one, workers)["lhs"]
     rhs = case.factor * stream.sigma
     data = {"z": stream.z, "w": stream.w, "lhs": lhs, "sigma": stream.sigma}
-    return _finalize(case, spec.seed, stream.z, stream.w, lhs, rhs, t0), data
+    return _finalize(case, spec.seed, _rows_of(stream.z, stream.w), lhs, rhs, t0), data
 
 
 def verify_re_contraction(
     case: InequalityCase, spec: SampleSpec, workers: int = 1
 ) -> VerificationReport:
     """d_w(Re f(z), Re f(w)) <= sigma(z, w), gated on curv_w <= -1."""
-    weight = case.target
+    return _verify_pairs(case, spec, workers, _re_lhs(case.target), gated=True)[0]
+
+
+def _re_lhs(weight: Weight) -> Callable:
+    """The left side d_w(Re f(z), Re f(w)) of ``re_contraction``."""
 
     def lhs_of(fz, fw):
         a, b = np.real(fz), np.real(fw)
@@ -336,7 +379,7 @@ def verify_re_contraction(
             return omega_distance(weight, a, b)
         return [omega_distance(weight, ai, bi) for ai, bi in zip(a, b)]
 
-    return _verify_pairs(case, spec, workers, lhs_of, gated=True)[0]
+    return lhs_of
 
 
 def _gradient_lhs(weight: Weight, f: HoloFunction, z) -> np.ndarray:
@@ -372,16 +415,19 @@ def verify_pointwise_gradient(
     lhs = _gradient_lhs(case.target, case.function, z)
     rhs = np.ones_like(lhs)
     extras = {"max_lhs": float(np.max(lhs)), "argmax": _serialize_point(z[int(np.argmax(lhs))])}
-    return _finalize(case, spec.seed, z, z, lhs, rhs, t0, extras)
+    return _finalize(case, spec.seed, _rows_of(z, z), lhs, rhs, t0, extras)
 
 
 def verify_modulus_contraction(
     case: InequalityCase, spec: SampleSpec, workers: int = 1
 ) -> VerificationReport:
     """sigma(|f(z)|, |f(w)|) <= sigma(z, w) for disk-codomain entries."""
-    return _verify_pairs(
-        case, spec, workers, lambda fz, fw: sigma_real(np.abs(fz), np.abs(fw))
-    )[0]
+    return _verify_pairs(case, spec, workers, _modulus_lhs)[0]
+
+
+def _modulus_lhs(fz, fw):
+    """The left side sigma(|f(z)|, |f(w)|) of ``modulus_contraction``."""
+    return sigma_real(np.abs(fz), np.abs(fw))
 
 
 def verify_schwarz_pick(
@@ -413,7 +459,7 @@ def verify_pavlovic(
         "min_margin_zero": float(np.min(margins[zero])) if np.any(zero) else None,
         "min_margin_nonzero": float(np.min(margins[~zero])) if np.any(~zero) else None,
     }
-    return _finalize(case, spec.seed, z, z, lhs, rhs, t0, extras)
+    return _finalize(case, spec.seed, _rows_of(z, z), lhs, rhs, t0, extras)
 
 
 def verify_kv_factor(
@@ -425,12 +471,7 @@ def verify_kv_factor(
     |2 atanh U(z) - 2 atanh U(w)| for U = Re f.  The empirical supremum of the
     ratio lhs/sigma is recorded (pairs with sigma = 0 are excluded from it).
     """
-    report, data = _verify_pairs(
-        case,
-        spec,
-        workers,
-        lambda fz, fw: np.abs(2.0 * np.arctanh(np.real(fz)) - 2.0 * np.arctanh(np.real(fw))),
-    )
+    report, data = _verify_pairs(case, spec, workers, _kv_lhs)
     s = data["sigma"]
     ratio = np.where(s > 0.0, data["lhs"] / np.where(s > 0.0, s, 1.0), 0.0)
     i_sup = int(np.argmax(ratio))
@@ -445,17 +486,24 @@ def verify_kv_factor(
     return replace(report, extras=extras)
 
 
-def _abs_report(case_id: str, seed: int, d: dict, name: str, t0: float) -> VerificationReport:
+def _kv_lhs(fz, fw):
+    """The left side |2 atanh Re f(z) - 2 atanh Re f(w)| of ``kv_factor``."""
+    return np.abs(2.0 * np.arctanh(np.real(fz)) - 2.0 * np.arctanh(np.real(fw)))
+
+
+def _abs_report(
+    case_id: str, seed: int, pair_at: Callable, d: dict, name: str, t0: float
+) -> VerificationReport:
     case = InequalityCase(id=case_id, tol_abs=1e-12, tol_rel=0.0)
-    return _finalize(case, seed, d["z"], d["w"], d[f"{name}_abs"], d[f"{name}_zw"], t0)
+    return _finalize(case, seed, pair_at, d[f"{name}_abs"], d[f"{name}_zw"], t0)
 
 
 def _abs_disk_reports(spec: SampleSpec, workers: int) -> list:
     t0 = time.perf_counter()
     stream = _disk_stream(spec)
 
-    def one(ci, a, b):
-        z, w, _ = stream.chunk(ci, a, b)
+    def one(chunks, a, b):
+        z, w, _ = stream.block(chunks, a, b)
         az, aw = np.abs(z), np.abs(w)
         return {
             "rho_zw": np.abs((z - w) / (1.0 - np.conj(z) * w)),
@@ -464,20 +512,35 @@ def _abs_disk_reports(spec: SampleSpec, workers: int) -> list:
         }
 
     d = _map_chunks(spec, one, workers)
-    d.update(z=stream.z, w=stream.w, sigma_zw=stream.sigma)
-    return [_abs_report(f"abs_{name}_disk", spec.seed, d, name, t0) for name in ("rho", "sigma")]
+    d["sigma_zw"] = stream.sigma
+    pair_at = _rows_of(stream.z, stream.w)
+    return [
+        _abs_report(f"abs_{name}_disk", spec.seed, pair_at, d, name, t0)
+        for name in ("rho", "sigma")
+    ]
 
 
 def _abs_ball_report(spec: SampleSpec, dim: int, workers: int) -> VerificationReport:
-    t0 = time.perf_counter()
+    """beta(|z|, |w|) <= beta(z, w) on the ball stream of ``dim``.
 
-    def one(ci, a, b):
-        z, w = ball_pair_chunk(spec, dim, ci, b - a, b == spec.count)
+    Only the two distances are kept per block; a violation record redraws its
+    pair from its chunk, so no full-length ``z`` or ``w`` is ever held.
+    """
+    t0 = time.perf_counter()
+    draw = partial(ball_pair_chunk, spec, dim)
+
+    def one(chunks, a, b):
+        z, w = _draw_block(spec, chunks, draw)
         beta_abs = np.asarray(ball.beta(ball.embed_modulus(z), ball.embed_modulus(w)))
-        return {"z": z, "w": w, "beta_abs": beta_abs, "beta_zw": np.asarray(ball.beta(z, w))}
+        return {"beta_abs": beta_abs, "beta_zw": np.asarray(ball.beta(z, w))}
+
+    def pair_at(i):
+        ci = i // CHUNK_SIZE
+        z, w = _draw_block(spec, range(ci, ci + 1), draw)
+        return z[i % CHUNK_SIZE], w[i % CHUNK_SIZE]
 
     d = _map_chunks(spec, one, workers)
-    return _abs_report(f"abs_beta_ball_n{dim}", spec.seed, d, "beta", t0)
+    return _abs_report(f"abs_beta_ball_n{dim}", spec.seed, pair_at, d, "beta", t0)
 
 
 def verify_abs_inequalities(
@@ -548,7 +611,7 @@ def verify_proof_chain(
         "min_first_link": float(np.min(first_link)),
         "min_second_link": float(np.min(second_link)),
     }
-    return _finalize(case, spec.seed, z, w, lhs, rhs, t0, extras)
+    return _finalize(case, spec.seed, _rows_of(z, w), lhs, rhs, t0, extras)
 
 
 # op -> (what the op needs of its catalog function, InequalityCase defaults).

@@ -120,6 +120,19 @@ class TestVerify:
         for line in lines[1:50]:
             float(line.rsplit(",", 1)[1])
 
+    @pytest.mark.parametrize("flag", ["--json-out", "--csv-out"])
+    def test_unwritable_output_fails_before_the_suite(self, tmp_path, capsys, monkeypatch, flag):
+        def never(*args, **kwargs):
+            raise AssertionError("run_suite ran although an output cannot be written")
+
+        monkeypatch.setattr(cli, "run_suite", never)
+        path = tmp_path / "missing" / "out"
+        rc = main(["verify", "--count", "64", flag, str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+        assert out == ""
+
     def test_non_integer_seed_variable_is_a_config_error(self, capsys, monkeypatch):
         monkeypatch.setenv("HYPCONTRACT_SEED", "abc")
         rc = main(["verify", "--count", "64"])

@@ -5,12 +5,13 @@ import json
 import sys
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from hypcontract import harness
-from hypcontract.catalog import get
+from hypcontract import ball, harness
+from hypcontract.catalog import catalog, get
 from hypcontract.cli import main
 from hypcontract.disk import sigma
 from hypcontract.harness import (
@@ -474,6 +475,125 @@ class TestSharedDiskStream:
         abs_bare = {r.case_id: r for r in verify_abs_inequalities(config.sample)}
         for case_id in ("abs_rho_disk", "abs_sigma_disk"):
             np.testing.assert_array_equal(abs_bare[case_id].margins, suite[case_id].margins)
+
+
+# numpy computes a commutative op in place into a right-hand temporary of at
+# least this many bytes, with the operands swapped; complex multiply is not
+# bitwise commutative, so a kernel that feeds one a temporary moves bytes on
+# blocks although it never did on chunks.
+ELISION_BYTES = 256 * 1024
+
+
+def _one_block(pair_chunk, *dim):
+    """The pairs of one full block, drawn chunk by chunk, and its chunk bounds."""
+    n = harness.BLOCK_CHUNKS * CHUNK_SIZE
+    spec = SampleSpec(count=n + 1, seed=63)
+    z, w = harness._draw_block(spec, range(harness.BLOCK_CHUNKS), partial(pair_chunk, spec, *dim))
+    assert z.nbytes >= ELISION_BYTES
+    bounds = [(a, a + CHUNK_SIZE) for a in range(0, n, CHUNK_SIZE)]
+    return z, w, bounds
+
+
+def _assert_block_equals_chunks(fn, bounds, *args):
+    block = np.asarray(fn(*args))
+    chunks = np.concatenate([np.asarray(fn(*(x[a:b] for x in args))) for a, b in bounds])
+    assert block.tobytes() == chunks.tobytes()
+
+
+@pytest.fixture(scope="module")
+def disk_block():
+    return _one_block(disk_pair_chunk)
+
+
+class TestBlockElision:
+    """One block gives the bits of its chunks evaluated one at a time."""
+
+    @pytest.mark.parametrize("name", [f.name for f in catalog()])
+    def test_catalog_eval(self, disk_block, name):
+        z, _, bounds = disk_block
+        _assert_block_equals_chunks(get(name).eval, bounds, z)
+
+    def test_sigma(self, disk_block):
+        z, w, bounds = disk_block
+        _assert_block_equals_chunks(sigma, bounds, z, w)
+
+    @pytest.mark.parametrize(
+        "op, function, lhs_of",
+        [
+            ("re_contraction", "strip_map", harness._re_lhs(strip_weight())),
+            ("re_contraction", "cayley", harness._re_lhs(half_plane_weight())),
+            ("kv_factor", "strip_map", harness._kv_lhs),
+        ]
+        + [
+            (op, f.name, lhs_of)
+            for f in catalog()
+            if f.codomain in ("disk", "ball_slice")
+            for op, lhs_of in (
+                ("modulus_contraction", harness._modulus_lhs),
+                ("schwarz_pick", sigma),
+            )
+        ],
+    )
+    def test_pair_lhs(self, disk_block, op, function, lhs_of):
+        assert op in harness.OPS
+        z, w, bounds = disk_block
+        f = get(function)
+        _assert_block_equals_chunks(lhs_of, bounds, f.eval(z), f.eval(w))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_ball_beta(self, dim):
+        z, w, bounds = _one_block(harness.ball_pair_chunk, dim)
+        _assert_block_equals_chunks(ball.beta, bounds, z, w)
+        embed = ball.embed_modulus
+        _assert_block_equals_chunks(lambda a, b: ball.beta(embed(a), embed(b)), bounds, z, w)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_suite_bytes_do_not_depend_on_the_block_size(self, monkeypatch, workers):
+        config = default_config(seed=63, count=40_000, workers=workers)
+        blocks = run_suite(config)
+        monkeypatch.setattr(harness, "BLOCK_CHUNKS", 1)
+        chunks = run_suite(config)
+        assert blocks.overall_pass
+        assert blocks.data_json() == chunks.data_json()
+        # digests, so that a failure does not diff two 14 MB strings
+        csv = [hashlib.sha256(r.margins_csv().encode()).hexdigest() for r in (blocks, chunks)]
+        assert csv[0] == csv[1]
+
+
+class TestBallViolationRecords:
+    def test_records_redraw_their_pairs_from_the_chunk(self, monkeypatch):
+        dim = 2
+        count = harness.BLOCK_CHUNKS * CHUNK_SIZE + 1500  # the last chunk is partial
+        spec = SampleSpec(count=count, seed=5)
+        # first pair, end of the first block, in the last partial chunk, the degenerate last pair
+        targets = [0, harness.BLOCK_CHUNKS * CHUNK_SIZE - 1, count - 3, count - 1]
+
+        def pair(i):
+            ci = i // CHUNK_SIZE
+            n = min(CHUNK_SIZE, count - ci * CHUNK_SIZE)
+            z, w = harness.ball_pair_chunk(spec, dim, ci, n, (ci + 1) * CHUNK_SIZE >= count)
+            return z[i % CHUNK_SIZE], w[i % CHUNK_SIZE]
+
+        target_z = np.array([pair(i)[0] for i in targets])
+        original = ball.beta
+
+        def forced(z, w):
+            # beta(z, w) reads -1 at the target pairs; the embedded points never match
+            out = original(z, w)
+            hit = np.all(np.asarray(z)[:, None, :] == target_z[None, :, :], axis=-1).any(axis=1)
+            out[hit] = -1.0
+            return out
+
+        monkeypatch.setattr(ball, "beta", forced)
+        report = harness._abs_ball_report(spec, dim, workers=2)
+        assert report.status == "violated"
+        assert [v["index"] for v in report.violations] == targets
+        for v in report.violations:
+            z, w = pair(v["index"])
+            assert v["z"] == harness._serialize_point(z)
+            assert v["w"] == harness._serialize_point(w)
+            assert v["lhs"] > v["rhs"] == -1.0
+        assert report.violations[-1]["z"] == report.violations[-1]["w"]
 
 
 class TestKeepMargins:
