@@ -176,7 +176,11 @@ def cmd_verify(args) -> int:
                 except OSError as exc:
                     sys.stderr.write(f"error: cannot write {path}: {exc.strerror or exc}\n")
                     return 2
-        result = run_suite(config, keep_margins="csv" in out)
+        try:
+            result = run_suite(config, keep_margins="csv" in out)
+        except MemoryError as exc:  # a --count whose streams cannot be allocated
+            sys.stderr.write(f"error: not enough memory for the suite: {exc}\n")
+            return 2
         for r in result.reports:
             print(_report_line(r.to_dict()))
         print(f"overall: {'PASS' if result.overall_pass else 'FAIL'}")

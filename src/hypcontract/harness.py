@@ -108,6 +108,10 @@ class SampleSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("sample count must be >= 1")
+        # The longest complex stream numpy can describe; past it np.empty raises ValueError.
+        longest = np.iinfo(np.intp).max // np.dtype(complex).itemsize
+        if self.count > longest:
+            raise ValueError(f"sample count must be <= {longest}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not 0.0 < self.radius_cap <= 1.0 - BOUNDARY_GUARD:
@@ -192,7 +196,7 @@ def ball_pair_chunk(spec: SampleSpec, dim: int, ci: int, n: int, last: bool):
     g = rng.standard_normal((2, n, dim, 2))
     u = rng.random((2, n))
     vec = g[..., 0] + 1j * g[..., 1]
-    norms = np.maximum(np.sqrt(np.sum(np.abs(vec) ** 2, axis=-1)), 1e-300)
+    norms = np.maximum(ball.norm(vec), 1e-300)
     r = _radius(spec, u, ball_dim=dim)
     pts = vec / norms[..., np.newaxis] * r[..., np.newaxis]
     z, w = pts[0], pts[1]
@@ -687,14 +691,24 @@ def validate_config(config: SuiteConfig) -> list:
         errors.append(f"schema_version: unsupported {config.schema_version!r}")
     if type(config.workers) is not int or not 1 <= config.workers <= MAX_WORKERS:
         errors.append(f"workers: {config.workers!r} is not an integer in 1..{MAX_WORKERS}")
+    seen_dims = set()
     for dim in config.ball_dims:
         if type(dim) is not int or not 1 <= dim <= 8:
             errors.append(f"ball_dims: {dim!r} is not an integer in 1..8")
+        elif dim in seen_dims:
+            errors.append(f"ball_dims: {dim} is listed twice")
+        else:
+            seen_dims.add(dim)
     if not config.cases:
         errors.append("cases: empty suite")
     validated_functions = set()
+    seen_ids = set()
     for cs in config.cases:
         label = cs.case_id
+        if label in seen_ids:
+            errors.append(f"{label}: case is listed twice")
+            continue
+        seen_ids.add(label)
         if cs.op not in OPS:
             errors.append(f"{label}: unknown op {cs.op!r}")
             continue

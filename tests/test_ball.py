@@ -1,12 +1,14 @@
 """Mobius geometry of the complex unit ball and the Bergman form."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from hypcontract import disk
+from hypcontract import disk, harness
 from hypcontract.ball import (
+    _sum_last,
     bergman_form,
     beta,
     check_ball_point,
@@ -135,13 +137,77 @@ class TestRhoBeta:
         assert np.all(np.diff(along_ray) > 0.0)
 
 
+class TestColumnSum:
+    """``_sum_last`` has the bytes of ``np.sum(x, axis=-1)`` at every length."""
+
+    @staticmethod
+    def _rows(n, dtype):
+        """Random rows, with -0.0 first entries, an all -0.0 row and an all +0.0 row."""
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((40, n))
+        if dtype is complex:
+            x = x + 1j * rng.standard_normal((40, n))
+            x[1::5, 0] = complex(-0.0, -0.0)
+            x[2::5, -1] = complex(-0.0, 1.0)
+        x[::3, 0] = -0.0
+        x[3] = -0.0
+        x[4] = 0.0
+        return x.astype(dtype)
+
+    @staticmethod
+    def _assert_same_bytes(x):
+        got, want = _sum_last(x), np.sum(x, axis=-1)
+        assert type(got) is type(want)
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_two_dimensional(self, n, dtype):
+        self._assert_same_bytes(self._rows(n, dtype))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_one_dimensional(self, n, dtype):
+        for row in self._rows(n, dtype):
+            self._assert_same_bytes(row)
+
+    def test_signed_zero_sums_to_positive_zero(self):
+        # numpy starts the reduction from +0.0, and so must the column adds
+        assert not np.signbit(_sum_last(np.array([-0.0])))
+        assert not np.signbit(_sum_last(np.array([[-0.0, -0.0]]))[0])
+
+
+def _full_ball_embed_modulus(z):
+    """The point (|z|, 0, ..., 0) of the same ball: the layout embed_modulus had before B^1."""
+    z = check_ball_point(z)
+    out = np.zeros_like(z)
+    out[..., 0] = norm(z)
+    return out
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_slice_beta_has_the_bytes_of_the_full_ball_layout(dim):
+    # one 16-chunk block of the verify stream, ending in its degenerate pair
+    n = harness.BLOCK_CHUNKS * harness.CHUNK_SIZE
+    spec = harness.SampleSpec(count=n, seed=63)
+    draw = partial(harness.ball_pair_chunk, spec, dim)
+    z, w = harness._draw_block(spec, range(harness.BLOCK_CHUNKS), draw)
+    got = beta(embed_modulus(z), embed_modulus(w))
+    want = beta(_full_ball_embed_modulus(z), _full_ball_embed_modulus(w))
+    assert got.tobytes() == want.tobytes()
+
+
 class TestModulusProjection:
     def test_embed_modulus_layout(self):
-        z = np.array([0.3j, 0.4])
-        e = embed_modulus(z)
-        assert e.shape == z.shape
-        assert e[0] == pytest.approx(0.5)
-        assert np.all(e[1:] == 0.0)
+        # the point (|z|,) of the disk slice B^1, for one point and for a batch
+        for z in (np.array([0.3j, 0.4]), _samples(3, 20, seed=4)):
+            e = embed_modulus(z)
+            assert e.shape == z.shape[:-1] + (1,)
+            assert np.real(e[..., 0]).tobytes() == np.asarray(norm(z)).tobytes()
+            assert np.all(np.imag(e) == 0.0)
+            assert not np.any(np.signbit(np.imag(e)))
 
     def test_moduli_of_oracle_pair_coincide(self):
         # both oracle points project to (0.5, 0), so the projected distance

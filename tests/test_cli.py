@@ -167,6 +167,16 @@ class TestVerify:
                 {"cases": [{"op": "kv_factor", "function": "strip_map", "weight": "nope"}]},
                 "takes no weight",
             ),
+            ({"ball_dims": [2, 2]}, "ball_dims: 2 is listed twice"),
+            (
+                {"cases": [{"op": "abs_inequalities"}, {"op": "abs_inequalities"}]},
+                "abs_inequalities: case is listed twice",
+            ),
+            (
+                {"cases": [{"op": "kv_factor", "function": "strip_map"},
+                           {"op": "kv_factor", "function": "strip_map", "factor": 2.0}]},
+                "kv_factor:strip_map: case is listed twice",
+            ),
         ],
     )
     def test_bad_field_is_a_config_error(self, tmp_path, capsys, field, fragment):
@@ -179,12 +189,24 @@ class TestVerify:
         assert rc == 2
         assert any(fragment in e for e in json.loads(err)["errors"])
 
-    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--count", "0"], ["--workers", "0"]])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--seed", "-1"], ["--count", "0"], ["--workers", "0"], ["--count", str(2**60)]],
+    )
     def test_bad_flag_value_is_a_config_error(self, capsys, flags):
         rc = main(["verify", *flags])
         err = capsys.readouterr().err
         assert rc == 2
         assert json.loads(err)["errors"]
+
+    def test_count_too_large_for_memory_exits_2(self, capsys):
+        # numpy refuses the 14 PiB stream at once, so nothing is allocated
+        rc = main(["verify", "--count", "1000000000000000"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: not enough memory for the suite: ")
+        assert err.count("\n") == 1
 
     def test_seed_precedence(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("HYPCONTRACT_SEED", "777")
