@@ -11,7 +11,6 @@ seed in the config file still wins).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -78,17 +77,30 @@ def _config_from_dict(raw: dict, args) -> SuiteConfig:
     if not isinstance(sample_raw, dict):
         errors.append("sample: must be an object")
         sample_raw = {}
+    count = args.count if args.count is not None else sample_raw.get("count", 10_000)
     seed = args.seed if args.seed is not None else sample_raw.get("seed", _env_seed())
-    try:
-        sample = SampleSpec(
-            count=int(args.count if args.count is not None else sample_raw.get("count", 10_000)),
-            seed=int(seed),
-            radius_cap=float(sample_raw.get("radius_cap", 0.99)),
-            scheme=sample_raw.get("scheme", "uniform_disk"),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        errors.append(f"sample: {exc}")
-        sample = SampleSpec(count=1, seed=DEFAULT_SEED)
+    radius_cap = sample_raw.get("radius_cap", 0.99)
+    # JSON numbers only: bool is an int subclass, and int() or float() would
+    # truncate 5.7 or parse "64".
+    type_errors = [
+        f"sample: {name}: {value!r} is not an integer"
+        for name, value in (("count", count), ("seed", seed))
+        if type(value) is not int
+    ]
+    if type(radius_cap) not in (int, float):
+        type_errors.append(f"sample: radius_cap: {radius_cap!r} is not a number")
+    errors.extend(type_errors)
+    sample = SampleSpec(count=1, seed=DEFAULT_SEED)  # stands in for a bad sample block
+    if not type_errors:
+        try:
+            sample = SampleSpec(
+                count=count,
+                seed=seed,
+                radius_cap=float(radius_cap),
+                scheme=sample_raw.get("scheme", "uniform_disk"),
+            )
+        except (ValueError, OverflowError) as exc:
+            errors.append(f"sample: {exc}")
     cases_raw = raw.get("cases", [])
     cases = []
     if not isinstance(cases_raw, list):
@@ -166,28 +178,38 @@ def cmd_verify(args) -> int:
         json.dump({"errors": exc.errors}, sys.stderr, indent=2)
         sys.stderr.write("\n")
         return 2
-    with contextlib.ExitStack() as stack:
-        # Open the outputs before the suite runs, so a bad path costs no run.
-        out = {}
-        for kind, path in (("json", args.json_out), ("csv", args.csv_out)):
-            if path:
-                try:
-                    out[kind] = stack.enter_context(open(path, "w", encoding="utf-8"))
-                except OSError as exc:
-                    sys.stderr.write(f"error: cannot write {path}: {exc.strerror or exc}\n")
-                    return 2
-        try:
-            result = run_suite(config, keep_margins="csv" in out)
-        except MemoryError as exc:  # a --count whose streams cannot be allocated
-            sys.stderr.write(f"error: not enough memory for the suite: {exc}\n")
-            return 2
-        for r in result.reports:
-            print(_report_line(r.to_dict()))
-        print(f"overall: {'PASS' if result.overall_pass else 'FAIL'}")
-        if "json" in out:
-            out["json"].write(result.to_json())
-        if "csv" in out:
-            result.write_margins_csv(out["csv"])
+    created = []  # outputs this run made; a run that fails removes them again
+
+    def fail(message: str) -> int:
+        for path in created:
+            os.remove(path)
+        sys.stderr.write(f"error: {message}\n")
+        return 2
+
+    # Check the outputs before the suite runs, so a bad path costs no run.
+    # Append mode creates a missing file and leaves an existing one as it is.
+    for path in (args.json_out, args.csv_out):
+        if path:
+            existed = os.path.lexists(path)
+            try:
+                open(path, "a", encoding="utf-8").close()
+            except OSError as exc:
+                return fail(f"cannot write {path}: {exc.strerror or exc}")
+            if not existed:
+                created.append(path)
+    try:
+        result = run_suite(config, keep_margins=bool(args.csv_out))
+    except MemoryError as exc:  # a --count whose streams cannot be allocated
+        return fail(f"not enough memory for the suite: {exc}")
+    for r in result.reports:
+        print(_report_line(r.to_dict()))
+    print(f"overall: {'PASS' if result.overall_pass else 'FAIL'}")
+    if args.json_out:
+        with open(args.json_out, "w", encoding="utf-8") as fh:
+            fh.write(result.to_json())
+    if args.csv_out:
+        with open(args.csv_out, "w", encoding="utf-8") as fh:
+            result.write_margins_csv(fh)
     return 0 if result.overall_pass else 1
 
 

@@ -131,6 +131,11 @@ class InequalityCase:
     tol_abs: float = 1e-9
     tol_rel: float = 1e-9
 
+    def __post_init__(self):
+        # _finalize picks violation candidates by tol_abs alone, which needs this.
+        if not self.tol_rel >= 0.0:
+            raise ValueError(f"tol_rel must be >= 0, got {self.tol_rel!r}")
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -292,9 +297,12 @@ def _finalize(
     extras: dict | None = None,
 ) -> VerificationReport:
     margins = np.asarray(rhs, dtype=float) - np.asarray(lhs, dtype=float)
-    tol = case.tol_abs + case.tol_rel * np.abs(rhs)
+    # With tol_rel >= 0 a violation is also below -tol_abs, so the relative
+    # tolerance only needs to be formed on those candidates.
+    near = np.nonzero(margins < -case.tol_abs)[0]
+    tol = case.tol_abs + case.tol_rel * np.abs(rhs[near])
     violations = []
-    for i in np.nonzero(margins < -tol)[0]:
+    for i in near[margins[near] < -tol]:
         zi, wi = pair_at(int(i))
         violations.append(
             {

@@ -2,12 +2,12 @@
 
 The equation is the log-density form of the constant-curvature condition:
 substituting lambda = log(2 k^2 w^2) into curv_w == -k^2 yields it.  Its
-general solutions, as densities, are the three weight families; here they
-appear as
+general solutions, as densities, are the three weight families, so that
 
-    exp(lambda) sin^2(C1 t + C2)  = 2 C1^2
-    exp(lambda) sinh^2(C1 t + C2) = 2 C1^2
-    exp(lambda) (t + C)^2         = 2
+    exp(lambda) g(C1 t + C2)^2 = 2 C1^2,    g = sin, sinh or the identity.
+
+The closed forms below read g, g' and (C1, C2) from the family table that
+builds the weights, ``weights._FAMILY_FORMS``; linear is C1 = 1, C2 = C there.
 
 The solver uses Liouville's linearization (J. Math. Pures Appl. 18 (1853)):
 E = lambda'^2/2 - exp(lambda) is conserved, and y = exp(-lambda/2) solves
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import Interval, Weight, WeightFamily
+from .weights import _FAMILY_FORMS, Interval, Weight, WeightFamily
 
 DEFAULT_LAMBDA_CAP = 50.0
 
@@ -186,7 +186,9 @@ def _checked(fam: WeightFamily, t):
     t_arr = np.asarray(t, dtype=float)
     if not fam.domain.contains(t_arr):
         raise ValueError("t outside the family interval")
-    return t_arr, fam.C1 * t_arr + fam.C2
+    form = _FAMILY_FORMS[fam.kind]
+    C1, C2 = form.coeffs(fam)
+    return form, C1, C1 * t_arr + C2
 
 
 def _finite(out):
@@ -196,22 +198,15 @@ def _finite(out):
 
 
 def closed_form_lambda(fam: WeightFamily, t):
-    """lambda(t) = log(2 k^2 w(t)^2) for a family member; k drops out."""
-    t_arr, u = _checked(fam, t)
-    if fam.kind == "linear":
-        return _finite(np.log(2.0) - 2.0 * np.log(np.abs(t_arr + fam.C)))
-    f = np.sin if fam.kind == "sin" else np.sinh
-    return _finite(np.log(2.0 * fam.C1**2) - 2.0 * np.log(np.abs(f(u))))
+    """lambda(t) = log(2 C1^2 / g(u)^2) = log(2 k^2 w(t)^2) for a family member."""
+    form, C1, u = _checked(fam, t)
+    return _finite(np.log(2.0 * C1**2) - 2.0 * np.log(np.abs(form.g(u))))
 
 
 def closed_form_dlambda(fam: WeightFamily, t):
-    """lambda'(t) for a family member."""
-    t_arr, u = _checked(fam, t)
-    if fam.kind == "sin":
-        return _finite(-2.0 * fam.C1 * np.cos(u) / np.sin(u))
-    if fam.kind == "sinh":
-        return _finite(-2.0 * fam.C1 * np.cosh(u) / np.sinh(u))
-    return _finite(-2.0 / (t_arr + fam.C))
+    """lambda'(t) = -2 C1 g'(u) / g(u) for a family member."""
+    form, C1, u = _checked(fam, t)
+    return _finite(-2.0 * C1 * form.dg(u) / form.g(u))
 
 
 def family_initial_state(fam: WeightFamily, t0: float) -> LiouvilleState:

@@ -9,17 +9,19 @@ curvature quantity
 which equals the Gauss curvature of the conformal strip metric w(Re z)|dz|.
 The three closed-form families solving ``curv_w == -k**2`` (k >= 1) are
 
-    sin:    w(t) = C1 / (k |sin(C1 t + C2)|)
-    sinh:   w(t) = C1 / (k |sinh(C1 t + C2)|)
-    linear: w(t) = 1 / (k |t + C|)
+    w(t) = C1 / (k |g(u)|),    u = C1 t + C2,    g = sin, sinh or the identity,
 
-restricted to intervals on which the denominator keeps a single sign.
+restricted to intervals on which g(u) keeps a single sign.  The identity member
+is the linear family w(t) = 1 / (k |t + C|), read with C1 = 1 and C2 = C.
+``_FAMILY_FORMS`` is the one table of the families: for each kind, g, g', the
+sign of -g''/g and the half-angle primitive G, with (log|G|)' = 1/g.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -30,7 +32,27 @@ import numpy as np
 _FD_STEP_D1 = float(np.cbrt(np.finfo(float).eps))
 _FD_STEP_D2 = float(np.finfo(float).eps ** 0.25)
 
-FAMILY_KINDS = ("sin", "sinh", "linear")
+
+@dataclass(frozen=True)
+class _FamilyForm:
+    """One family: w = C1 / (k s g(u)), u = C1 t + C2, s the sign of g(u) on J."""
+
+    expr: str  # the denominator, as error messages name it
+    g: Callable
+    dg: Callable
+    c: float  # sign of -g''/g; then w'' = (C1**3/k) (2 g'**2 / (s g)**3 + c / (s g))
+    G: Callable  # half-angle primitive: (log|G(u)|)' = 1/g(u)
+    coeffs: Callable = attrgetter("C1", "C2")  # family -> (C1, C2)
+
+
+_FAMILY_FORMS = {
+    "sin": _FamilyForm("sin(C1 t + C2)", np.sin, np.cos, 1.0, lambda u: np.tan(0.5 * u)),
+    "sinh": _FamilyForm("sinh(C1 t + C2)", np.sinh, np.cosh, -1.0, lambda u: np.tanh(0.5 * u)),
+    "linear": _FamilyForm(
+        "t + C", lambda u: u, lambda u: 1.0, 0.0, lambda u: u, lambda fam: (1.0, fam.C)
+    ),
+}
+FAMILY_KINDS = tuple(_FAMILY_FORMS)
 
 
 class QuadratureError(RuntimeError):
@@ -241,30 +263,24 @@ def curvature_k(w: Weight, t):
 def _family_sign(fam: WeightFamily) -> float:
     """Sign of the family denominator on J; raises if it vanishes inside J."""
     lo, hi = fam.domain.lo, fam.domain.hi
+    form = _FAMILY_FORMS[fam.kind]
+    C1, C2 = form.coeffs(fam)
+    u_lo = C1 * lo + C2 if math.isfinite(lo) else -math.inf
+    u_hi = C1 * hi + C2 if math.isfinite(hi) else math.inf
     if fam.kind == "sin":
         if math.isinf(lo) or math.isinf(hi):
             raise ValueError("sin family cannot live on an unbounded interval")
-        u_lo = fam.C1 * lo + fam.C2
-        u_hi = fam.C1 * hi + fam.C2
         slack = 1e-12 * max(1.0, abs(u_lo), abs(u_hi))
         m = math.ceil(u_lo / math.pi)
         if abs(m * math.pi - u_lo) <= slack:
             m += 1  # lower endpoint sits on a zero; the next one must be outside
         if m * math.pi < u_hi - slack:
-            raise ValueError("sin(C1 t + C2) vanishes inside the interval")
+            raise ValueError(f"{form.expr} vanishes inside the interval")
         mid = 0.5 * (u_lo + u_hi)
         return math.copysign(1.0, math.sin(mid))
-    if fam.kind == "sinh":
-        u_lo = fam.C1 * lo + fam.C2 if math.isfinite(lo) else -math.inf
-        u_hi = fam.C1 * hi + fam.C2 if math.isfinite(hi) else math.inf
-        if u_lo < 0.0 < u_hi:
-            raise ValueError("sinh(C1 t + C2) vanishes inside the interval")
-        return 1.0 if u_hi > 0.0 else -1.0
-    # linear
-    z = -fam.C
-    if lo < z < hi:
-        raise ValueError("t + C vanishes inside the interval")
-    return 1.0 if z <= lo else -1.0
+    if u_lo < 0.0 < u_hi:
+        raise ValueError(f"{form.expr} vanishes inside the interval")
+    return 1.0 if u_hi > 0.0 else -1.0
 
 
 def family_weight(fam: WeightFamily) -> Weight:
@@ -275,78 +291,30 @@ def family_weight(fam: WeightFamily) -> Weight:
     """
     s = _family_sign(fam)
     k = fam.k
+    form = _FAMILY_FORMS[fam.kind]
+    C1, C2 = form.coeffs(fam)
 
-    if fam.kind == "sin":
-        C1, C2 = fam.C1, fam.C2
+    def density(t):
+        return C1 / (k * s * form.g(C1 * t + C2))
 
-        def density(t):
-            return C1 / (k * s * np.sin(C1 * t + C2))
+    def d1(t):
+        u = C1 * t + C2
+        S = s * form.g(u)
+        return -(C1**2) * s * form.dg(u) / (k * S**2)
 
-        def d1(t):
-            u = C1 * t + C2
-            S = s * np.sin(u)
-            return -(C1**2) * s * np.cos(u) / (k * S**2)
+    def d2(t):
+        u = C1 * t + C2
+        S = s * form.g(u)
+        return (C1**3 / k) * (2.0 * form.dg(u) ** 2 / S**3 + form.c / S)
 
-        def d2(t):
-            u = C1 * t + C2
-            S = s * np.sin(u)
-            return (C1**3 / k) * (1.0 / S + 2.0 * np.cos(u) ** 2 / S**3)
+    def antiderivative(t):
+        return np.log(np.abs(form.G(C1 * t + C2))) / (k * s)
 
-        def antiderivative(t):
-            u = C1 * t + C2
-            return np.log(np.abs(np.tan(0.5 * u))) / (k * s)
-
-        label = f"sin(k={k:g},C1={fam.C1:g},C2={fam.C2:g})"
-
-    elif fam.kind == "sinh":
-        C1, C2 = fam.C1, fam.C2
-
-        def density(t):
-            return C1 / (k * s * np.sinh(C1 * t + C2))
-
-        def d1(t):
-            u = C1 * t + C2
-            S = s * np.sinh(u)
-            return -(C1**2) * s * np.cosh(u) / (k * S**2)
-
-        def d2(t):
-            u = C1 * t + C2
-            S = s * np.sinh(u)
-            return (C1**3 / k) * (2.0 * np.cosh(u) ** 2 / S**3 - 1.0 / S)
-
-        def antiderivative(t):
-            u = C1 * t + C2
-            return np.log(np.abs(np.tanh(0.5 * u))) / (k * s)
-
-        label = f"sinh(k={k:g},C1={fam.C1:g},C2={fam.C2:g})"
-
-    else:
-        C = fam.C
-
-        def density(t):
-            return 1.0 / (k * s * (t + C))
-
-        def d1(t):
-            S = s * (t + C)
-            return -s / (k * S**2)
-
-        def d2(t):
-            S = s * (t + C)
-            return 2.0 / (k * S**3)
-
-        def antiderivative(t):
-            return np.log(np.abs(t + C)) / (k * s)
-
+    if fam.kind == "linear":
         label = f"linear(k={k:g},C={fam.C:g})"
-
-    return Weight(
-        domain=fam.domain,
-        density=density,
-        d1=d1,
-        d2=d2,
-        antiderivative=antiderivative,
-        name=label,
-    )
+    else:
+        label = f"{fam.kind}(k={k:g},C1={fam.C1:g},C2={fam.C2:g})"
+    return Weight(fam.domain, density, d1=d1, d2=d2, antiderivative=antiderivative, name=label)
 
 
 def strip_weight() -> Weight:
@@ -354,29 +322,13 @@ def strip_weight() -> Weight:
     fam = WeightFamily(
         kind="sin", k=1.0, C1=math.pi / 2, C2=-math.pi / 2, domain=Interval(-1.0, 1.0)
     )
-    w = family_weight(fam)
-    return Weight(
-        domain=w.domain,
-        density=w.density,
-        d1=w.d1,
-        d2=w.d2,
-        antiderivative=w.antiderivative,
-        name="strip",
-    )
+    return replace(family_weight(fam), name="strip")
 
 
 def half_plane_weight() -> Weight:
     """1/t on (0, inf): the hyperbolic density of the right half-plane."""
     fam = WeightFamily(kind="linear", k=1.0, C=0.0, domain=Interval(0.0, math.inf))
-    w = family_weight(fam)
-    return Weight(
-        domain=w.domain,
-        density=w.density,
-        d1=w.d1,
-        d2=w.d2,
-        antiderivative=w.antiderivative,
-        name="half_plane",
-    )
+    return replace(family_weight(fam), name="half_plane")
 
 
 def disk_diameter_weight() -> Weight:

@@ -177,6 +177,12 @@ class TestVerify:
                            {"op": "kv_factor", "function": "strip_map", "factor": 2.0}]},
                 "kv_factor:strip_map: case is listed twice",
             ),
+            ({"sample": {"count": 5.7}}, "sample: count: 5.7 is not an integer"),
+            ({"sample": {"count": True}}, "sample: count: True is not an integer"),
+            ({"sample": {"count": "64"}}, "sample: count: '64' is not an integer"),
+            ({"sample": {"count": 16, "radius_cap": "0.5"}},
+             "sample: radius_cap: '0.5' is not a number"),
+            ({"sample": {"count": 16, "seed": 3.9}}, "sample: seed: 3.9 is not an integer"),
         ],
     )
     def test_bad_field_is_a_config_error(self, tmp_path, capsys, field, fragment):
@@ -207,6 +213,21 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: not enough memory for the suite: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("existing", ["--json-out", "--csv-out"])
+    def test_failed_run_leaves_the_outputs_as_they_were(self, tmp_path, capsys, existing):
+        # One output exists and holds an earlier report; the other is new.
+        paths = {"--json-out": tmp_path / "report.json", "--csv-out": tmp_path / "margins.csv"}
+        paths[existing].write_text("old")
+        argv = ["verify", "--count", "1000000000000000"]
+        for flag, path in paths.items():
+            argv += [flag, str(path)]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: not enough memory for the suite: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [paths[existing].name]
+        assert paths[existing].read_text() == "old"
 
     def test_seed_precedence(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("HYPCONTRACT_SEED", "777")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -372,6 +373,29 @@ class TestDeterminism:
     def test_repeat_run_identical(self):
         cfg = default_config(count=1537)
         assert run_suite(cfg).data_json() == run_suite(cfg).data_json()
+
+
+class TestFinalize:
+    @pytest.mark.parametrize("tol_rel", [-1e-9, -math.inf, math.nan])
+    def test_rejects_a_negative_or_nan_tol_rel(self, tol_rel):
+        with pytest.raises(ValueError, match="tol_rel must be >= 0"):
+            InequalityCase(id="x", tol_rel=tol_rel)
+
+    def test_violations_are_those_of_the_full_tolerance(self):
+        rng = np.random.default_rng(5)
+        rhs = rng.uniform(0.0, 2.0, 4096)
+        lhs = rhs + rng.normal(scale=3e-9, size=4096)
+        rhs[:4] = [np.inf, np.nan, 0.0, 1e12]
+        # Below -tol_abs but inside the relative tolerance; a NaN and infinite left sides.
+        lhs[3:7] = [1e12 + 500.0, np.nan, np.inf, -np.inf]
+        case = InequalityCase(id="x", tol_abs=1e-9, tol_rel=1e-9)
+        with np.errstate(invalid="ignore"):
+            report = harness._finalize(case, 0, lambda i: (0j, 0j), lhs, rhs, 0.0)
+            margins = rhs - lhs
+            want = np.nonzero(margins < -(case.tol_abs + case.tol_rel * np.abs(rhs)))[0]
+        assert 100 < len(want) < 4000
+        assert 3 not in want
+        assert [v["index"] for v in report.violations] == want.tolist()
 
 
 # sha256 of the default suite's data JSON and margins CSV at 10k samples,

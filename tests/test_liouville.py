@@ -86,6 +86,53 @@ class TestClosedForms:
             closed_form_dlambda(LINEAR_FAM, 3.0)
 
 
+# Members with both denominator signs and with infinite interval ends.
+TABLE_MEMBERS = [
+    SIN_FAM,
+    WeightFamily("sin", C1=2.0, C2=0.4, domain=Interval(-0.15, 1.2)),
+    WeightFamily("sinh", C1=1.0, C2=0.0, domain=Interval(0.0, math.inf)),
+    WeightFamily("sinh", C1=0.7, C2=-2.0, domain=Interval(-math.inf, 2.5)),
+    WeightFamily("linear", C=0.0, domain=Interval(0.0, math.inf)),
+    WeightFamily("linear", C=-2.0, domain=Interval(-math.inf, 1.9)),
+]
+
+
+def _reference_closed_forms(fam: WeightFamily, t):
+    """(lambda, lambda') of each family written out, in the operation order the table keeps."""
+    C1, C2, C = fam.C1, fam.C2, fam.C
+    u = C1 * t + C2
+    if fam.kind == "sin":
+        return (
+            np.log(2.0 * C1**2) - 2.0 * np.log(np.abs(np.sin(u))),
+            -2.0 * C1 * np.cos(u) / np.sin(u),
+        )
+    if fam.kind == "sinh":
+        return (
+            np.log(2.0 * C1**2) - 2.0 * np.log(np.abs(np.sinh(u))),
+            -2.0 * C1 * np.cosh(u) / np.sinh(u),
+        )
+    return np.log(2.0) - 2.0 * np.log(np.abs(t + C)), -2.0 / (t + C)
+
+
+@pytest.mark.parametrize("k", [1.0, 2.5])
+@pytest.mark.parametrize("fam", TABLE_MEMBERS, ids=lambda fam: fam.kind)
+def test_closed_forms_keep_their_bytes(fam, k):
+    fam = WeightFamily(fam.kind, k=k, C1=fam.C1, C2=fam.C2, C=fam.C, domain=fam.domain)
+    ts = GridSpec(n=1001).points(fam.domain)
+    with np.errstate(all="ignore"):
+        lam, dlam = _reference_closed_forms(fam, ts)
+    # Far out on a half-line sinh overflows; the closed forms refuse those points.
+    finite = np.isfinite(lam) & np.isfinite(dlam)
+    assert finite.sum() > 500
+    ts, lam, dlam = ts[finite], lam[finite], dlam[finite]
+    assert closed_form_lambda(fam, ts).tobytes() == lam.tobytes()
+    assert closed_form_dlambda(fam, ts).tobytes() == dlam.tobytes()
+    for t, want, dwant in zip(ts[::100], lam[::100], dlam[::100]):
+        state = family_initial_state(fam, float(t))
+        assert (state.lam, state.dlam) == (want, dwant)
+        assert math.copysign(1.0, state.dlam) == math.copysign(1.0, dwant)
+
+
 class TestSolver:
     def test_matches_sinh_family(self):
         err, traj = _sup_error(SINH_FAM, 0.0, 1.0)

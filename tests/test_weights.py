@@ -1,6 +1,7 @@
 """Weights on intervals: distances, curvature, families, grid reports."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypcontract.weights import (
     QuadratureError,
     Weight,
     WeightFamily,
+    _family_sign,
     compare_weights,
     curvature_k,
     disk_diameter_weight,
@@ -250,6 +252,130 @@ class TestFamilies:
         fd2 = (w.density(ts + h) - 2 * w.density(ts) + w.density(ts - h)) / h**2
         np.testing.assert_allclose(w.d1(ts), fd1, rtol=1e-8)
         np.testing.assert_allclose(w.d2(ts), fd2, rtol=1e-3)
+
+
+# Members with both denominator signs and with infinite interval ends, each
+# with the sign of its denominator on the interval.
+TABLE_MEMBERS = [
+    (WeightFamily("sin", C1=math.pi / 2, C2=-math.pi / 2, domain=Interval(-1, 1)), -1.0),
+    (WeightFamily("sin", C1=2.0, C2=0.4, domain=Interval(-0.15, 1.2)), 1.0),
+    (WeightFamily("sin", C1=1.3, C2=-0.2, domain=Interval(-2.0, 0.1)), -1.0),
+    (WeightFamily("sinh", C1=1.0, C2=0.0, domain=Interval(0.0, math.inf)), 1.0),
+    (WeightFamily("sinh", C1=0.7, C2=-2.0, domain=Interval(-math.inf, 2.5)), -1.0),
+    (WeightFamily("linear", C=0.0, domain=Interval(0.0, math.inf)), 1.0),
+    (WeightFamily("linear", C=-2.0, domain=Interval(-math.inf, 1.9)), -1.0),
+    (WeightFamily("linear", C=0.3, domain=Interval(-7.0, -0.4)), -1.0),
+]
+
+
+def _reference_closures(fam: WeightFamily, s: float) -> dict:
+    """Each family's formulas written out, in the operation order the table must keep."""
+    k, C1, C2, C = fam.k, fam.C1, fam.C2, fam.C
+    if fam.kind == "sin":
+        return {
+            "density": lambda t: C1 / (k * s * np.sin(C1 * t + C2)),
+            "d1": lambda t: -(C1**2) * s * np.cos(C1 * t + C2)
+            / (k * (s * np.sin(C1 * t + C2)) ** 2),
+            "d2": lambda t: (C1**3 / k) * (
+                1.0 / (s * np.sin(C1 * t + C2))
+                + 2.0 * np.cos(C1 * t + C2) ** 2 / (s * np.sin(C1 * t + C2)) ** 3
+            ),
+            "antiderivative": lambda t: np.log(np.abs(np.tan(0.5 * (C1 * t + C2)))) / (k * s),
+        }
+    if fam.kind == "sinh":
+        return {
+            "density": lambda t: C1 / (k * s * np.sinh(C1 * t + C2)),
+            "d1": lambda t: -(C1**2) * s * np.cosh(C1 * t + C2)
+            / (k * (s * np.sinh(C1 * t + C2)) ** 2),
+            "d2": lambda t: (C1**3 / k) * (
+                2.0 * np.cosh(C1 * t + C2) ** 2 / (s * np.sinh(C1 * t + C2)) ** 3
+                - 1.0 / (s * np.sinh(C1 * t + C2))
+            ),
+            "antiderivative": lambda t: np.log(np.abs(np.tanh(0.5 * (C1 * t + C2)))) / (k * s),
+        }
+    return {
+        "density": lambda t: 1.0 / (k * s * (t + C)),
+        "d1": lambda t: -s / (k * (s * (t + C)) ** 2),
+        "d2": lambda t: 2.0 / (k * (s * (t + C)) ** 3),
+        "antiderivative": lambda t: np.log(np.abs(t + C)) / (k * s),
+    }
+
+
+def _bits(x) -> bytes:
+    """The bytes of x, with every NaN (overflow far out on a half-line) made canonical."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
+class TestFamilyTable:
+    """The table-built closures give the bytes of the per-family formulas."""
+
+    @pytest.mark.parametrize("k", [1.0, 2.5])
+    @pytest.mark.parametrize("fam,sign", TABLE_MEMBERS, ids=lambda v: getattr(v, "kind", None))
+    def test_closures_keep_their_bytes(self, fam, sign, k):
+        fam = WeightFamily(fam.kind, k=k, C1=fam.C1, C2=fam.C2, C=fam.C, domain=fam.domain)
+        assert _family_sign(fam) == sign
+        w = family_weight(fam)
+        ref = _reference_closures(fam, sign)
+        ts = GridSpec(n=1001).points(fam.domain)
+        with np.errstate(all="ignore"):
+            for name, f in ref.items():
+                got, want = getattr(w, name)(ts), f(ts)
+                if name == "d2" and fam.kind == "linear" and k != 1.0:
+                    # (1/k) * (2/S**3) rounds differently from 2/(k S**3).
+                    np.testing.assert_array_max_ulp(got, want, maxulp=2)
+                    continue
+                assert _bits(got) == _bits(want), name
+                for t in ts[::100]:
+                    assert _bits(getattr(w, name)(float(t))) == _bits(f(float(t))), (name, t)
+
+    @pytest.mark.parametrize(
+        "fam,sign",
+        [
+            (WeightFamily("linear", C=-0.5, domain=Interval(0.5, 2.0)), 1.0),
+            (WeightFamily("linear", C=-0.5, domain=Interval(-1.0, 0.5)), -1.0),
+            (WeightFamily("linear", C=-0.5, domain=Interval(0.5, math.inf)), 1.0),
+            (WeightFamily("linear", C=-0.5, domain=Interval(-math.inf, 0.5)), -1.0),
+            (WeightFamily("sinh", C1=2.0, C2=-1.0, domain=Interval(0.5, 3.0)), 1.0),
+            (WeightFamily("sinh", C1=2.0, C2=-1.0, domain=Interval(-1.0, 0.5)), -1.0),
+            (WeightFamily("sinh", C1=2.0, C2=-1.0, domain=Interval(0.5, math.inf)), 1.0),
+            (WeightFamily("sinh", C1=2.0, C2=-1.0, domain=Interval(-math.inf, 0.5)), -1.0),
+            (WeightFamily("sin", C1=1.0, C2=0.0, domain=Interval(0.0, 3.0)), 1.0),
+            (WeightFamily("sin", C1=1.0, C2=0.0, domain=Interval(-3.0, 0.0)), -1.0),
+        ],
+    )
+    def test_sign_with_a_zero_at_an_end(self, fam, sign):
+        assert _family_sign(fam) == sign
+        assert family_weight(fam).density(fam.domain.interior_point()) > 0.0
+
+    @pytest.mark.parametrize(
+        "fam,message",
+        [
+            (WeightFamily("linear", C=-0.5, domain=Interval(0.0, 1.0)),
+             "t + C vanishes inside the interval"),
+            (WeightFamily("linear", C=-0.5, domain=Interval(0.0, math.inf)),
+             "t + C vanishes inside the interval"),
+            (WeightFamily("sinh", C1=2.0, C2=-1.0, domain=Interval(0.0, 1.0)),
+             "sinh(C1 t + C2) vanishes inside the interval"),
+            (WeightFamily("sinh", C1=2.0, C2=-1.0, domain=Interval(-math.inf, 1.0)),
+             "sinh(C1 t + C2) vanishes inside the interval"),
+            (WeightFamily("sin", C1=1.0, C2=0.0, domain=Interval(0.0, 4.0)),
+             "sin(C1 t + C2) vanishes inside the interval"),
+            (WeightFamily("sin", C1=1.0, C2=0.5, domain=Interval(0.0, math.inf)),
+             "sin family cannot live on an unbounded interval"),
+        ],
+    )
+    def test_zero_inside_keeps_its_message(self, fam, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            family_weight(fam)
+
+    def test_names(self):
+        assert strip_weight().name == "strip"
+        assert half_plane_weight().name == "half_plane"
+        fam = WeightFamily("sinh", k=2.0, C1=0.5, C2=1.0, domain=Interval(0.0, 1.0))
+        assert family_weight(fam).name == "sinh(k=2,C1=0.5,C2=1)"
+        fam = WeightFamily("linear", k=3.0, C=0.25, domain=Interval(0.0, 1.0))
+        assert family_weight(fam).name == "linear(k=3,C=0.25)"
 
 
 def test_lambda_link_satisfies_liouville_equation():
