@@ -171,12 +171,23 @@ def _report_line(r: dict) -> str:
     return f"{tag:<5} {r['case_id']:<40} {detail}  samples={r['samples_used']}"
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two output paths name one file: ``./a`` and ``a``, or two links to it."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def cmd_verify(args) -> int:
     try:
         config = _load_config(args)
     except ConfigError as exc:
         json.dump({"errors": exc.errors}, sys.stderr, indent=2)
         sys.stderr.write("\n")
+        return 2
+    if args.json_out and args.csv_out and _same_file(args.json_out, args.csv_out):
+        sys.stderr.write("error: --json-out and --csv-out name the same file\n")
         return 2
     created = []  # outputs this run made; a run that fails removes them again
 
@@ -269,14 +280,20 @@ def cmd_curvature(args) -> int:
     return 0
 
 
+# The constants each ode family reads: u = C1 t + C2, or u = t + C for linear.
+_ODE_CONSTANTS = {"sin": ("C1", "C2"), "sinh": ("C1", "C2"), "linear": ("C",)}
+
+
 def cmd_ode(args) -> int:
     try:
         if args.rows < 1:
             raise ValueError("--rows must be at least 1")
+        given = {c: getattr(args, c) for c in ("C1", "C2", "C") if getattr(args, c) is not None}
+        for name in given:  # the others keep WeightFamily's defaults
+            if name not in _ODE_CONSTANTS[args.family]:
+                raise ValueError(f"--{name} is not a constant of the {args.family} family")
         domain = Interval(min(args.t0, args.t1) - 1e-9, max(args.t0, args.t1) + 1e-9)
-        fam = WeightFamily(
-            kind=args.family, k=args.k, C1=args.C1, C2=args.C2, C=args.C, domain=domain
-        )
+        fam = WeightFamily(kind=args.family, k=args.k, domain=domain, **given)
         family_weight(fam)  # validates the interval is singularity-free
         initial = family_initial_state(fam, args.t0)
         traj = solve_liouville(initial, args.t1)
@@ -358,9 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ode", help="solve lambda'' = exp(lambda) against a closed form")
     p.add_argument("--family", choices=("sin", "sinh", "linear"), required=True)
     p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--C1", type=float, default=1.0)
-    p.add_argument("--C2", type=float, default=0.0)
-    p.add_argument("--C", type=float, default=0.0)
+    p.add_argument("--C1", type=float, help="sin and sinh: u = C1 t + C2 (default 1)")
+    p.add_argument("--C2", type=float, help="sin and sinh (default 0)")
+    p.add_argument("--C", type=float, help="linear: u = t + C (default 0)")
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--rows", type=int, default=101)

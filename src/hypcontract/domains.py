@@ -9,7 +9,9 @@ Three domain kinds, each a conformal metric h(z)|dz|:
 Gauss curvature is -(Laplacian log h)/h^2; the disk and half-plane have
 curvature -1, a strip has curvature curv_w(Re z) <= 0.  Distances are
 closed-form for the disk and half-plane; on a strip, Clairaut's first integral
-of the geodesic equation reduces them to a root find and two quadratures.
+of the geodesic equation reduces them to a root find and two quadratures.  The
+root finder is ``_brentq``, an in-package port of Brent's method that takes
+scipy's ``brentq`` steps, so a strip distance does not import scipy.
 """
 
 from __future__ import annotations
@@ -221,6 +223,63 @@ _T_LIMIT = -16.0  # log10 of the closest approach to a branch limit: double prec
 _GEODESIC_RTOL = 1e-7  # relative error bound above which a strip distance is unconverged
 
 
+def _brentq(f, a: float, b: float, xtol: float):
+    """Root of f on [a, b] by Brent's method: (root, iterations, converged).
+
+    A port of scipy's C ``brentq`` (Brent 1973, ch. 4) with its rtol of 4 eps
+    and its 100-iteration cap: the same double operations in the same order, so
+    the same root, iteration count and flag (a root at an end takes 0
+    iterations).  Raises ``ValueError`` when f is NaN anywhere it is evaluated
+    or f(a) and f(b) have the same sign.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; the root search cannot continue")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre, 0, True
+    if fcur == 0.0:
+        return xcur, 0, True
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for i in range(1, 101):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + 4.0 * _EPS * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, i, True
+        stry = math.nan  # compares false below, so the step bisects
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # in C the step is infinite or NaN, and bisects
+                pass
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry  # a good short step
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    return xcur, 100, False
+
+
 def _slope(wt: Weight, x: float) -> float:
     """w'(x): the weight's analytic d1 when it has one, else a central difference inside J."""
     if wt.d1 is not None:
@@ -236,9 +295,11 @@ def _minimizer(wt: Weight) -> float:
         return lo
     if _slope(wt, hi) <= 0.0:
         return hi
-    from scipy import optimize  # here, so importing hypcontract does not load scipy
-
-    return optimize.brentq(lambda x: _slope(wt, x), lo, hi, xtol=1e-15)
+    # Brent's method in-package, with scipy's steps: the same root as scipy's brentq
+    root, iterations, converged = _brentq(lambda x: _slope(wt, x), lo, hi, xtol=1e-15)
+    if not converged:
+        raise RuntimeError(f"the minimizer search did not converge after {iterations} iterations")
+    return root
 
 
 def _clairaut(wt: Weight, a: float, ends, c: float, e0: float):
@@ -301,10 +362,9 @@ def _strip_geodesic(d: Strip, z: complex, w: complex) -> DistanceResult:
         reach = excess(_T_LIMIT)
     solved = reach > 0.0
     if solved:
-        from scipy import optimize  # here, so importing hypcontract does not load scipy
-
-        root, info = optimize.brentq(excess, _T_LIMIT, 0.0, xtol=1e-12, full_output=True, disp=False)
-        certificate.update(iterations=int(info.iterations), converged=bool(info.converged))
+        # Brent's method in-package, with scipy's steps: the same c and iteration count
+        root, iterations, converged = _brentq(excess, _T_LIMIT, 0.0, xtol=1e-12)
+        certificate.update(iterations=iterations, converged=converged)
     else:
         # dy is beyond double precision or an incomplete metric's reach: c takes
         # its limit w(m), the path runs along x = m, and its length is the infimum

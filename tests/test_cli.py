@@ -229,6 +229,22 @@ class TestVerify:
         assert sorted(p.name for p in tmp_path.iterdir()) == [paths[existing].name]
         assert paths[existing].read_text() == "old"
 
+    @pytest.mark.parametrize("csv_path", ["same.out", "./same.out"], ids=["literal", "dot-alias"])
+    @pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+    def test_one_path_for_both_outputs_exits_2(self, tmp_path, capsys, monkeypatch, csv_path,
+                                               exists):
+        monkeypatch.chdir(tmp_path)
+        if exists:
+            (tmp_path / "same.out").write_text("old")
+        rc = main(["verify", "--count", "64", "--json-out", "same.out", "--csv-out", csv_path])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == "error: --json-out and --csv-out name the same file\n"
+        assert [p.name for p in tmp_path.iterdir()] == (["same.out"] if exists else [])
+        if exists:
+            assert (tmp_path / "same.out").read_text() == "old"
+
     def test_seed_precedence(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("HYPCONTRACT_SEED", "777")
         jpath = tmp_path / "env.json"
@@ -591,6 +607,11 @@ class TestOde:
             ["--t1", "nan"],
             ["--t1", "1", "--k", "nan"],
             ["--t1", "1", "--C2", "inf"],
+            # a constant the family does not read (the base flags give C2 = 1)
+            ["--t1", "1", "--C", "7"],
+            ["--t1", "1", "--family", "sin", "--C", "7"],
+            ["--t1", "1", "--family", "linear", "--C1", "5", "--C", "1"],
+            ["--t1", "1", "--family", "linear", "--C", "1"],
         ],
     )
     def test_bad_input_exits_2(self, capsys, flags):
@@ -598,6 +619,23 @@ class TestOde:
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--family", "sin", "--C", "7"], "--C is not a constant of the sin family"),
+            (["--family", "sinh", "--C", "0"], "--C is not a constant of the sinh family"),
+            (["--family", "linear", "--C1", "5", "--C", "1"],
+             "--C1 is not a constant of the linear family"),
+            (["--family", "linear", "--C2", "3"], "--C2 is not a constant of the linear family"),
+        ],
+    )
+    def test_constant_of_another_family_exits_2(self, capsys, flags, message):
+        rc = main(["ode", *flags, "--t0", "0", "--t1", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
     def test_tol_option_is_gone(self, capsys):
@@ -624,13 +662,13 @@ print("scipy" in sys.modules)
 """
 
 
-def test_scipy_is_loaded_only_by_a_strip_distance():
+def test_neither_verify_nor_a_strip_distance_loads_scipy():
     src = str(Path(hypcontract.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.split() == ["False", "True"]
+    assert out.split() == ["False", "False"]
 
 
 def test_catalog_listing(capsys):

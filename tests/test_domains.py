@@ -6,7 +6,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import optimize
 
+from hypcontract import domains
 from hypcontract.disk import sigma
 from hypcontract.domains import (
     HalfPlane,
@@ -20,9 +22,12 @@ from hypcontract.domains import (
     path_length,
     unit_tangent_norm_check,
 )
+from hypcontract.liouville import family_initial_state, lambda_to_weight, solve_liouville
 from hypcontract.weights import (
+    GridSpec,
     Interval,
     Weight,
+    WeightFamily,
     disk_diameter_weight,
     half_plane_weight,
     strip_weight,
@@ -370,3 +375,148 @@ def test_strip_requires_log_convex_weight():
     bump = Weight(domain=Interval(-1.0, 1.0), density=lambda t: np.exp(-np.square(t)), name="bump")
     with pytest.raises(ValueError, match="log-convex"):
         Strip(bump)
+
+
+def _scipy_brentq(f, a, b, xtol):
+    root, info = optimize.brentq(f, a, b, xtol=xtol, full_output=True, disp=False)
+    return root, info.iterations, info.converged
+
+
+def _liouville_weight():
+    """The strip weight rebuilt from a Liouville solve: no d1, so _slope differences."""
+    fam = WeightFamily("sin", k=1.0, C1=math.pi / 2, C2=-math.pi / 2, domain=Interval(-1.0, 1.0))
+    return lambda_to_weight(solve_liouville(family_initial_state(fam, -0.9), 0.9))
+
+
+def _slope_problem(wt):
+    lo, hi = GridSpec(n=2, shrink=1e-15).points(wt.domain)
+    return (lambda x: domains._slope(wt, x)), float(lo), float(hi)
+
+
+class TestBrentq:
+    """``domains._brentq`` against scipy's ``brentq``, the implementation it ports."""
+
+    @pytest.mark.parametrize("xtol", [1e-15, 1e-12])
+    @pytest.mark.parametrize(
+        "f,a,b",
+        [
+            (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+            (lambda x: (x - 0.3) * (1.0 + x * x) ** 2, -1.5, 1.7),
+            (lambda x: x**5 - 0.1, 1.0, -0.5),
+            (lambda x: math.tanh(40.0 * (x - 0.123)), -2.0, 2.5),
+            (lambda x: math.tanh(0.5 * x + 0.2), -3.0, 1.0),
+            (lambda x: 1e-160 * (x - 0.3), -1.1, 1.3),  # a step denominator underflows to 0.0
+            (lambda x: x, -1.0, 1.0),  # the first secant step lands on f = 0.0 exactly
+            (lambda x: x - 0.25, -0.5, 1.0),
+        ],
+        ids=["cubic", "quintic-bump", "x5-reversed", "tanh-steep", "tanh-flat", "tiny", "mid-zero",
+             "mid-zero-offset"],
+    )
+    def test_matches_scipy(self, f, a, b, xtol):
+        root, iterations, converged = domains._brentq(f, a, b, xtol)
+        ref_root, ref_iterations, ref_converged = _scipy_brentq(f, a, b, xtol)
+        assert root.hex() == ref_root.hex()
+        assert (iterations, converged) == (ref_iterations, ref_converged)
+
+    @pytest.mark.parametrize("xtol", [1e-15, 1e-12])
+    @pytest.mark.parametrize(
+        "weight",
+        [strip_weight, disk_diameter_weight, _liouville_weight],
+        ids=["strip", "disk-diameter", "liouville"],
+    )
+    def test_slopes_match_scipy(self, weight, xtol):
+        f, lo, hi = _slope_problem(weight())
+        root, iterations, converged = domains._brentq(f, lo, hi, xtol)
+        ref_root, ref_iterations, ref_converged = _scipy_brentq(f, lo, hi, xtol)
+        assert root.hex() == ref_root.hex()
+        assert (iterations, converged) == (ref_iterations, ref_converged)
+
+    def test_coarse_xtol_matches_scipy(self):
+        # at xtol 1e-3 one step here is short only because of the "- delta" in
+        # the short-step test
+        def f(x):
+            return math.exp(x) - math.exp(0.6668432232664916)
+
+        assert domains._brentq(f, -1.1, 1.3, 1e-3) == _scipy_brentq(f, -1.1, 1.3, 1e-3)
+
+    def test_iteration_cap_matches_scipy(self):
+        def f(x):
+            return math.copysign(1.0, x)
+
+        assert domains._brentq(f, -1.0, 1.3, 1e-300) == _scipy_brentq(f, -1.0, 1.3, 1e-300)
+        assert domains._brentq(f, -1.0, 1.3, 1e-300)[1:] == (100, False)
+
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 0.0)], ids=["at-a", "at-b"])
+    def test_root_at_an_end(self, a, b):
+        # scipy reports no iteration count here (its counter is never set), so
+        # only the root and the flag are compared
+        root, iterations, converged = domains._brentq(lambda x: x, a, b, 1e-12)
+        ref_root, _, ref_converged = _scipy_brentq(lambda x: x, a, b, 1e-12)
+        assert root.hex() == ref_root.hex() == (0.0).hex()
+        assert (iterations, converged) == (0, ref_converged) == (0, True)
+
+    @pytest.mark.parametrize(
+        "f,a,b",
+        [
+            (lambda x: x * x + 1.0, -1.0, 2.0),  # same-sign ends
+            (lambda x: math.nan if x < 0.0 else x, -1.0, 2.0),  # NaN at a
+            (lambda x: math.nan if x > 1.0 else x, -1.0, 2.0),  # NaN at b
+            (lambda x: math.nan if abs(x) < 0.9 else x, -1.0, 2.0),  # NaN midway
+        ],
+        ids=["same-sign", "nan-at-a", "nan-at-b", "nan-midway"],
+    )
+    def test_bad_brackets_raise_value_error(self, f, a, b):
+        with pytest.raises(ValueError):
+            _scipy_brentq(f, a, b, 1e-12)
+        with pytest.raises(ValueError):
+            domains._brentq(f, a, b, 1e-12)
+
+    def test_unconverged_minimizer_raises(self, monkeypatch):
+        monkeypatch.setattr(domains, "_brentq", lambda f, a, b, xtol: (0.5 * (a + b), 100, False))
+        with pytest.raises(RuntimeError, match="did not converge after 100 iterations"):
+            domains._minimizer(strip_weight())
+
+
+HP_STRIP = Strip(half_plane_weight())
+DIAMETER_STRIP = Strip(disk_diameter_weight())
+
+
+@pytest.mark.parametrize(
+    "strip,z,w,value,c,iterations,converged,turning_point",
+    # frozen from the scipy brentq implementation: repr(value), repr(c), the
+    # root search's iteration count and flag, repr(turning point)
+    [
+        (STRIP, 0.1, 0.3 + 0.2j, "0.469291144073125", "1.1711739825664147", 10, True, None),
+        (STRIP, 0.6, 0.6 + 2j, "4.1478770702559595", "1.6594163354592804", 14, True,
+         "0.2089947170246869"),
+        (STRIP, 0.98, 0.98 + 3j, "11.615568859217703", "1.5992451260222333", 13, True,
+         "0.12025841748048827"),
+        # dy beyond double precision: no root solve, c at its limit w(m)
+        (STRIP, 0.0, 40j, "62.83185307179586", "1.5707963267948966", 0, True,
+         "-1.0096403787854242e-16"),
+        (STRIP, 0.0, 3j, "4.71238898038469", "1.5707963267948966", 0, True,
+         "-1.0096403787854242e-16"),
+        (STRIP, -0.98, 0.97 + 0.1j, "7.907609623681146", "0.12321519451161933", 11, True, None),
+        (STRIP, 0.3 + 1j, 0.3 + 1.0001j, "0.0001762945931070853", "1.7629459301299613", 7, True,
+         "0.2999999989995491"),
+        # the root converges, the quadrature error estimate does not meet the bound
+        (STRIP, 0.1 - 20j, -0.2 + 25j, "70.74840457143115", "1.5707963267948966", 15, False, None),
+        (STRIP, 0.2 + 0.4j, -0.3 + 1j, "1.2631879016896854", "1.2399886677275302", 10, True, None),
+        (STRIP, -0.5 + 0.1j, -0.9 - 1.5j, "4.602163179043765", "1.7470050423405818", 13, True,
+         "-0.28839089250904054"),
+        (HP_STRIP, 1 + 1j, 2 + 3j, "1.45057451382258", "0.4961389383570899", 18, True,
+         "2.0155644370735972"),
+        (HP_STRIP, 0.5, 0.5 + 4j, "4.1894250945222025", "0.48507125007366186", 18, True,
+         "2.0615528128045977"),
+        (DIAMETER_STRIP, 0.2 + 0.4j, -0.7 - 0.3j, "2.686683042983349", "1.3836774968962307", 11,
+         True, None),
+    ],
+)
+def test_strip_distances_keep_their_bytes(strip, z, w, value, c, iterations, converged,
+                                          turning_point):
+    r = distance(strip, z, w)
+    cert = r.certificate
+    assert (repr(r.value), repr(cert["c"])) == (value, c)
+    assert (cert["iterations"], cert["converged"]) == (iterations, converged)
+    tp = cert["turning_point"]
+    assert (None if tp is None else repr(tp)) == turning_point
