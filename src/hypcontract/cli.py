@@ -215,12 +215,17 @@ def cmd_verify(args) -> int:
     for r in result.reports:
         print(_report_line(r.to_dict()))
     print(f"overall: {'PASS' if result.overall_pass else 'FAIL'}")
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(result.to_json())
-    if args.csv_out:
-        with open(args.csv_out, "w", encoding="utf-8") as fh:
-            result.write_margins_csv(fh)
+    # A write can still fail (a full disk); that is an error, not a verdict.
+    for path, write in (
+        (args.json_out, lambda fh: fh.write(result.to_json())),
+        (args.csv_out, result.write_margins_csv),
+    ):
+        if path:
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    write(fh)
+            except OSError as exc:
+                return fail(f"cannot write {path}: {exc.strerror or exc}")
     return 0 if result.overall_pass else 1
 
 

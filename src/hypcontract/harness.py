@@ -48,6 +48,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
@@ -76,7 +77,7 @@ CHUNK_SIZE = 1024
 # Chunks per pool task.  Evaluation cost per numpy call is a few microseconds,
 # so per-chunk tasks spend the run trading the GIL; blocks of 16 amortize it.
 BLOCK_CHUNKS = 16
-CSV_BLOCK_ROWS = 65_536
+CSV_BLOCK_ROWS = 16_384
 MAX_WORKERS = 64
 
 SCHEMES = ("uniform_disk", "boundary_biased")
@@ -196,15 +197,23 @@ def disk_pair_chunk(spec: SampleSpec, ci: int, n: int, last: bool):
 
 
 def ball_pair_chunk(spec: SampleSpec, dim: int, ci: int, n: int, last: bool):
-    """Chunk of pairs in the complex ball of dimension ``dim``."""
+    """Chunk of pairs in the complex ball of dimension ``dim``.
+
+    The Gaussian draws ``g`` are read as complex coordinates in place and
+    scaled in real arithmetic: by ``1 / |vec|``, which is what numpy's
+    complex-by-real division multiplies by, then by the radius.  That gives
+    the bits of ``(g0 + 1j g1) / |vec| * r`` except, possibly, the sign of a
+    zero: a Gaussian draw of exactly 0.0, or a radius of exactly 0.0.
+    """
     rng = np.random.default_rng([spec.seed, dim, ci])
     g = rng.standard_normal((2, n, dim, 2))
     u = rng.random((2, n))
-    vec = g[..., 0] + 1j * g[..., 1]
+    vec = g.view(complex)[..., 0]
     norms = np.maximum(ball.norm(vec), 1e-300)
     r = _radius(spec, u, ball_dim=dim)
-    pts = vec / norms[..., np.newaxis] * r[..., np.newaxis]
-    z, w = pts[0], pts[1]
+    g *= (1.0 / norms)[..., np.newaxis, np.newaxis]
+    g *= r[..., np.newaxis, np.newaxis]
+    z, w = vec[0], vec[1]
     if last:
         w[-1] = z[-1]
     return z, w
@@ -783,6 +792,25 @@ def _build_case(cs: CaseSpec) -> InequalityCase:
     )
 
 
+def _first_equal_columns(cols: list) -> list:
+    """For each float64 column, the position of the first column with the same bits.
+
+    Columns are keyed on length and ``hash`` of their bytes; a key hit is
+    confirmed by comparing ``int64`` views, so equal values with other bits
+    (``0.0`` and ``-0.0``) never match.
+    """
+    source, seen = [], {}
+    for j, m in enumerate(cols):
+        bits = m.view(np.int64)
+        same = seen.setdefault((len(m), hash(m.tobytes())), [])
+        k = next((k for k in same if np.array_equal(cols[k].view(np.int64), bits)), None)
+        if k is None:
+            same.append(j)
+            k = j
+        source.append(k)
+    return source
+
+
 @dataclass(frozen=True)
 class SuiteResult:
     overall_pass: bool
@@ -816,14 +844,48 @@ class SuiteResult:
         return json.dumps(self.data_dict(), indent=2, sort_keys=True)
 
     def write_margins_csv(self, fh) -> None:
-        """Write the per-sample margins CSV to ``fh``, a block of rows at a time."""
+        """Write the per-sample margins CSV to ``fh``, ``CSV_BLOCK_ROWS`` rows at a time.
+
+        A row costs one ``float.__repr__`` and no Python frame.  The index
+        strings ``"i,"`` are built once per call, up to the longest column,
+        and every case reads them (a shorter column a prefix); a block is
+        written as ``case_id + ","``, then the C-level join of index and
+        margin text on ``"\\n" + case_id + ","``, then ``"\\n"``.
+
+        A margin column whose bits equal an earlier column's is formatted only
+        once: in the default suite ``schwarz_pick:constant`` repeats
+        ``modulus_contraction:constant`` (both have lhs 0) and
+        ``abs_sigma_disk`` repeats ``modulus_contraction:identity`` (the same
+        ``|2 atanh|z| - 2 atanh|w||``).  The earlier column's text is kept,
+        one string per block, until its last repeat is written.  Bits, not
+        values, decide: ``0.0`` and ``-0.0`` print differently.
+        """
         fh.write("case_id,sample_index,margin\n")
-        for r in self.reports:
-            if r.margins is None:
-                continue
-            for a in range(0, len(r.margins), CSV_BLOCK_ROWS):
-                block = r.margins[a : a + CSV_BLOCK_ROWS].tolist()
-                fh.write("".join(f"{r.case_id},{i},{m!r}\n" for i, m in enumerate(block, a)))
+        cols = [
+            (r.case_id, np.asarray(r.margins, dtype=float))
+            for r in self.reports
+            if r.margins is not None
+        ]
+        index = list(map("{},".format, range(max((len(m) for _, m in cols), default=0))))
+        source = _first_equal_columns([m for _, m in cols])
+        last_use = {k: j for j, k in enumerate(source) if k != j}
+        kept = {k: [] for k in last_use}  # a repeated column's text per block
+        for j, (case_id, m) in enumerate(cols):
+            head = case_id + ","
+            sep = "\n" + head
+            k = source[j]
+            texts = kept.pop(k) if last_use.get(k) == j else kept.get(k)
+            for bi, a in enumerate(range(0, len(m), CSV_BLOCK_ROWS)):
+                b = a + CSV_BLOCK_ROWS
+                if k != j:
+                    reprs = texts[bi].split("\n")
+                else:
+                    reprs = list(map(float.__repr__, m[a:b].tolist()))
+                    if texts is not None:
+                        texts.append("\n".join(reprs))
+                fh.write(head)
+                fh.write(sep.join(map(operator.add, index[a:b], reprs)))
+                fh.write("\n")
 
     def margins_csv(self) -> str:
         buf = io.StringIO()

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypcontract
-from hypcontract import cli
+from hypcontract import cli, harness
 from hypcontract.cli import main, parse_point
 from hypcontract.weights import QuadratureError
 
@@ -228,6 +228,32 @@ class TestVerify:
         assert err.startswith("error: not enough memory for the suite: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == [paths[existing].name]
         assert paths[existing].read_text() == "old"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("flag", ["--json-out", "--csv-out"])
+    def test_full_device_exits_2(self, tmp_path, capsys, flag):
+        other = {"--json-out": "--csv-out", "--csv-out": "--json-out"}[flag]
+        rc = main(["verify", "--count", "64", flag, "/dev/full", other, str(tmp_path / "new.out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "error: cannot write /dev/full: No space left on device\n"
+        assert list(tmp_path.iterdir()) == []  # the file this run created is removed
+
+    def test_failed_write_removes_the_outputs_it_created(self, tmp_path, capsys, monkeypatch):
+        def full(self, fh):
+            fh.write("case_id,sample_index,margin\n")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(harness.SuiteResult, "write_margins_csv", full)
+        old, new = tmp_path / "old.json", tmp_path / "new.csv"
+        old.write_text("old")
+        rc = main(["verify", "--count", "64", "--json-out", str(old), "--csv-out", str(new)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out.endswith("overall: PASS\n")  # the verdict was printed before the write
+        assert err == f"error: cannot write {new}: No space left on device\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["old.json"]
+        assert json.loads(old.read_text())["data"]["overall_pass"] is True
 
     @pytest.mark.parametrize("csv_path", ["same.out", "./same.out"], ids=["literal", "dot-alias"])
     @pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])

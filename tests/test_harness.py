@@ -23,6 +23,8 @@ from hypcontract.harness import (
     InequalityCase,
     SampleSpec,
     SuiteConfig,
+    SuiteResult,
+    VerificationReport,
     default_config,
     disk_pair_chunk,
     polar_grid,
@@ -83,6 +85,30 @@ class TestSampling:
         assert g.shape == (77,)
         assert np.min(np.abs(g)) == 0.0
         assert np.max(np.abs(g)) <= 0.95 + 1e-15
+
+    @pytest.mark.parametrize("scheme", ["uniform_disk", "boundary_biased"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_ball_draw_has_the_bits_of_the_complex_expression(self, scheme, dim):
+        def complex_draw(spec, dim, ci, n, last):  # the reference, in complex arithmetic
+            rng = np.random.default_rng([spec.seed, dim, ci])
+            g = rng.standard_normal((2, n, dim, 2))
+            u = rng.random((2, n))
+            vec = g[..., 0] + 1j * g[..., 1]
+            norms = np.maximum(ball.norm(vec), 1e-300)
+            r = harness._radius(spec, u, ball_dim=dim)
+            pts = vec / norms[..., np.newaxis] * r[..., np.newaxis]
+            z, w = pts[0], pts[1]
+            if last:
+                w[-1] = z[-1]
+            return z, w
+
+        for ci in range(40):
+            spec = SampleSpec(count=40 * CHUNK_SIZE - 3, seed=ci % 5, scheme=scheme)
+            n = CHUNK_SIZE - 3 if ci == 39 else CHUNK_SIZE
+            args = (spec, dim, ci, n, ci == 39)
+            for new, old in zip(harness.ball_pair_chunk(*args), complex_draw(*args)):
+                assert new.shape == old.shape == (n, dim)
+                assert new.tobytes() == old.tobytes()
 
 
 class TestCaseIds:
@@ -430,6 +456,96 @@ def test_cli_csv_file_matches_golden_hash(tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_10K[101][1]
+
+
+def _report(case_id, margins):
+    margins = None if margins is None else np.asarray(margins, dtype=float)
+    return VerificationReport(
+        case_id=case_id, status="pass", samples_used=0, min_margin=None, mean_margin=None,
+        violations=(), seed=0, wall_time=0.0, margins=margins,
+    )
+
+
+def _per_row_csv(result):
+    """The CSV as the per-row formula wrote it before the block writer."""
+    rows = ["case_id,sample_index,margin\n"]
+    for r in result.reports:
+        if r.margins is not None:
+            rows += [f"{r.case_id},{i},{m!r}\n" for i, m in enumerate(r.margins.tolist())]
+    return "".join(rows)
+
+
+SPECIAL_MARGINS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-05, 1e16,
+                   123456789012345680.0, -1.5, 2.0 ** -1074 * 3, 0.1]
+
+
+@pytest.fixture
+def crafted_result():
+    rng = np.random.default_rng(4)
+    scales = 10.0 ** rng.integers(-20, 20, 25)
+    a = np.concatenate([SPECIAL_MARGINS, rng.standard_normal(25) * scales])
+    b = rng.standard_normal(23)
+    return SuiteResult(
+        overall_pass=True,
+        seed=0,
+        wall_time=0.0,
+        reports=(
+            _report("a", a),
+            _report("b", b),
+            _report("gone", None),
+            _report("zeros", np.zeros(9)),
+            _report("a_again", a.copy()),  # the same bits, not next to "a"
+            _report("empty", []),
+            _report("negative_zeros", -np.zeros(9)),  # equal in value to "zeros", not in bits
+            _report("short", a[:3]),
+            _report("gone_too", None),
+            _report("b_again", b.copy()),
+            _report("a_last", a.copy()),
+            _report("zeros_again", np.zeros(9)),
+        ),
+    )
+
+
+class TestMarginsCsv:
+    @pytest.mark.parametrize("block_rows", [7, harness.CSV_BLOCK_ROWS])
+    def test_bytes_of_the_per_row_formula(self, crafted_result, monkeypatch, block_rows):
+        monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", block_rows)
+        text = crafted_result.margins_csv()
+        assert text == _per_row_csv(crafted_result)
+        assert "negative_zeros,0,-0.0\n" in text and "zeros,0,0.0\n" in text
+        assert "a,5,5e-324\n" in text and "a_last,8,1.2345678901234568e+17\n" in text
+
+    def test_file_holds_the_same_text(self, crafted_result, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", 7)
+        path = tmp_path / "margins.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            crafted_result.write_margins_csv(fh)
+        assert path.read_text(encoding="utf-8") == crafted_result.margins_csv()
+
+    @pytest.mark.parametrize("colliding", [False, True], ids=["hash", "every-hash-colliding"])
+    def test_columns_share_text_only_with_equal_bits(self, crafted_result, monkeypatch, colliding):
+        if colliding:  # every key then matches on length alone; the bit compare decides
+            monkeypatch.setattr(harness, "hash", lambda data: 0, raising=False)
+        cols = [r.margins for r in crafted_result.reports if r.margins is not None]
+        # a, b, zeros, a_again, empty, negative_zeros, short, b_again, a_last, zeros_again
+        assert harness._first_equal_columns(cols) == [0, 1, 2, 0, 4, 5, 6, 1, 0, 2]
+
+    def test_no_margins_is_the_header_alone(self):
+        empty = SuiteResult(overall_pass=True, reports=(_report("x", None),), seed=0, wall_time=0.0)
+        assert empty.margins_csv() == "case_id,sample_index,margin\n"
+
+    def test_default_suite(self, monkeypatch):
+        result = run_suite(default_config(count=3000))
+        cols = [r for r in result.reports if r.margins is not None]
+        source = harness._first_equal_columns([r.margins for r in cols])
+        repeats = {cols[j].case_id: cols[k].case_id for j, k in enumerate(source) if j != k}
+        assert repeats == {
+            "schwarz_pick:constant": "modulus_contraction:constant",
+            "abs_sigma_disk": "modulus_contraction:identity",
+        }
+        monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", 1000)  # blocks shorter than a column
+        # Lines, not one 1.5 MB string: a failure then names the first row that differs.
+        assert result.margins_csv().split("\n") == _per_row_csv(result).split("\n")
 
 
 class TestSharedDiskStream:
