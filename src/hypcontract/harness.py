@@ -395,10 +395,7 @@ def _re_lhs(weight: Weight) -> Callable:
     """The left side d_w(Re f(z), Re f(w)) of ``re_contraction``."""
 
     def lhs_of(fz, fw):
-        a, b = np.real(fz), np.real(fw)
-        if weight.antiderivative is not None:  # closed form: vectorized
-            return omega_distance(weight, a, b)
-        return [omega_distance(weight, ai, bi) for ai, bi in zip(a, b)]
+        return omega_distance(weight, np.real(fz), np.real(fw))
 
     return lhs_of
 

@@ -77,10 +77,10 @@ def test_criterion_01_distance_quadrature_vs_antiderivative():
         for a, b in pairs:
             exact = omega_distance(w, a, b)
             quad = omega_distance(w_quad, a, b)
-            worst = max(worst, abs(quad - exact))
+            worst = max(worst, abs(quad - exact) / exact)
     dt = time.perf_counter() - t0
-    print(f"criterion 1: max |quad - antiderivative| = {worst:.3e} in {dt:.2f}s")
-    assert worst < 1e-9
+    print(f"criterion 1: max |quad - antiderivative| / antiderivative = {worst:.3e} in {dt:.2f}s")
+    assert worst < 1e-13
     assert dt < 5.0
 
 

@@ -677,24 +677,34 @@ class TestOde:
         assert "vanishes" in err
 
 
-_SCIPY_PROBE = """
-import sys
-import hypcontract.cli
-from hypcontract import domains, harness, weights
-harness.run_suite(harness.default_config(count=2048))
-print("scipy" in sys.modules)
-domains.distance(domains.Strip(weights.strip_weight()), 0.2 + 0.4j, -0.3 + 1.0j)
-print("scipy" in sys.modules)
+_SCIPY_BLOCKED = """
+import contextlib, io, sys
+sys.modules["scipy"] = None  # any import of scipy or a subpackage now raises ImportError
+from dataclasses import replace
+import numpy as np
+from hypcontract import cli, domains, liouville, weights
+fam = weights.WeightFamily("sin", C1=np.pi / 2, C2=-np.pi / 2)
+traj = liouville.solve_liouville(liouville.family_initial_state(fam, -0.9), 0.9)
+w = liouville.lambda_to_weight(traj)
+print(weights.omega_distance(w, -0.5, 0.6) > 0.0)
+print(weights.omega_distance(w, np.array([-0.5, 0.1]), np.array([0.6, 0.1])).shape)
+print(domains.path_length(domains.PoincareDisk(), domains.PathPolyline.straight(0.0, 0.5)) > 0.0)
+for wt in (weights.strip_weight(), replace(weights.strip_weight(), antiderivative=None)):
+    print(domains.distance(domains.Strip(wt), 0.2 + 0.4j, -0.3 + 1.0j).certificate["converged"])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["ode", "--family", "sinh", "--C2", "1", "--t0", "0", "--t1", "1"]),
+             cli.main(["verify", "--count", "2048"])]
+print(codes)
 """
 
 
-def test_neither_verify_nor_a_strip_distance_loads_scipy():
+def test_no_command_or_quadrature_imports_scipy():
     src = str(Path(hypcontract.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.split() == ["False", "False"]
+        [sys.executable, "-c", _SCIPY_BLOCKED], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert out == ["True", "(2,)", "True", "True", "True", "[0, 0]"]
 
 
 def test_catalog_listing(capsys):

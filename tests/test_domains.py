@@ -520,3 +520,12 @@ def test_strip_distances_keep_their_bytes(strip, z, w, value, c, iterations, con
     assert (cert["iterations"], cert["converged"]) == (iterations, converged)
     tp = cert["turning_point"]
     assert (None if tp is None else repr(tp)) == turning_point
+
+
+def test_strip_geodesics_read_the_stride_8_nodes_of_the_shared_rule():
+    # the step-1/32 tanh-sinh rule the distances above were frozen with, by its own formula
+    t = np.arange(-182, 183) / 32.0
+    x = 1.0 / (1.0 + np.exp(-np.pi * np.sinh(t)))
+    w = (np.pi / 128.0) * np.cosh(t) / np.cosh(0.5 * np.pi * np.sinh(t)) ** 2
+    assert np.array_equal(domains._CLAIRAUT_X, x)
+    assert np.array_equal(domains._CLAIRAUT_W, w)

@@ -3,6 +3,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -102,7 +103,42 @@ class TestOmegaDistance:
             a, b = rng.uniform(-0.95, 0.95, 2)
             dq = omega_distance(w_fd, a, b)
             dc = omega_distance(w, a, b)
-            assert abs(dq - dc) < 1e-9
+            assert abs(dq - dc) < 1e-13 * dc
+
+    def test_quadrature_route_takes_arrays(self):
+        w = _strip_density_only()
+        rng = np.random.default_rng(5)
+        # 1,200 pairs span three row slices of the rule; the last is partial
+        a, b = rng.uniform(-0.99, 0.99, (2, 1200))
+        out = omega_distance(w, a, b)
+        assert out.shape == (1200,)
+        np.testing.assert_array_equal(out, [omega_distance(w, ai, bi) for ai, bi in zip(a, b)])
+        grid = omega_distance(w, a[:6].reshape(2, 3), 0.25)
+        assert grid.shape == (2, 3)
+        np.testing.assert_array_equal(grid.ravel(), omega_distance(w, a[:6], np.full(6, 0.25)))
+
+    def test_quadrature_error_when_the_density_rounds(self):
+        # 1e-12 from the end, the sin-form density carries ~1e-4 relative
+        # rounding noise, so successive steps never agree to 1e-10
+        with pytest.raises(QuadratureError) as exc:
+            omega_distance(_strip_density_only(), 1.0 - 1e-12, 0.0)
+        assert exc.value.estimate > 0.0
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-8])
+    def test_quadrature_near_the_ends_matches_mpmath(self, gap):
+        # (pi/2) / sin(pi (1 - |t|) / 2) is the strip density, evaluated without
+        # the cancellation in pi t / 2 - pi / 2 (1 - |t| is exact near the ends)
+        def density(t):
+            return (np.pi / 2) / np.sin(np.pi * (1.0 - np.abs(t)) / 2)
+
+        w = Weight(Interval(-1.0, 1.0), density)
+        with mpmath.workdps(40):
+            def primitive(t):
+                return mpmath.log(mpmath.tan(mpmath.pi / 4 + mpmath.pi * mpmath.mpf(t) / 4))
+
+            for a, b in ((1.0 - gap, -(1.0 - gap)), (-(1.0 - gap), 0.0), (1.0 - gap, 0.5)):
+                exact = abs(primitive(b) - primitive(a))
+                assert abs(omega_distance(w, a, b) - exact) < 1e-9 * exact
 
     def test_antiderivative_route_broadcasts(self):
         w = strip_weight()
