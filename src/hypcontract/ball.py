@@ -32,8 +32,6 @@ complex n >= 4 and real n >= 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .disk import BOUNDARY_GUARD
@@ -113,15 +111,7 @@ def embed_modulus(z):
     return np.asarray(norm(check_ball_point(z)), dtype=complex)[..., np.newaxis]
 
 
-@dataclass(frozen=True)
-class BergmanFormValue:
-    """Value of the Bergman Hermitian form together with its base point."""
-
-    value: complex
-    at: np.ndarray
-
-
-def bergman_form(z, u, v) -> BergmanFormValue:
+def bergman_form(z, u, v):
     """Bergman form H_z(u, v) = 2[(1-|z|^2)<u,v> + <u,z><z,v>] / (1-|z|^2)^2.
 
     Sesquilinear (linear in u, conjugate-linear in v), conjugate-symmetric,
@@ -132,4 +122,4 @@ def bergman_form(z, u, v) -> BergmanFormValue:
     v = np.asarray(v, dtype=complex)
     one_minus = 1.0 - np.real(inner(z, z))
     value = 2.0 * (one_minus * inner(u, v) + inner(u, z) * inner(z, v)) / one_minus**2
-    return BergmanFormValue(value=complex(value) if np.ndim(value) == 0 else value, at=z)
+    return complex(value) if np.ndim(value) == 0 else value

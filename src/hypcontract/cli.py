@@ -279,6 +279,9 @@ def cmd_curvature(args) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except MemoryError as exc:  # a --points whose table cannot be allocated
+        sys.stderr.write(f"error: not enough memory for --points {args.points}: {exc}\n")
+        return 2
     print("t,curvature")
     for t, k in zip(ts, ks):
         print(f"{_fmt(t)},{_fmt(k)}")
@@ -307,6 +310,9 @@ def cmd_ode(args) -> int:
         lam_exact = np.asarray(closed_form_lambda(fam, ts), dtype=float)
     except (ValueError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError as exc:  # a --rows whose table cannot be allocated
+        sys.stderr.write(f"error: not enough memory for --rows {args.rows}: {exc}\n")
         return 2
     if traj.blown_up:
         sys.stderr.write("warning: trajectory hit the blow-up cap; rows cover the partial span\n")

@@ -61,33 +61,3 @@ def sigma_real(a, b):
     check_disk_point(b)
     return np.abs(2.0 * np.arctanh(np.real(a)) - 2.0 * np.arctanh(np.real(b)))
 
-
-def one_minus_rho_squared(z, w):
-    """1 - rho(z, w)**2 through the product identity (1-|z|^2)(1-|w|^2)/|1-conj(z)w|^2."""
-    check_disk_point(z)
-    check_disk_point(w)
-    az2 = np.real(z) ** 2 + np.imag(z) ** 2
-    aw2 = np.real(w) ** 2 + np.imag(w) ** 2
-    return (1.0 - az2) * (1.0 - aw2) / np.abs(1.0 - np.conj(z) * w) ** 2
-
-
-def geodesic_points(z: complex, w: complex, n: int):
-    """n+1 points of the hyperbolic geodesic from z to w, uniform in arc length.
-
-    The radial segment from 0 to phi_z(w) is the geodesic in the normalized
-    chart; transporting it back through the involution phi_z gives the geodesic
-    between z and w.  Spacing is uniform in sigma-arc-length, which places
-    parameter r_k = tanh(k/n * sigma/2) along the radius.
-    """
-    if n < 1:
-        raise ValueError("need at least one segment")
-    check_disk_point(z)
-    check_disk_point(w)
-    zeta = mobius(z, w)
-    r = np.abs(zeta)
-    if r == 0.0:
-        return np.full(n + 1, complex(z))
-    direction = zeta / r
-    half = np.arctanh(r)
-    radii = np.tanh(np.linspace(0.0, half, n + 1))
-    return mobius(z, radii * direction)

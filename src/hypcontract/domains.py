@@ -382,46 +382,3 @@ def distance(d: PlanarDomain, z: complex, w: complex) -> DistanceResult:
         return DistanceResult(value=_closed_form_half_plane(z, w), method="closed_form")
     return _strip_geodesic(d, z, w)
 
-
-def unit_tangent_norm_check(
-    d: PlanarDomain, p: PathPolyline, n_fine: int = 16384, n_check: int = 8192
-) -> float:
-    """Reparameterize by metric arc length; max |H(gamma', gamma') - 1| at midpoints.
-
-    H(gamma', gamma') = (h |gamma'|)^2 for a conformal metric, so after an
-    exact reparameterization the value is identically 1; the return value
-    measures how far the discrete reparameterization is from that.
-    """
-    nodes = p.as_array()
-    a, b = nodes[:-1], nodes[1:]
-    _segment_membership(d, a, b)
-    delta = b - a
-
-    ts = np.linspace(0.0, 1.0, n_fine + 1)
-    pts = a[:, np.newaxis] + delta[:, np.newaxis] * ts[np.newaxis, :]
-    speed = np.asarray(d.density(pts)) * np.abs(delta)[:, np.newaxis]
-    dt = 1.0 / n_fine
-    seg_s = np.concatenate(
-        [np.zeros((len(a), 1)), np.cumsum(0.5 * (speed[:, 1:] + speed[:, :-1]) * dt, axis=1)],
-        axis=1,
-    )
-    offsets = np.concatenate(([0.0], np.cumsum(seg_s[:, -1])))[:-1]
-    s_flat = []
-    p_flat = []
-    for i in range(len(a)):
-        sl = slice(0, None) if i == 0 else slice(1, None)
-        s_flat.append(offsets[i] + seg_s[i, sl])
-        p_flat.append(pts[i, sl])
-    s_grid = np.concatenate(s_flat)
-    p_grid = np.concatenate(p_flat)
-
-    total = s_grid[-1]
-    targets = np.linspace(0.0, total, n_check + 1)
-    re = np.interp(targets, s_grid, p_grid.real)
-    im = np.interp(targets, s_grid, p_grid.imag)
-    znew = re + 1j * im
-    mid = 0.5 * (znew[:-1] + znew[1:])
-    step = total / n_check
-    hval = np.asarray(d.density(mid))
-    hnorm = (hval * np.abs(np.diff(znew)) / step) ** 2
-    return float(np.max(np.abs(hnorm - 1.0)))

@@ -339,7 +339,7 @@ def _finalize(
 
 def _gate(case: InequalityCase, seed: int, t0: float) -> VerificationReport | None:
     """The hypothesis-not-met report if ``case.target`` fails curv_w <= -1, else None."""
-    gate = verify_curvature_bound(case.target, tol=1e-8)
+    gate = verify_curvature_bound(case.target)
     if gate.passed:
         return None
     return VerificationReport(
@@ -571,10 +571,7 @@ def verify_abs_inequalities(
 
 
 def verify_proof_chain(
-    case: InequalityCase,
-    spec: SampleSpec,
-    workers: int = 1,
-    n_pairs: int = 128,
+    case: InequalityCase, spec: SampleSpec, workers: int = 1
 ) -> VerificationReport:
     """Replay the contraction proof along arc-length hyperbolic geodesics.
 
@@ -585,8 +582,9 @@ def verify_proof_chain(
 
     whose integrand is exactly the gradient-bound left side, hence <= 1.  The
     replayed chain is d_w(Re f(z), Re f(w)) <= I <= sigma(z, w); both link
-    margins are checked at tolerance 1e-6.  The replay is serial; ``workers``
-    is accepted for the common checker call shape.
+    margins are checked at tolerance 1e-6 on the first 128 pairs of the
+    stream.  The replay is serial; ``workers`` is accepted for the common
+    checker call shape.
     """
     t0 = time.perf_counter()
     weight, f = case.target, case.function
@@ -594,7 +592,7 @@ def verify_proof_chain(
     if failed:
         return failed
 
-    count = min(spec.count, n_pairs)
+    count = min(spec.count, 128)
     z, w = disk_pair_chunk(spec, 0, min(spec.count, CHUNK_SIZE), False)
     z, w = z[:count], w[:count]
     x_nodes, wq = leggauss(8)
@@ -682,7 +680,7 @@ def default_config(
         cases.append(CaseSpec(op="pointwise_gradient", function=fn, weight=wt))
         cases.append(CaseSpec(op="proof_chain", function=fn, weight=wt))
     for f in catalog():
-        if f.codomain in ("disk", "ball_slice"):
+        if f.codomain == "disk":
             cases.append(CaseSpec(op="modulus_contraction", function=f.name))
             cases.append(CaseSpec(op="schwarz_pick", function=f.name))
             cases.append(CaseSpec(op="pavlovic", function=f.name))
@@ -701,7 +699,10 @@ def validate_config(config: SuiteConfig) -> list:
     errors = []
     if not isinstance(config.sample, SampleSpec):
         errors.append("sample: not a SampleSpec")
-    if config.schema_version != 1:
+    # type(), not isinstance: bool is an int subclass, and 1.0 == 1.
+    if type(config.schema_version) is not int:
+        errors.append(f"schema_version: {config.schema_version!r} is not an integer")
+    elif config.schema_version != 1:
         errors.append(f"schema_version: unsupported {config.schema_version!r}")
     if type(config.workers) is not int or not 1 <= config.workers <= MAX_WORKERS:
         errors.append(f"workers: {config.workers!r} is not an integer in 1..{MAX_WORKERS}")
@@ -731,7 +732,7 @@ def validate_config(config: SuiteConfig) -> list:
         if factor is not None and "factor" not in defaults:
             errors.append(f"{label}: {cs.op} takes no factor")
         elif factor is not None and not (
-            isinstance(factor, (int, float)) and 0.0 < factor < math.inf
+            type(factor) in (int, float) and 0.0 < factor < math.inf
         ):
             errors.append(f"{label}: factor must be a finite positive number, got {factor!r}")
         if needs is None:
@@ -769,7 +770,7 @@ def validate_config(config: SuiteConfig) -> list:
                     f"domain ({weight.domain.lo}, {weight.domain.hi})"
                 )
         elif needs == "disk":
-            if f.codomain not in ("disk", "ball_slice"):
+            if f.codomain != "disk":
                 errors.append(f"{label}: needs a disk-codomain function, got {f.codomain!r}")
         elif needs == "strip":
             if f.re_interval != (-1.0, 1.0):

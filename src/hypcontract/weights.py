@@ -95,12 +95,6 @@ class Interval:
     def finite(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
-    def interior_point(self) -> float:
-        """A representative interior point (midpoint through the atan chart)."""
-        u0 = math.atan(self.lo) if math.isfinite(self.lo) else -math.pi / 2
-        u1 = math.atan(self.hi) if math.isfinite(self.hi) else math.pi / 2
-        return math.tan(0.5 * (u0 + u1))
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -380,32 +374,26 @@ def disk_diameter_weight() -> Weight:
     )
 
 
-def verify_curvature_bound(
-    w: Weight, grid: GridSpec | None = None, tol: float = 1e-8
-) -> BoundReport:
-    """Report max curv_w over the grid and whether it stays <= -1 + tol."""
-    grid = grid or GridSpec()
-    ts = grid.points(w.domain)
+def verify_curvature_bound(w: Weight) -> BoundReport:
+    """Report max curv_w over ``GridSpec()`` and whether it stays <= -1 + 1e-8."""
+    ts = GridSpec().points(w.domain)
     ks = np.asarray(curvature_k(w, ts), dtype=float)
     i = int(np.argmax(ks))
     kmax = float(ks[i])
     return BoundReport(
         max_curvature=kmax,
         argmax=float(ts[i]),
-        passed=bool(kmax <= -1.0 + tol),
-        tol=tol,
+        passed=bool(kmax <= -1.0 + 1e-8),
+        tol=1e-8,
         n_points=len(ts),
     )
 
 
-def compare_weights(
-    w1: Weight, w2: Weight, c: float, grid: GridSpec | None = None
-) -> ComparisonReport:
-    """Check c * w2 <= w1 pointwise on a grid over the common domain."""
-    grid = grid or GridSpec()
+def compare_weights(w1: Weight, w2: Weight, c: float) -> ComparisonReport:
+    """Check c * w2 <= w1 pointwise on ``GridSpec()`` over the common domain."""
     lo = max(w1.domain.lo, w2.domain.lo)
     hi = min(w1.domain.hi, w2.domain.hi)
-    ts = grid.points(Interval(lo, hi))
+    ts = GridSpec().points(Interval(lo, hi))
     ratio = np.asarray(w1.density(ts) / w2.density(ts), dtype=float)
     i = int(np.argmin(ratio))
     rmin = float(ratio[i])

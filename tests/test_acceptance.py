@@ -322,13 +322,13 @@ def test_criterion_10_density_comparison():
         disk_diameter_weight().density(ts)
     )
     min_ratio = float(np.min(ratio))
-    report = compare_weights(
-        strip_weight(), disk_diameter_weight(), math.pi / 4.0, GridSpec(n=10_000, shrink=5e-7)
-    )
+    report = compare_weights(strip_weight(), disk_diameter_weight(), math.pi / 4.0)
     print(f"criterion 10: min ratio {min_ratio:.12f} (pi/4 = {math.pi / 4:.12f})")
     assert min_ratio >= math.pi / 4.0 - 1e-12
     assert abs(min_ratio - math.pi / 4.0) < 1e-6
     assert report.passed
+    # the default grid has the center t = 0 among its points
+    assert abs(report.min_ratio - math.pi / 4.0) < 1e-12
 
 
 def test_criterion_11_bitwise_deterministic_reports():

@@ -183,6 +183,13 @@ class TestVerify:
             ({"sample": {"count": 16, "radius_cap": "0.5"}},
              "sample: radius_cap: '0.5' is not a number"),
             ({"sample": {"count": 16, "seed": 3.9}}, "sample: seed: 3.9 is not an integer"),
+            # JSON true is a Python bool, an int subclass: not a factor of 1 or version 1
+            (
+                {"cases": [{"op": "kv_factor", "function": "strip_map", "factor": True}]},
+                "kv_factor:strip_map: factor must be a finite positive number, got True",
+            ),
+            ({"schema_version": True}, "schema_version: True is not an integer"),
+            ({"schema_version": 1.0}, "schema_version: 1.0 is not an integer"),
         ],
     )
     def test_bad_field_is_a_config_error(self, tmp_path, capsys, field, fragment):
@@ -592,6 +599,15 @@ class TestCurvature:
             assert -1.0 < t < 1.0
             assert k == pytest.approx(-1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("route", [["--weight", "strip"], ["--domain", "disk"]])
+    def test_points_too_many_to_allocate_exits_2(self, capsys, route):
+        # 8 PB of grid: the allocation is refused outright, so no memory is touched.
+        rc = main(["curvature", *route, "--points", str(10**15)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith(f"error: not enough memory for --points {10**15}: ")
+        assert captured.out == ""
+
     def test_unknown_weight(self, capsys):
         rc = main(["curvature", "--weight", "nope"])
         assert rc == 2
@@ -629,6 +645,8 @@ class TestOde:
         [
             ["--t1", "1", "--rows", "-3"],
             ["--t1", "1", "--rows", "0"],
+            # 8 PB of table: the allocation is refused outright, so no memory is touched
+            ["--t1", "1", "--rows", str(10**15)],
             ["--t1", "1", "--C1", "1e300"],
             ["--t1", "nan"],
             ["--t1", "1", "--k", "nan"],
@@ -698,13 +716,36 @@ print(codes)
 """
 
 
-def test_no_command_or_quadrature_imports_scipy():
+def _fresh_interpreter_lines(code: str) -> list:
+    """The stdout lines of ``code`` run in a new interpreter that imports this package."""
     src = str(Path(hypcontract.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", _SCIPY_BLOCKED], env=env, capture_output=True, text=True, check=True
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout.splitlines()
+
+
+def test_no_command_or_quadrature_imports_scipy():
+    out = _fresh_interpreter_lines(_SCIPY_BLOCKED)
     assert out == ["True", "(2,)", "True", "True", "True", "[0, 0]"]
+
+
+_LOADED_SUBMODULES = """
+import sys
+import hypcontract
+print(sorted(m for m in sys.modules if m.startswith("hypcontract")))
+from hypcontract import domains, liouville, weights
+print(sorted(m for m in sys.modules if m.startswith("hypcontract")))
+"""
+
+
+def test_package_root_loads_no_submodule():
+    # A strip distance or a Liouville solve pays for no harness, catalog or ball import.
+    assert _fresh_interpreter_lines(_LOADED_SUBMODULES) == [
+        "['hypcontract']",
+        "['hypcontract', 'hypcontract.disk', 'hypcontract.domains', 'hypcontract.liouville', "
+        "'hypcontract.weights']",
+    ]
 
 
 def test_catalog_listing(capsys):

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from hypcontract.disk import (
     BOUNDARY_GUARD,
     check_disk_point,
-    geodesic_points,
     mobius,
-    one_minus_rho_squared,
     rho,
     sigma,
     sigma_real,
@@ -110,24 +108,13 @@ def test_sigma_real_matches_sigma_on_reals():
 
 
 def test_one_minus_rho_squared_identity():
-    assert one_minus_rho_squared(0.0, 0.6j) == pytest.approx(1 - 0.36, abs=1e-15)
-    assert one_minus_rho_squared(0.4 + 0.1j, 0.4 + 0.1j) == pytest.approx(1.0, abs=1e-15)
+    # 1 - rho^2 = (1-|z|^2)(1-|w|^2) / |1 - conj(z) w|^2
+    assert 1.0 - rho(0.0, 0.6j) ** 2 == pytest.approx(1 - 0.36, abs=1e-15)
+    assert 1.0 - rho(0.4 + 0.1j, 0.4 + 0.1j) ** 2 == 1.0
     z, w = _pairs(5000, 9)
-    np.testing.assert_allclose(
-        one_minus_rho_squared(z, w), 1.0 - rho(z, w) ** 2, rtol=0, atol=1e-12
-    )
-    np.testing.assert_allclose(
-        one_minus_rho_squared(0.5, 0.5j), ONE_MINUS_RHO_SQ_HALF_HALFI, rtol=1e-15
-    )
-
-
-def test_unsquared_product_is_not_an_identity():
-    # The same product without the squares fails badly; keep a concrete witness
-    # so nobody "simplifies" one_minus_rho_squared to the unsquared form.
-    z, w = 0.5, 0.5j
-    unsquared = (1 - abs(z) ** 2) * (1 - abs(w) ** 2) / abs(1 - np.conj(z) * w)
-    assert abs((1.0 - rho(z, w)) - unsquared) > 0.2
-    assert abs((1.0 - rho(z, w) ** 2) - one_minus_rho_squared(z, w)) < 1e-15
+    product = (1.0 - np.abs(z) ** 2) * (1.0 - np.abs(w) ** 2) / np.abs(1.0 - np.conj(z) * w) ** 2
+    np.testing.assert_allclose(1.0 - rho(z, w) ** 2, product, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(1.0 - rho(0.5, 0.5j) ** 2, ONE_MINUS_RHO_SQ_HALF_HALFI, rtol=1e-15)
 
 
 def test_abs_monotonicity_rho_and_sigma():
@@ -141,20 +128,3 @@ def test_modulus_lower_bound_on_denominator():
     z, w = _pairs(20000, 11)
     assert np.all(np.abs(1.0 - np.conj(z) * w) >= 1.0 - np.abs(z) * np.abs(w) - 1e-15)
 
-
-def test_geodesic_points_endpoints_and_spacing():
-    z, w = 0.3 + 0.1j, -0.4 + 0.5j
-    pts = geodesic_points(z, w, 16)
-    assert pts.shape == (17,)
-    assert abs(pts[0] - z) < 1e-14
-    assert abs(pts[-1] - w) < 1e-12
-    # uniform hyperbolic arc-length spacing between consecutive points
-    steps = sigma(pts[:-1], pts[1:])
-    np.testing.assert_allclose(steps, sigma(z, w) / 16, rtol=1e-10)
-
-
-def test_geodesic_points_degenerate_and_errors():
-    pts = geodesic_points(0.2j, 0.2j, 4)
-    assert np.all(pts == 0.2j)
-    with pytest.raises(ValueError):
-        geodesic_points(0.1, 0.2, 0)

@@ -20,7 +20,6 @@ from hypcontract.domains import (
     gauss_curvature,
     gauss_curvature_fd,
     path_length,
-    unit_tangent_norm_check,
 )
 from hypcontract.liouville import family_initial_state, lambda_to_weight, solve_liouville
 from hypcontract.weights import (
@@ -346,22 +345,6 @@ def test_secant_ratio_converges_to_density():
             errs.append(abs(d / (h * density(dom, z)) - 1.0))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-2
-
-
-class TestUnitTangentNorm:
-    def test_constant_speed_segment_is_exact(self):
-        # density depends on Re only, so a vertical half-plane segment already
-        # has constant metric speed
-        assert unit_tangent_norm_check(HP, PathPolyline.straight(1.0, 1.0 + 1.0j)) < 1e-12
-
-    def test_disk_diameter(self):
-        assert unit_tangent_norm_check(DISK, PathPolyline.straight(-0.5, 0.5)) < 1e-4
-
-    def test_strip_straight_segment(self):
-        assert unit_tangent_norm_check(STRIP, PathPolyline.straight(-0.3, 0.4 + 0.8j)) < 1e-4
-
-    def test_short_segment_nearly_exact(self):
-        assert unit_tangent_norm_check(DISK, PathPolyline.straight(0.1, 0.11)) < 1e-8
 
 
 def test_strip_requires_positive_weight():

@@ -667,7 +667,7 @@ class TestBlockElision:
         + [
             (op, f.name, lhs_of)
             for f in catalog()
-            if f.codomain in ("disk", "ball_slice")
+            if f.codomain == "disk"
             for op, lhs_of in (
                 ("modulus_contraction", harness._modulus_lhs),
                 ("schwarz_pick", sigma),
