@@ -136,23 +136,13 @@ def _config_from_dict(raw: dict, args) -> SuiteConfig:
 
 
 def _load_config(args) -> SuiteConfig:
-    """The validated suite config of ``verify``; ConfigError lists what is wrong."""
+    """The validated suite config of ``verify``; ConfigError lists what is wrong.
+
+    Without ``--config`` the built-in full suite takes the same route as a
+    config file that lists its cases.
+    """
     if args.config is None:
-        seed = args.seed if args.seed is not None else _env_seed()
-        try:
-            config = default_config(
-                seed=seed,
-                count=args.count if args.count is not None else 10_000,
-                workers=args.workers if args.workers is not None else 1,
-            )
-        except ValueError as exc:
-            raise ConfigError([f"sample: {exc}"]) from None
-        # Through the module attribute, so the traced benchmark run counts this
-        # call as validation, as it does run_suite's own.
-        errors = harness.validate_config(config)
-        if errors:
-            raise ConfigError(errors)
-        return config
+        return _config_from_dict({"cases": [vars(cs) for cs in default_config().cases]}, args)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -246,6 +236,8 @@ def cmd_distance(args) -> int:
         z = parse_point(args.z)
         w = parse_point(args.w)
         res = distance(dom, z, w)
+        if not math.isfinite(res.value):  # JSON has no Infinity
+            raise ValueError(f"the distance is not finite: {res.value}")
     except (ValueError, RuntimeError) as exc:  # RuntimeError: the strip solver failed
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -300,7 +292,10 @@ def cmd_ode(args) -> int:
         for name in given:  # the others keep WeightFamily's defaults
             if name not in _ODE_CONSTANTS[args.family]:
                 raise ValueError(f"--{name} is not a constant of the {args.family} family")
-        domain = Interval(min(args.t0, args.t1) - 1e-9, max(args.t0, args.t1) + 1e-9)
+        lo, hi = sorted((args.t0, args.t1))
+        # Pad each end by at least one ulp: above about 1e7 a 1e-9 pad rounds away.
+        ulp_lo, ulp_hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        domain = Interval(min(lo - 1e-9, ulp_lo), max(hi + 1e-9, ulp_hi))
         fam = WeightFamily(kind=args.family, k=args.k, domain=domain, **given)
         family_weight(fam)  # validates the interval is singularity-free
         initial = family_initial_state(fam, args.t0)

@@ -41,8 +41,6 @@ _MAX_ABS = 1.0 - BOUNDARY_GUARD
 
 @dataclass(frozen=True)
 class PoincareDisk:
-    description: str = "unit disk with density 2/(1-|z|^2)"
-
     kind = "poincare_disk"
 
     def contains(self, z) -> bool:
@@ -58,8 +56,6 @@ class PoincareDisk:
 
 @dataclass(frozen=True)
 class HalfPlane:
-    description: str = "right half-plane with density 1/Re z"
-
     kind = "half_plane"
 
     def contains(self, z) -> bool:
@@ -76,7 +72,6 @@ class HalfPlane:
 @dataclass(frozen=True)
 class Strip:
     weight: Weight
-    description: str = ""
 
     kind = "strip"
 
@@ -194,9 +189,11 @@ def _closed_form_half_plane(z: complex, w: complex) -> float:
     """2 asinh(|z - w| / (2 sqrt(Re z Re w))); finite wherever the endpoints are.
 
     The equivalent 2 atanh(|z - w| / |z + conj(w)|) rounds its argument to 1,
-    and the distance to infinity, once the points are far apart.
+    and the distance to infinity, once the points are far apart.  Halving
+    before the difference is exact and keeps ``z - w`` and the denominator
+    from overflowing near the largest double.
     """
-    q = abs(z - w) / (2.0 * math.sqrt(z.real) * math.sqrt(w.real))
+    q = abs(0.5 * z - 0.5 * w) / (math.sqrt(z.real) * math.sqrt(w.real))
     return 2.0 * math.asinh(q)
 
 

@@ -2,10 +2,11 @@
 
 ``OPS`` is the one op table: what each op needs of its catalog function and
 the case defaults it carries.  ``validate_config`` and ``run_suite`` read it;
-``run_suite`` calls the checker ``verify_<op>(case, spec, workers)``.  The
-four disk-pair checkers (``re_contraction``, ``modulus_contraction``,
-``schwarz_pick``, ``kv_factor``) are one driver, ``_verify_pairs``, each
-supplying only its ``lhs(f(z), f(w))`` against ``factor * sigma(z, w)``.
+``run_suite`` calls the checker ``verify_<op>(case, spec, workers)``.  Every
+inequality on the disk-pair stream (``re_contraction``,
+``modulus_contraction``, ``schwarz_pick``, ``kv_factor`` and the disk half of
+``abs_inequalities``) goes through one driver, ``_verify_pairs``, each
+supplying only its ``sides(f(z), f(w), sigma(z, w)) -> (lhs, rhs)``.
 
 Pairs come from seeded substreams (one PCG64 stream per fixed-size chunk of
 1024 samples, keyed by seed, ball dimension and chunk index); chunks define
@@ -15,9 +16,9 @@ one by one and then evaluates the catalog map and the distance kernels once
 on all of them, and merges the blocks in order.  Neither chunk nor block
 boundaries depend on the worker count, so a suite is bitwise reproducible at
 any parallelism level.  Within one ``run_suite`` call the disk-pair stream of
-a ``SampleSpec`` is shared: each block's ``z``, ``w`` and ``sigma(z, w)`` are
-computed once, and every disk-pair case (and the disk half of the
-modulus-monotonicity family) only evaluates its own left side on them.
+a ``SampleSpec`` is drawn once, up front: full-length ``z``, ``w`` and
+``sigma(z, w)`` are filled in one pass and shared, and every disk-pair case
+only evaluates its own two sides on them.
 
 A block gives the bits its chunks would give one at a time only while every
 kernel is elementwise and blind to array size.  numpy breaks the second: a
@@ -61,7 +62,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import ball
 from .catalog import HoloFunction, catalog, get as catalog_get, validate_entry
-from .disk import BOUNDARY_GUARD, mobius, sigma, sigma_real
+from .disk import BOUNDARY_GUARD, mobius, rho, sigma, sigma_real
 from .weights import (
     Weight,
     disk_diameter_weight,
@@ -251,44 +252,35 @@ def _draw_block(spec: SampleSpec, chunks: range, draw: Callable) -> tuple:
     return tuple(np.concatenate(part) for part in zip(*drawn))
 
 
-class _DiskStream:
-    """The disk-pair stream of one spec, with ``sigma(z, w)``; each block computed once.
-
-    The first ``block(chunks, a, b)`` draws every chunk of the block through
-    ``disk_pair_chunk`` into rows [a, b) of the full-length ``z`` and ``w``,
-    then fills those rows of ``sigma`` with one call on the whole block; every
-    call returns views of those rows.  Within one ``_map_chunks`` call each
-    block goes to one worker, so no two threads fill the same rows.
-    """
-
-    def __init__(self, spec: SampleSpec):
-        self.spec = spec
-        self.z = np.empty(spec.count, dtype=complex)
-        self.w = np.empty(spec.count, dtype=complex)
-        self.sigma = np.empty(spec.count)
-        self._drawn = set()
-
-    def block(self, chunks: range, a: int, b: int):
-        if chunks not in self._drawn:
-            draw = partial(disk_pair_chunk, self.spec)
-            self.z[a:b], self.w[a:b] = _draw_block(self.spec, chunks, draw)
-            self.sigma[a:b] = sigma(self.z[a:b], self.w[a:b])
-            self._drawn.add(chunks)
-        return self.z[a:b], self.w[a:b], self.sigma[a:b]
-
-
-# SampleSpec -> _DiskStream while a run_suite call is in progress, else None.
+# SampleSpec -> (z, w, sigma) while a run_suite call is in progress, else None.
 _SHARED_STREAMS: ContextVar[dict | None] = ContextVar("_SHARED_STREAMS", default=None)
 
 
-def _disk_stream(spec: SampleSpec) -> _DiskStream:
-    """The suite's shared stream for ``spec``; a private one outside ``run_suite``."""
+def _disk_stream(spec: SampleSpec, workers: int) -> tuple:
+    """The full-length ``z``, ``w`` and ``sigma(z, w)`` of the disk-pair stream of ``spec``.
+
+    One ``_map_chunks`` pass fills them in place: each block draws its chunks
+    through ``disk_pair_chunk`` into its rows of ``z`` and ``w``, then fills
+    those rows of ``sigma`` with one call on the whole block.  Inside
+    ``run_suite`` the stream is drawn once per spec and shared; outside it
+    every call draws its own.
+    """
     shared = _SHARED_STREAMS.get()
-    if shared is None:
-        return _DiskStream(spec)
-    if spec not in shared:
-        shared[spec] = _DiskStream(spec)
-    return shared[spec]
+    if shared is not None and spec in shared:
+        return shared[spec]
+    z, w = np.empty(spec.count, dtype=complex), np.empty(spec.count, dtype=complex)
+    s = np.empty(spec.count)
+    draw = partial(disk_pair_chunk, spec)
+
+    def one(chunks, a, b):
+        z[a:b], w[a:b] = _draw_block(spec, chunks, draw)
+        s[a:b] = sigma(z[a:b], w[a:b])
+        return {}
+
+    _map_chunks(spec, one, workers)
+    if shared is not None:
+        shared[spec] = z, w, s
+    return z, w, s
 
 
 def _rows_of(z, w) -> Callable:
@@ -360,10 +352,11 @@ def _gate(case: InequalityCase, seed: int, t0: float) -> VerificationReport | No
 
 
 def _verify_pairs(
-    case: InequalityCase, spec: SampleSpec, workers: int, lhs_of: Callable, gated: bool = False
+    case: InequalityCase, spec: SampleSpec, workers: int, sides: Callable, gated: bool = False
 ):
-    """lhs_of(f(z), f(w)) <= case.factor * sigma(z, w) over the disk-pair stream.
+    """lhs <= rhs over the disk-pair stream, for ``sides(f(z), f(w), sigma(z, w)) -> (lhs, rhs)``.
 
+    A case with no function passes the pair itself for ``f(z), f(w)``.
     Returns the report and the stream fields ``z``, ``w``, ``lhs`` and
     ``sigma``; the fields are None when the curvature gate fails.
     """
@@ -372,23 +365,31 @@ def _verify_pairs(
     if failed:
         return failed, None
     f = case.function
-    stream = _disk_stream(spec)
+    z, w, s = _disk_stream(spec, workers)
+    # Not one (2, count) array: freeing it would lift glibc's mmap threshold too far.
+    lhs, rhs = np.empty(spec.count), np.empty(spec.count)
 
     def one(chunks, a, b):
-        z, w, _ = stream.block(chunks, a, b)
-        return {"lhs": np.asarray(lhs_of(f.eval(z), f.eval(w)), dtype=float)}
+        fz, fw = (f.eval(z[a:b]), f.eval(w[a:b])) if f else (z[a:b], w[a:b])
+        lhs[a:b], rhs[a:b] = sides(fz, fw, s[a:b])
+        return {}
 
-    lhs = _map_chunks(spec, one, workers)["lhs"]
-    rhs = case.factor * stream.sigma
-    data = {"z": stream.z, "w": stream.w, "lhs": lhs, "sigma": stream.sigma}
-    return _finalize(case, spec.seed, _rows_of(stream.z, stream.w), lhs, rhs, t0), data
+    _map_chunks(spec, one, workers)
+    data = {"z": z, "w": w, "lhs": lhs, "sigma": s}
+    return _finalize(case, spec.seed, _rows_of(z, w), lhs, rhs, t0), data
+
+
+def _bounded_by_sigma(case: InequalityCase, lhs_of: Callable) -> Callable:
+    """The sides ``lhs_of(f(z), f(w))`` and ``case.factor * sigma(z, w)`` of a disk-pair op."""
+    return lambda fz, fw, s: (lhs_of(fz, fw), case.factor * s)
 
 
 def verify_re_contraction(
     case: InequalityCase, spec: SampleSpec, workers: int = 1
 ) -> VerificationReport:
     """d_w(Re f(z), Re f(w)) <= sigma(z, w), gated on curv_w <= -1."""
-    return _verify_pairs(case, spec, workers, _re_lhs(case.target), gated=True)[0]
+    sides = _bounded_by_sigma(case, _re_lhs(case.target))
+    return _verify_pairs(case, spec, workers, sides, gated=True)[0]
 
 
 def _re_lhs(weight: Weight) -> Callable:
@@ -440,7 +441,7 @@ def verify_modulus_contraction(
     case: InequalityCase, spec: SampleSpec, workers: int = 1
 ) -> VerificationReport:
     """sigma(|f(z)|, |f(w)|) <= sigma(z, w) for disk-codomain entries."""
-    return _verify_pairs(case, spec, workers, _modulus_lhs)[0]
+    return _verify_pairs(case, spec, workers, _bounded_by_sigma(case, _modulus_lhs))[0]
 
 
 def _modulus_lhs(fz, fw):
@@ -452,7 +453,7 @@ def verify_schwarz_pick(
     case: InequalityCase, spec: SampleSpec, workers: int = 1
 ) -> VerificationReport:
     """sigma(f(z), f(w)) <= sigma(z, w) for disk-codomain entries."""
-    return _verify_pairs(case, spec, workers, sigma)[0]
+    return _verify_pairs(case, spec, workers, _bounded_by_sigma(case, sigma))[0]
 
 
 def verify_pavlovic(
@@ -489,7 +490,8 @@ def verify_kv_factor(
     |2 atanh U(z) - 2 atanh U(w)| for U = Re f.  The empirical supremum of the
     ratio lhs/sigma is recorded (pairs with sigma = 0 are excluded from it).
     """
-    report, data = _verify_pairs(case, spec, workers, _kv_lhs)
+    sides = _bounded_by_sigma(case, _re_lhs(disk_diameter_weight()))
+    report, data = _verify_pairs(case, spec, workers, sides)
     s = data["sigma"]
     ratio = np.where(s > 0.0, data["lhs"] / np.where(s > 0.0, s, 1.0), 0.0)
     i_sup = int(np.argmax(ratio))
@@ -502,40 +504,6 @@ def verify_kv_factor(
         ],
     }
     return replace(report, extras=extras)
-
-
-def _kv_lhs(fz, fw):
-    """The left side |2 atanh Re f(z) - 2 atanh Re f(w)| of ``kv_factor``."""
-    return np.abs(2.0 * np.arctanh(np.real(fz)) - 2.0 * np.arctanh(np.real(fw)))
-
-
-def _abs_report(
-    case_id: str, seed: int, pair_at: Callable, d: dict, name: str, t0: float
-) -> VerificationReport:
-    case = InequalityCase(id=case_id, tol_abs=1e-12, tol_rel=0.0)
-    return _finalize(case, seed, pair_at, d[f"{name}_abs"], d[f"{name}_zw"], t0)
-
-
-def _abs_disk_reports(spec: SampleSpec, workers: int) -> list:
-    t0 = time.perf_counter()
-    stream = _disk_stream(spec)
-
-    def one(chunks, a, b):
-        z, w, _ = stream.block(chunks, a, b)
-        az, aw = np.abs(z), np.abs(w)
-        return {
-            "rho_zw": np.abs((z - w) / (1.0 - np.conj(z) * w)),
-            "rho_abs": np.abs(az - aw) / (1.0 - az * aw),
-            "sigma_abs": np.abs(2.0 * np.arctanh(az) - 2.0 * np.arctanh(aw)),
-        }
-
-    d = _map_chunks(spec, one, workers)
-    d["sigma_zw"] = stream.sigma
-    pair_at = _rows_of(stream.z, stream.w)
-    return [
-        _abs_report(f"abs_{name}_disk", spec.seed, pair_at, d, name, t0)
-        for name in ("rho", "sigma")
-    ]
 
 
 def _abs_ball_report(spec: SampleSpec, dim: int, workers: int) -> VerificationReport:
@@ -558,14 +526,24 @@ def _abs_ball_report(spec: SampleSpec, dim: int, workers: int) -> VerificationRe
         return z[i % CHUNK_SIZE], w[i % CHUNK_SIZE]
 
     d = _map_chunks(spec, one, workers)
-    return _abs_report(f"abs_beta_ball_n{dim}", spec.seed, pair_at, d, "beta", t0)
+    case = InequalityCase(id=f"abs_beta_ball_n{dim}", tol_abs=1e-12, tol_rel=0.0)
+    return _finalize(case, spec.seed, pair_at, d["beta_abs"], d["beta_zw"], t0)
 
 
 def verify_abs_inequalities(
     spec: SampleSpec, dims: tuple = (1, 2, 3), workers: int = 1
 ) -> list:
-    """Modulus-monotonicity margins: disk rho, disk sigma, ball beta per dim."""
-    reports = _abs_disk_reports(spec, workers)
+    """Modulus-monotonicity margins: disk rho, disk sigma, ball beta per dim.
+
+    On the disk, rho(|z|, |w|) <= rho(z, w) and sigma(|z|, |w|) <= sigma(z, w).
+    """
+    reports = []
+    for name, sides in (
+        ("rho", lambda z, w, s: (rho(np.abs(z), np.abs(w)), rho(z, w))),
+        ("sigma", lambda z, w, s: (_modulus_lhs(z, w), s)),
+    ):
+        case = InequalityCase(id=f"abs_{name}_disk", tol_abs=1e-12, tol_rel=0.0)
+        reports.append(_verify_pairs(case, spec, workers, sides)[0])
     reports.extend(_abs_ball_report(spec, dim, workers) for dim in dims)
     return reports
 

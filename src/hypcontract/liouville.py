@@ -115,17 +115,12 @@ def _rise_time(kappa: float, h: float, y: float, dy: float) -> float:
     return y / dy
 
 
-def solve_liouville(
-    initial: LiouvilleState,
-    t_end: float,
-    tol: float = 1e-10,
-    lam_cap: float = DEFAULT_LAMBDA_CAP,
-) -> Trajectory:
+def solve_liouville(initial: LiouvilleState, t_end: float, tol: float = 1e-10) -> Trajectory:
     """The solution of lambda'' = exp(lambda) from ``initial`` to ``t_end``.
 
     ``t_end`` may lie before or after ``initial.t``.  If lambda reaches
-    ``lam_cap`` on the way, the trajectory ends where it first does, with
-    ``blown_up`` set.  ``tol`` must be positive; it is recorded.
+    ``DEFAULT_LAMBDA_CAP`` on the way, the trajectory ends where it first
+    does, with ``blown_up`` set.  ``tol`` must be positive; it is recorded.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -143,10 +138,10 @@ def solve_liouville(
         raise ValueError("exp(lambda) underflows at the initial state")
     kappa = a * a - h
     # s_cap: the first time, in the direction of travel, with Y = Y_cap.
-    if initial.lam >= lam_cap:
+    if initial.lam >= DEFAULT_LAMBDA_CAP:
         s_cap = 0.0
     else:
-        y_cap = math.exp(0.5 * (initial.lam - lam_cap))
+        y_cap = math.exp(0.5 * (initial.lam - DEFAULT_LAMBDA_CAP))
         rise_0 = _rise_time(kappa, h, 1.0, abs(a))
         rise_cap = _rise_time(kappa, h, y_cap, math.sqrt(h + kappa * y_cap * y_cap))
         if direction * a < 0.0:
@@ -158,7 +153,7 @@ def solve_liouville(
     blown_up = s_cap <= abs(span)
     stop = initial.t + direction * s_cap if blown_up else t_end
     lo, hi = sorted((initial.t, stop))
-    return Trajectory(initial, kappa, lo, hi, tol, blown_up, lam_cap)
+    return Trajectory(initial, kappa, lo, hi, tol, blown_up, DEFAULT_LAMBDA_CAP)
 
 
 def lambda_to_weight(traj: Trajectory, k: float = 1.0) -> Weight:

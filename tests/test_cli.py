@@ -212,6 +212,16 @@ class TestVerify:
         assert rc == 2
         assert json.loads(err)["errors"]
 
+    def test_every_bad_flag_is_reported(self, capsys):
+        # the built-in suite takes the config-file route, which lists every error
+        rc = main(["verify", "--count", "0", "--workers", "0"])
+        errors = json.loads(capsys.readouterr().err)["errors"]
+        assert rc == 2
+        assert errors == [
+            "sample: sample count must be >= 1",
+            f"workers: 0 is not an integer in 1..{harness.MAX_WORKERS}",
+        ]
+
     def test_count_too_large_for_memory_exits_2(self, capsys):
         # numpy refuses the 14 PiB stream at once, so nothing is allocated
         rc = main(["verify", "--count", "1000000000000000"])
@@ -350,14 +360,23 @@ def test_fuzzed_config_never_tracebacks(count, overrides):
 
 
 def _run_quietly(argv):
-    """Exit code and stderr of ``main(argv)``; argparse usage errors count as exit codes."""
+    """Exit code, stdout and stderr of ``main(argv)``; argparse usage errors count as exit codes."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc = main(argv)
         except SystemExit as exc:
             rc = exc.code
-    return rc, err.getvalue()
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _strict_json(text: str):
+    """``json.loads`` that refuses the non-JSON constants NaN, Infinity and -Infinity."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 # Argument texts for the subcommand fuzz: small numbers plus the special
@@ -379,10 +398,20 @@ _POINT_TEXT = st.one_of(
     z=_POINT_TEXT,
     w=_POINT_TEXT,
 )
+@example(domain="strip", z="0", w="1.7e308i")
+@example(domain="strip", z="1e308", w="0")
+@example(domain="halfplane", z="1e308", w="1e308+1e308i")
+@example(domain="halfplane", z="1+1e308i", w="1-1e308i")
+@example(domain="halfplane", z="5e-324", w="1e308")
+@example(domain="disk", z="1e308i", w="0")
 def test_fuzzed_distance_never_tracebacks(domain, z, w):
-    rc, err = _run_quietly(["distance", domain, z, w])
+    rc, out, err = _run_quietly(["distance", domain, z, w])
     assert rc in (0, 1, 2)
     assert "Traceback" not in err
+    if rc == 0:
+        assert math.isfinite(_strict_json(out)["value"])
+    else:
+        assert out == ""
 
 
 @settings(max_examples=40, deadline=None)
@@ -402,7 +431,7 @@ def test_fuzzed_ode_never_tracebacks(family, values, t0, t1, rows):
     argv = ["ode", "--family", family, "--t0", t0, "--t1", t1, "--rows", str(rows)]
     for flag, value in values.items():
         argv += [flag, value]
-    rc, err = _run_quietly(argv)
+    rc, _, err = _run_quietly(argv)
     assert rc in (0, 1, 2)
     assert "Traceback" not in err
 
@@ -416,7 +445,7 @@ def test_fuzzed_ode_never_tracebacks(family, values, t0, t1, rows):
     points=st.integers(-3, 40),
 )
 def test_fuzzed_curvature_never_tracebacks(source, points):
-    rc, err = _run_quietly(["curvature", *source, "--points", str(points)])
+    rc, _, err = _run_quietly(["curvature", *source, "--points", str(points)])
     assert rc in (0, 1, 2)
     assert "Traceback" not in err
 
@@ -446,7 +475,7 @@ def test_fuzzed_report_never_tracebacks(payload):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "report.json"
         path.write_text(json.dumps(payload))
-        rc, err = _run_quietly(["report", str(path)])
+        rc, _, err = _run_quietly(["report", str(path)])
     assert rc in (0, 1, 2)
     assert "Traceback" not in err
 
@@ -509,6 +538,29 @@ class TestDistance:
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert out["value"] == pytest.approx(math.log(1e300 / 3.0), rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "z, w, exact",
+        [
+            # 2 asinh(1/2): the old denominator 2 sqrt(Re z) sqrt(Re w) overflowed to inf
+            ("1e308", "1e308+1e308i", 0.962423650119207),
+            # 2 asinh(1e308): the old difference z - w overflowed to inf
+            ("1+1e308i", "1-1e308i", 1419.77871164545),
+        ],
+    )
+    def test_half_plane_near_the_largest_double(self, capsys, z, w, exact):
+        rc = main(["distance", "halfplane", z, w])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert out["value"] == pytest.approx(exact, rel=1e-14)
+
+    def test_non_finite_distance_exits_2(self, capsys):
+        # JSON has no Infinity, so an overflowing distance is an error, not a value
+        rc = main(["distance", "strip", "0", "1.7e308i"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
 
     def test_strip_variational_fields(self, capsys):
         rc = main(["distance", "strip", "0", "0.5"])
@@ -639,6 +691,14 @@ class TestOde:
         lines = _rows(capsys.readouterr().out)
         assert rc == 0
         assert len(lines) == 12
+
+    def test_span_where_a_1e_9_pad_rounds_away(self, capsys):
+        # 1/(t + 1) has no singularity on [0, 1e8], but 1e8 + 1e-9 == 1e8
+        rc = main(["ode", "--family", "linear", "--C", "1", "--t0", "0", "--t1", "1e8"])
+        lines = _rows(capsys.readouterr().out)
+        assert rc == 0
+        assert len(lines) == 102
+        assert float(lines[-1].split(",")[0]) == 1e8
 
     @pytest.mark.parametrize(
         "flags",

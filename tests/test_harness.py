@@ -14,7 +14,7 @@ import pytest
 from hypcontract import ball, harness
 from hypcontract.catalog import catalog, get
 from hypcontract.cli import main
-from hypcontract.disk import sigma
+from hypcontract.disk import rho, sigma
 from hypcontract.harness import (
     CHUNK_SIZE,
     KV_FACTOR,
@@ -38,7 +38,12 @@ from hypcontract.harness import (
     verify_re_contraction,
     verify_schwarz_pick,
 )
-from hypcontract.weights import half_plane_weight, omega_distance, strip_weight
+from hypcontract.weights import (
+    disk_diameter_weight,
+    half_plane_weight,
+    omega_distance,
+    strip_weight,
+)
 
 
 class TestSampleSpec:
@@ -232,8 +237,6 @@ class TestReContraction:
 
     def test_curvature_gate(self):
         # 2/(1-t^2) has curvature -(1+t^2)/2 > -1: hypothesis fails cleanly
-        from hypcontract.weights import disk_diameter_weight
-
         case = InequalityCase(
             id="re_contraction:strip_map:disk_diameter",
             function=get("strip_map"),
@@ -350,8 +353,6 @@ class TestProofChain:
         assert rep.status == "pass"
 
     def test_gated_on_curvature(self):
-        from hypcontract.weights import disk_diameter_weight
-
         case = InequalityCase(
             id="proof_chain:strip_map:disk_diameter",
             function=get("strip_map"),
@@ -561,6 +562,8 @@ class TestSharedDiskStream:
             return original(spec, ci, n, last)
 
         monkeypatch.setattr(harness, "disk_pair_chunk", counting)
+        # one chunk per block, so the workers fill the shared stream side by side
+        monkeypatch.setattr(harness, "BLOCK_CHUNKS", 1)
         # frequent thread switches, so a chunk filled twice or half filled would show
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -657,12 +660,16 @@ class TestBlockElision:
         z, w, bounds = disk_block
         _assert_block_equals_chunks(sigma, bounds, z, w)
 
+    def test_abs_rho(self, disk_block):
+        z, w, bounds = disk_block
+        _assert_block_equals_chunks(lambda a, b: rho(np.abs(a), np.abs(b)), bounds, z, w)
+
     @pytest.mark.parametrize(
         "op, function, lhs_of",
         [
             ("re_contraction", "strip_map", harness._re_lhs(strip_weight())),
             ("re_contraction", "cayley", harness._re_lhs(half_plane_weight())),
-            ("kv_factor", "strip_map", harness._kv_lhs),
+            ("kv_factor", "strip_map", harness._re_lhs(disk_diameter_weight())),
         ]
         + [
             (op, f.name, lhs_of)
