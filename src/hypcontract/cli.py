@@ -5,7 +5,7 @@ hypothesis-not-met), 2 usage or configuration error.  All numeric output uses
 15 significant digits; JSON reports separate a deterministic ``data`` payload
 from a ``meta`` block holding wall times.  The environment variable
 HYPCONTRACT_SEED overrides the built-in default seed (explicit --seed or a
-seed in the config file still wins).
+seed in the config file still wins, and the variable is then not read).
 """
 
 from __future__ import annotations
@@ -59,14 +59,13 @@ def parse_point(text: str) -> complex:
         raise ValueError(f"cannot parse point {text!r}")
 
 
-def _env_seed() -> int:
-    raw = os.environ.get("HYPCONTRACT_SEED")
-    if raw is None:
-        return DEFAULT_SEED
+def _env_seed(errors: list) -> int:
+    raw = os.environ.get("HYPCONTRACT_SEED", str(DEFAULT_SEED))
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError([f"HYPCONTRACT_SEED: not an integer: {raw!r}"]) from None
+        errors.append(f"HYPCONTRACT_SEED: not an integer: {raw!r}")
+        return DEFAULT_SEED
 
 
 def _config_from_dict(raw: dict, args) -> SuiteConfig:
@@ -78,7 +77,10 @@ def _config_from_dict(raw: dict, args) -> SuiteConfig:
         errors.append("sample: must be an object")
         sample_raw = {}
     count = args.count if args.count is not None else sample_raw.get("count", 10_000)
-    seed = args.seed if args.seed is not None else sample_raw.get("seed", _env_seed())
+    if args.seed is not None:
+        seed = args.seed
+    else:  # the environment is read only when the config sets no seed either
+        seed = sample_raw["seed"] if "seed" in sample_raw else _env_seed(errors)
     radius_cap = sample_raw.get("radius_cap", 0.99)
     # JSON numbers only: bool is an int subclass, and int() or float() would
     # truncate 5.7 or parse "64".
@@ -296,7 +298,7 @@ def cmd_ode(args) -> int:
         # Pad each end by at least one ulp: above about 1e7 a 1e-9 pad rounds away.
         ulp_lo, ulp_hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
         domain = Interval(min(lo - 1e-9, ulp_lo), max(hi + 1e-9, ulp_hi))
-        fam = WeightFamily(kind=args.family, k=args.k, domain=domain, **given)
+        fam = WeightFamily(kind=args.family, domain=domain, **given)
         family_weight(fam)  # validates the interval is singularity-free
         initial = family_initial_state(fam, args.t0)
         traj = solve_liouville(initial, args.t1)
@@ -380,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ode", help="solve lambda'' = exp(lambda) against a closed form")
     p.add_argument("--family", choices=("sin", "sinh", "linear"), required=True)
-    p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--C1", type=float, help="sin and sinh: u = C1 t + C2 (default 1)")
     p.add_argument("--C2", type=float, help="sin and sinh (default 0)")
     p.add_argument("--C", type=float, help="linear: u = t + C (default 0)")

@@ -191,10 +191,17 @@ def _closed_form_half_plane(z: complex, w: complex) -> float:
     The equivalent 2 atanh(|z - w| / |z + conj(w)|) rounds its argument to 1,
     and the distance to infinity, once the points are far apart.  Halving
     before the difference is exact and keeps ``z - w`` and the denominator
-    from overflowing near the largest double.
+    from overflowing near the largest double.  Where ``q`` overflows even so,
+    2 asinh(q) = 2 log(2q) to rounding, taken as a sum of logs.
     """
-    q = abs(0.5 * z - 0.5 * w) / (math.sqrt(z.real) * math.sqrt(w.real))
-    return 2.0 * math.asinh(q)
+    d = 0.5 * z - 0.5 * w
+    try:
+        q = abs(d) / (math.sqrt(z.real) * math.sqrt(w.real))
+    except OverflowError:  # complex abs raises rather than return inf
+        q = math.inf
+    if q < math.inf:
+        return 2.0 * math.asinh(q)
+    return 2.0 * math.log(abs(0.5 * d)) + math.log(16.0) - math.log(z.real) - math.log(w.real)
 
 
 # Stride 8 of the shared tanh-sinh nodes, step 1/32: it resolves the sqrt singularity at

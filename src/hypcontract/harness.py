@@ -12,13 +12,13 @@ Pairs come from seeded substreams (one PCG64 stream per fixed-size chunk of
 1024 samples, keyed by seed, ball dimension and chunk index); chunks define
 the stream.  The unit of evaluation is the block, ``BLOCK_CHUNKS`` consecutive
 chunks: ``_map_chunks`` hands each pool task one block, which draws its chunks
-one by one and then evaluates the catalog map and the distance kernels once
-on all of them, and merges the blocks in order.  Neither chunk nor block
-boundaries depend on the worker count, so a suite is bitwise reproducible at
-any parallelism level.  Within one ``run_suite`` call the disk-pair stream of
-a ``SampleSpec`` is drawn once, up front: full-length ``z``, ``w`` and
-``sigma(z, w)`` are filled in one pass and shared, and every disk-pair case
-only evaluates its own two sides on them.
+one by one, evaluates the catalog map and the distance kernels once on all of
+them, and writes its rows of full-length arrays in place.  Neither chunk nor
+block boundaries depend on the worker count, so a suite is bitwise
+reproducible at any parallelism level.  Within one ``run_suite`` call the
+disk-pair stream of a ``SampleSpec`` is drawn once, up front: full-length
+``z``, ``w`` and ``sigma(z, w)`` are filled in one pass and shared, and every
+disk-pair case only evaluates its own two sides on them.
 
 A block gives the bits its chunks would give one at a time only while every
 kernel is elementwise and blind to array size.  numpy breaks the second: a
@@ -220,27 +220,25 @@ def ball_pair_chunk(spec: SampleSpec, dim: int, ci: int, n: int, last: bool):
     return z, w
 
 
-def _map_chunks(spec: SampleSpec, one: Callable, workers: int) -> dict:
+def _map_chunks(spec: SampleSpec, one: Callable, workers: int) -> None:
     """``one(chunks, a, b)`` for every block: the chunk range ``chunks`` covering rows [a, b).
 
     A block is ``BLOCK_CHUNKS`` consecutive chunks (fewer at the end of the
-    stream); each pool task evaluates one block, and the fields are merged in
-    block order.
+    stream); each pool task evaluates one block and writes its rows in place.
     """
     n_chunks = (spec.count + CHUNK_SIZE - 1) // CHUNK_SIZE
 
     def bounded(c0):
         chunks = range(c0, min(c0 + BLOCK_CHUNKS, n_chunks))
-        return one(chunks, c0 * CHUNK_SIZE, min(chunks.stop * CHUNK_SIZE, spec.count))
+        one(chunks, c0 * CHUNK_SIZE, min(chunks.stop * CHUNK_SIZE, spec.count))
 
     starts = range(0, n_chunks, BLOCK_CHUNKS)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(bounded, starts))
+            list(ex.map(bounded, starts))  # list() re-raises a block's exception
     else:
-        results = [bounded(c0) for c0 in starts]
-    # Field by field, dropping each field's blocks once merged, to bound the peak.
-    return {k: np.concatenate([r.pop(k) for r in results]) for k in list(results[0])}
+        for c0 in starts:
+            bounded(c0)
 
 
 def _draw_block(spec: SampleSpec, chunks: range, draw: Callable) -> tuple:
@@ -275,7 +273,6 @@ def _disk_stream(spec: SampleSpec, workers: int) -> tuple:
     def one(chunks, a, b):
         z[a:b], w[a:b] = _draw_block(spec, chunks, draw)
         s[a:b] = sigma(z[a:b], w[a:b])
-        return {}
 
     _map_chunks(spec, one, workers)
     if shared is not None:
@@ -372,7 +369,6 @@ def _verify_pairs(
     def one(chunks, a, b):
         fz, fw = (f.eval(z[a:b]), f.eval(w[a:b])) if f else (z[a:b], w[a:b])
         lhs[a:b], rhs[a:b] = sides(fz, fw, s[a:b])
-        return {}
 
     _map_chunks(spec, one, workers)
     data = {"z": z, "w": w, "lhs": lhs, "sigma": s}
@@ -509,25 +505,26 @@ def verify_kv_factor(
 def _abs_ball_report(spec: SampleSpec, dim: int, workers: int) -> VerificationReport:
     """beta(|z|, |w|) <= beta(z, w) on the ball stream of ``dim``.
 
-    Only the two distances are kept per block; a violation record redraws its
-    pair from its chunk, so no full-length ``z`` or ``w`` is ever held.
+    Each block writes its rows of both distances in place; a violation record
+    redraws its pair from its chunk, so no full-length ``z`` or ``w`` is held.
     """
     t0 = time.perf_counter()
     draw = partial(ball_pair_chunk, spec, dim)
+    beta_abs, beta_zw = np.empty(spec.count), np.empty(spec.count)
 
     def one(chunks, a, b):
         z, w = _draw_block(spec, chunks, draw)
-        beta_abs = np.asarray(ball.beta(ball.embed_modulus(z), ball.embed_modulus(w)))
-        return {"beta_abs": beta_abs, "beta_zw": np.asarray(ball.beta(z, w))}
+        beta_abs[a:b] = ball.beta(ball.embed_modulus(z), ball.embed_modulus(w))
+        beta_zw[a:b] = ball.beta(z, w)
 
     def pair_at(i):
         ci = i // CHUNK_SIZE
         z, w = _draw_block(spec, range(ci, ci + 1), draw)
         return z[i % CHUNK_SIZE], w[i % CHUNK_SIZE]
 
-    d = _map_chunks(spec, one, workers)
+    _map_chunks(spec, one, workers)
     case = InequalityCase(id=f"abs_beta_ball_n{dim}", tol_abs=1e-12, tol_rel=0.0)
-    return _finalize(case, spec.seed, pair_at, d["beta_abs"], d["beta_zw"], t0)
+    return _finalize(case, spec.seed, pair_at, beta_abs, beta_zw, t0)
 
 
 def verify_abs_inequalities(

@@ -75,7 +75,6 @@ class Trajectory:
     t_max: float
     tol: float
     blown_up: bool
-    lam_cap: float
 
     accepted = 1
     rejected = 0
@@ -153,7 +152,7 @@ def solve_liouville(initial: LiouvilleState, t_end: float, tol: float = 1e-10) -
     blown_up = s_cap <= abs(span)
     stop = initial.t + direction * s_cap if blown_up else t_end
     lo, hi = sorted((initial.t, stop))
-    return Trajectory(initial, kappa, lo, hi, tol, blown_up, DEFAULT_LAMBDA_CAP)
+    return Trajectory(initial, kappa, lo, hi, tol, blown_up)
 
 
 def lambda_to_weight(traj: Trajectory, k: float = 1.0) -> Weight:

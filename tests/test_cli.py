@@ -140,6 +140,27 @@ class TestVerify:
         assert rc == 2
         assert any("HYPCONTRACT_SEED" in e for e in json.loads(err)["errors"])
 
+    def test_config_seed_wins_over_a_bad_seed_variable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("HYPCONTRACT_SEED", "abc")
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps({"sample": {"seed": 5}, "cases": [{"op": "abs_inequalities"}]}))
+        jpath = tmp_path / "out.json"
+        rc = main(["verify", "--config", str(cfg), "--count", "64", "--json-out", str(jpath)])
+        capsys.readouterr()
+        assert rc == 0
+        assert json.loads(jpath.read_text())["data"]["seed"] == 5
+
+    def test_bad_seed_variable_is_reported_with_the_other_errors(self, capsys, monkeypatch):
+        monkeypatch.setenv("HYPCONTRACT_SEED", "abc")
+        rc = main(["verify", "--count", "0", "--workers", "0"])
+        errors = json.loads(capsys.readouterr().err)["errors"]
+        assert rc == 2
+        assert errors == [
+            "HYPCONTRACT_SEED: not an integer: 'abc'",
+            "sample: sample count must be >= 1",
+            f"workers: 0 is not an integer in 1..{harness.MAX_WORKERS}",
+        ]
+
     @pytest.mark.parametrize(
         "field,fragment",
         [
@@ -403,6 +424,7 @@ _POINT_TEXT = st.one_of(
 @example(domain="halfplane", z="1e308", w="1e308+1e308i")
 @example(domain="halfplane", z="1+1e308i", w="1-1e308i")
 @example(domain="halfplane", z="5e-324", w="1e308")
+@example(domain="halfplane", z="1.7e308+1.7e308i", w="1e-300-1.7e308i")
 @example(domain="disk", z="1e308i", w="0")
 def test_fuzzed_distance_never_tracebacks(domain, z, w):
     rc, out, err = _run_quietly(["distance", domain, z, w])
@@ -546,6 +568,10 @@ class TestDistance:
             ("1e308", "1e308+1e308i", 0.962423650119207),
             # 2 asinh(1e308): the old difference z - w overflowed to inf
             ("1+1e308i", "1-1e308i", 1419.77871164545),
+            # 2 log(2q) as a sum of logs: q itself (about 2e315) overflowed to inf
+            ("5e-324", "1e308", 1453.636280563547),
+            # |z/2 - w/2| overflowed in complex abs, which raised OverflowError
+            ("1.7e308+1.7e308i", "1e-300-1.7e308i", 1402.111802703876),
         ],
     )
     def test_half_plane_near_the_largest_double(self, capsys, z, w, exact):
@@ -709,7 +735,6 @@ class TestOde:
             ["--t1", "1", "--rows", str(10**15)],
             ["--t1", "1", "--C1", "1e300"],
             ["--t1", "nan"],
-            ["--t1", "1", "--k", "nan"],
             ["--t1", "1", "--C2", "inf"],
             # a constant the family does not read (the base flags give C2 = 1)
             ["--t1", "1", "--C", "7"],
@@ -747,6 +772,14 @@ class TestOde:
             main(["ode", "--family", "sinh", "--t0", "0.5", "--t1", "1", "--tol", "1e-8"])
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["2", "nan"])
+    def test_k_option_is_gone(self, capsys, value):
+        # lambda'' = exp(lambda) has no k, so the flag changed no output
+        with pytest.raises(SystemExit) as exc:
+            main(["ode", "--family", "sinh", "--C2", "1", "--t0", "0.1", "--t1", "1", "--k", value])
+        assert exc.value.code == 2
+        assert "--k" in capsys.readouterr().err
 
     def test_singular_interval_rejected(self, capsys):
         rc = main(["ode", "--family", "sin", "--C1", "1", "--C2", "0", "--t0", "0", "--t1", "1"])

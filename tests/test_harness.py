@@ -552,7 +552,9 @@ class TestMarginsCsv:
 class TestSharedDiskStream:
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_each_chunk_drawn_once_per_suite(self, monkeypatch, workers):
+        # ball dimension 4 sums through np.sum; 1 to 3 add columns one by one
         config = default_config(count=4 * CHUNK_SIZE, workers=workers)
+        config = replace(config, ball_dims=(1, 2, 3, 4))
         serial = run_suite(replace(config, workers=1))
         drawn = []  # list.append is atomic; a Counter increment is not
         original = harness.disk_pair_chunk
@@ -562,7 +564,8 @@ class TestSharedDiskStream:
             return original(spec, ci, n, last)
 
         monkeypatch.setattr(harness, "disk_pair_chunk", counting)
-        # one chunk per block, so the workers fill the shared stream side by side
+        # one chunk per block, so the workers fill the shared stream and the
+        # ball rows side by side
         monkeypatch.setattr(harness, "BLOCK_CHUNKS", 1)
         # frequent thread switches, so a chunk filled twice or half filled would show
         interval = sys.getswitchinterval()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hypcontract.liouville import (
+    DEFAULT_LAMBDA_CAP,
     LiouvilleState,
     closed_form_dlambda,
     closed_form_lambda,
@@ -218,7 +219,7 @@ class TestSolver:
         assert traj.t_min == 0.0
         assert abs(traj.t_max - 1.0) < 1e-9
         assert traj.t_max < 1.0
-        assert traj.interpolate(traj.t_max) == pytest.approx(traj.lam_cap, abs=1e-3)
+        assert traj.interpolate(traj.t_max) == pytest.approx(DEFAULT_LAMBDA_CAP, abs=1e-3)
 
     def test_blow_up_backward(self):
         traj = solve_liouville(family_initial_state(SIN_FAM, 0.0), -2.0)
