@@ -185,18 +185,25 @@ def path_length(d: PlanarDomain, p: PathPolyline) -> float:
     return float(np.sum(_tanh_sinh(speed, np.zeros(len(a)), np.ones(len(a)))))
 
 
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
+
+
 def _closed_form_half_plane(z: complex, w: complex) -> float:
     """2 asinh(|z - w| / (2 sqrt(Re z Re w))); finite wherever the endpoints are.
 
     The equivalent 2 atanh(|z - w| / |z + conj(w)|) rounds its argument to 1,
     and the distance to infinity, once the points are far apart.  Halving
     before the difference is exact and keeps ``z - w`` and the denominator
-    from overflowing near the largest double.  Where ``q`` overflows even so,
-    2 asinh(q) = 2 log(2q) to rounding, taken as a sum of logs.
+    from overflowing near the largest double.  A denominator below the
+    smallest normal double keeps only a few bits, so there ``q`` divides by
+    one square root at a time.  Where ``q`` overflows even so, 2 asinh(q) =
+    2 log(2q) to rounding, taken as a sum of logs.
     """
     d = 0.5 * z - 0.5 * w
+    root_z, root_w = math.sqrt(z.real), math.sqrt(w.real)
+    den = root_z * root_w
     try:
-        q = abs(d) / (math.sqrt(z.real) * math.sqrt(w.real))
+        q = abs(d) / den if den >= _TINY else abs(d) / root_z / root_w
     except OverflowError:  # complex abs raises rather than return inf
         q = math.inf
     if q < math.inf:

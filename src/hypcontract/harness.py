@@ -1,8 +1,8 @@
 """Deterministic sampled verification of the contraction inequalities.
 
-``OPS`` is the one op table: what each op needs of its catalog function and
-the case defaults it carries.  ``validate_config`` and ``run_suite`` read it;
-``run_suite`` calls the checker ``verify_<op>(case, spec, workers)``.  Every
+``OPS`` is the one op table: what each op needs of its catalog function, the
+case defaults it carries and how often it reads the disk-pair stream.
+``validate_config`` and ``run_suite`` read it; ``run_suite`` calls the checker ``verify_<op>(case, spec, workers)``.  Every
 inequality on the disk-pair stream (``re_contraction``,
 ``modulus_contraction``, ``schwarz_pick``, ``kv_factor`` and the disk half of
 ``abs_inequalities``) goes through one driver, ``_verify_pairs``, each
@@ -17,8 +17,15 @@ them, and writes its rows of full-length arrays in place.  Neither chunk nor
 block boundaries depend on the worker count, so a suite is bitwise
 reproducible at any parallelism level.  Within one ``run_suite`` call the
 disk-pair stream of a ``SampleSpec`` is drawn once, up front: full-length
-``z``, ``w`` and ``sigma(z, w)`` are filled in one pass and shared, and every
-disk-pair case only evaluates its own two sides on them.
+``z``, ``w`` and ``sigma(z, w)`` are filled in one pass and shared, every
+disk-pair case only evaluates its own two sides on them, and the last read
+that the suite's ops announce (``OPS``) releases the stream.
+
+A sampled case holds one full-length array, its margins (margin = rhs - lhs):
+each block reduces its two sides to their difference in place, and
+``_finalize`` forms the sides again only on the violation candidates, through
+the function that made the block's, so the bits agree.  ``kv_factor`` reduces
+its supremum ratio in the same pass, one slot per block.
 
 A block gives the bits its chunks would give one at a time only while every
 kernel is elementwise and blind to array size.  numpy breaks the second: a
@@ -29,9 +36,9 @@ harmless).  Chunks (at most 48 KiB) never reach the threshold, blocks do; so
 a kernel on the block path binds the right-hand temporary of a complex
 product to a name first (the sites say so), and the tests compare every
 kernel on one block against its chunks.
-Reports carry margin statistics (margin = rhs - lhs); the per-sample margins
-stay on the reports only when ``run_suite`` is asked to keep them (the CSV
-output needs them, nothing else does).
+Reports carry margin statistics; the per-sample margins stay on the reports
+only when ``run_suite`` is asked to keep them (the CSV output needs them,
+nothing else does), else each report drops them as it is made.
 
 A sampled pair with margin below -(tol_abs + tol_rel*|rhs|) is a violation;
 the hypotheses are theorems, so violations indicate implementation bugs.  The
@@ -250,8 +257,11 @@ def _draw_block(spec: SampleSpec, chunks: range, draw: Callable) -> tuple:
     return tuple(np.concatenate(part) for part in zip(*drawn))
 
 
-# SampleSpec -> (z, w, sigma) while a run_suite call is in progress, else None.
+# SampleSpec -> (disk-stream reads still to come, (z, w, sigma) or None) while
+# a run_suite call is in progress, else None.
 _SHARED_STREAMS: ContextVar[dict | None] = ContextVar("_SHARED_STREAMS", default=None)
+# False while a run_suite call that drops the per-sample margins is in progress.
+_KEEP_MARGINS: ContextVar[bool] = ContextVar("_KEEP_MARGINS", default=True)
 
 
 def _disk_stream(spec: SampleSpec, workers: int) -> tuple:
@@ -260,58 +270,70 @@ def _disk_stream(spec: SampleSpec, workers: int) -> tuple:
     One ``_map_chunks`` pass fills them in place: each block draws its chunks
     through ``disk_pair_chunk`` into its rows of ``z`` and ``w``, then fills
     those rows of ``sigma`` with one call on the whole block.  Inside
-    ``run_suite`` the stream is drawn once per spec and shared; outside it
-    every call draws its own.
+    ``run_suite`` the stream is drawn once per spec and shared until the last
+    read the suite expects, which releases it; any other call draws its own.
     """
-    shared = _SHARED_STREAMS.get()
-    if shared is not None and spec in shared:
-        return shared[spec]
-    z, w = np.empty(spec.count, dtype=complex), np.empty(spec.count, dtype=complex)
-    s = np.empty(spec.count)
-    draw = partial(disk_pair_chunk, spec)
+    shared = _SHARED_STREAMS.get() or {}
+    reads, stream = shared.get(spec, (0, None))
+    if stream is None:
+        z, w = np.empty(spec.count, dtype=complex), np.empty(spec.count, dtype=complex)
+        s = np.empty(spec.count)
+        draw = partial(disk_pair_chunk, spec)
 
-    def one(chunks, a, b):
-        z[a:b], w[a:b] = _draw_block(spec, chunks, draw)
-        s[a:b] = sigma(z[a:b], w[a:b])
+        def one(chunks, a, b):
+            z[a:b], w[a:b] = _draw_block(spec, chunks, draw)
+            s[a:b] = sigma(z[a:b], w[a:b])
 
-    _map_chunks(spec, one, workers)
-    if shared is not None:
-        shared[spec] = z, w, s
-    return z, w, s
+        _map_chunks(spec, one, workers)
+        stream = z, w, s
+    if reads > 1:
+        shared[spec] = reads - 1, stream
+    else:
+        shared.pop(spec, None)
+    return stream
 
 
-def _rows_of(z, w) -> Callable:
-    """The pair lookup ``i -> (z[i], w[i])`` of two full-length arrays."""
-    return lambda i: (z[i], w[i])
+def _rows_of(a, b) -> Callable:
+    """The row lookup ``i -> (a[i], b[i])`` of two arrays; ``i`` may be an index array."""
+    return lambda i: (a[i], b[i])
 
 
 def _finalize(
     case: InequalityCase,
     spec_seed: int,
     pair_at: Callable,
-    lhs: np.ndarray,
-    rhs: np.ndarray,
+    margins: np.ndarray,
+    sides_at: Callable,
     t0: float,
     extras: dict | None = None,
 ) -> VerificationReport:
-    margins = np.asarray(rhs, dtype=float) - np.asarray(lhs, dtype=float)
-    # With tol_rel >= 0 a violation is also below -tol_abs, so the relative
-    # tolerance only needs to be formed on those candidates.
+    """The report of ``margins`` (rhs - lhs per sample).
+
+    ``pair_at(i) -> (z, w)`` gives the pair of sample ``i``, ``sides_at(rows)
+    -> (lhs, rhs)`` both sides on an index array.  With tol_rel >= 0 a
+    violation is also below -tol_abs, so both sides and the relative
+    tolerance are formed only on those candidates: ``sides_at`` is called
+    once, on them (never on none), and must give the bits whose difference
+    made their margins.
+    """
     near = np.nonzero(margins < -case.tol_abs)[0]
-    tol = case.tol_abs + case.tol_rel * np.abs(rhs[near])
     violations = []
-    for i in near[margins[near] < -tol]:
-        zi, wi = pair_at(int(i))
-        violations.append(
-            {
-                "index": int(i),
-                "z": _serialize_point(zi),
-                "w": _serialize_point(wi),
-                "lhs": float(lhs[i]),
-                "rhs": float(rhs[i]),
-                "margin": float(margins[i]),
-            }
-        )
+    if len(near):
+        lhs, rhs = sides_at(near)
+        tol = case.tol_abs + case.tol_rel * np.abs(rhs)
+        for k in np.nonzero(margins[near] < -tol)[0]:
+            i = int(near[k])
+            zi, wi = pair_at(i)
+            violations.append(
+                {
+                    "index": i,
+                    "z": _serialize_point(zi),
+                    "w": _serialize_point(wi),
+                    "lhs": float(lhs[k]),
+                    "rhs": float(rhs[k]),
+                    "margin": float(margins[i]),
+                }
+            )
     return VerificationReport(
         case_id=case.id,
         status="violated" if violations else "pass",
@@ -322,7 +344,7 @@ def _finalize(
         seed=spec_seed,
         wall_time=time.perf_counter() - t0,
         extras=extras or {},
-        margins=margins,
+        margins=margins if _KEEP_MARGINS.get() else None,
     )
 
 
@@ -349,13 +371,21 @@ def _gate(case: InequalityCase, seed: int, t0: float) -> VerificationReport | No
 
 
 def _verify_pairs(
-    case: InequalityCase, spec: SampleSpec, workers: int, sides: Callable, gated: bool = False
+    case: InequalityCase,
+    spec: SampleSpec,
+    workers: int,
+    sides: Callable,
+    gated: bool = False,
+    on_block: Callable | None = None,
 ):
     """lhs <= rhs over the disk-pair stream, for ``sides(f(z), f(w), sigma(z, w)) -> (lhs, rhs)``.
 
-    A case with no function passes the pair itself for ``f(z), f(w)``.
-    Returns the report and the stream fields ``z``, ``w``, ``lhs`` and
-    ``sigma``; the fields are None when the curvature gate fails.
+    A case with no function passes the pair itself for ``f(z), f(w)``.  Each
+    block writes only its rows of the margins; ``_finalize`` forms the sides
+    of the violation candidates through the same ``sides``.  If given,
+    ``on_block(a, lhs, sigma)`` sees the left side and sigma of each block in
+    that pass, ``a`` the block's first row.  Returns the report and the pair
+    lookup ``i -> (z[i], w[i])``, None when the curvature gate fails.
     """
     t0 = time.perf_counter()
     failed = _gate(case, spec.seed, t0) if gated else None
@@ -363,16 +393,22 @@ def _verify_pairs(
         return failed, None
     f = case.function
     z, w, s = _disk_stream(spec, workers)
-    # Not one (2, count) array: freeing it would lift glibc's mmap threshold too far.
-    lhs, rhs = np.empty(spec.count), np.empty(spec.count)
+
+    def sides_at(rows):  # a block's slice, or the candidates' index array
+        fz, fw = (f.eval(z[rows]), f.eval(w[rows])) if f else (z[rows], w[rows])
+        return sides(fz, fw, s[rows])
+
+    margins = np.empty(spec.count)
 
     def one(chunks, a, b):
-        fz, fw = (f.eval(z[a:b]), f.eval(w[a:b])) if f else (z[a:b], w[a:b])
-        lhs[a:b], rhs[a:b] = sides(fz, fw, s[a:b])
+        lhs, rhs = sides_at(slice(a, b))
+        margins[a:b] = rhs - lhs
+        if on_block:
+            on_block(a, lhs, s[a:b])
 
     _map_chunks(spec, one, workers)
-    data = {"z": z, "w": w, "lhs": lhs, "sigma": s}
-    return _finalize(case, spec.seed, _rows_of(z, w), lhs, rhs, t0), data
+    pair_at = _rows_of(z, w)
+    return _finalize(case, spec.seed, pair_at, margins, sides_at, t0), pair_at
 
 
 def _bounded_by_sigma(case: InequalityCase, lhs_of: Callable) -> Callable:
@@ -430,7 +466,7 @@ def verify_pointwise_gradient(
     lhs = _gradient_lhs(case.target, case.function, z)
     rhs = np.ones_like(lhs)
     extras = {"max_lhs": float(np.max(lhs)), "argmax": _serialize_point(z[int(np.argmax(lhs))])}
-    return _finalize(case, spec.seed, _rows_of(z, z), lhs, rhs, t0, extras)
+    return _finalize(case, spec.seed, _rows_of(z, z), rhs - lhs, _rows_of(lhs, rhs), t0, extras)
 
 
 def verify_modulus_contraction(
@@ -474,7 +510,7 @@ def verify_pavlovic(
         "min_margin_zero": float(np.min(margins[zero])) if np.any(zero) else None,
         "min_margin_nonzero": float(np.min(margins[~zero])) if np.any(~zero) else None,
     }
-    return _finalize(case, spec.seed, _rows_of(z, z), lhs, rhs, t0, extras)
+    return _finalize(case, spec.seed, _rows_of(z, z), margins, _rows_of(lhs, rhs), t0, extras)
 
 
 def verify_kv_factor(
@@ -485,19 +521,25 @@ def verify_kv_factor(
     The left side is the distance of the weight 2/(1-t^2) on (-1, 1), i.e.
     |2 atanh U(z) - 2 atanh U(w)| for U = Re f.  The empirical supremum of the
     ratio lhs/sigma is recorded (pairs with sigma = 0 are excluded from it).
+    It is reduced in the margins' pass: each block keeps its largest ratio
+    and that ratio's row, and ``np.argmax`` over the blocks in stream order
+    picks the first largest (or first NaN), as it would over the whole ratio.
     """
+    sups = {}  # first row of a block -> (its sup ratio, the row where it occurs)
+
+    def block_sup(a, lhs, s):
+        ratio = np.where(s > 0.0, lhs / np.where(s > 0.0, s, 1.0), 0.0)
+        k = int(np.argmax(ratio))
+        sups[a] = ratio[k], a + k
+
     sides = _bounded_by_sigma(case, _re_lhs(disk_diameter_weight()))
-    report, data = _verify_pairs(case, spec, workers, sides)
-    s = data["sigma"]
-    ratio = np.where(s > 0.0, data["lhs"] / np.where(s > 0.0, s, 1.0), 0.0)
-    i_sup = int(np.argmax(ratio))
+    report, pair_at = _verify_pairs(case, spec, workers, sides, on_block=block_sup)
+    ratios, rows = zip(*(sups[a] for a in sorted(sups)))
+    j = int(np.argmax(ratios))
     extras = {
         "factor": case.factor,
-        "sup_ratio": float(ratio[i_sup]),
-        "sup_ratio_pair": [
-            _serialize_point(data["z"][i_sup]),
-            _serialize_point(data["w"][i_sup]),
-        ],
+        "sup_ratio": float(ratios[j]),
+        "sup_ratio_pair": [_serialize_point(x) for x in pair_at(rows[j])],
     }
     return replace(report, extras=extras)
 
@@ -505,17 +547,30 @@ def verify_kv_factor(
 def _abs_ball_report(spec: SampleSpec, dim: int, workers: int) -> VerificationReport:
     """beta(|z|, |w|) <= beta(z, w) on the ball stream of ``dim``.
 
-    Each block writes its rows of both distances in place; a violation record
-    redraws its pair from its chunk, so no full-length ``z`` or ``w`` is held.
+    Each block writes its rows of the margins in place.  Violation candidates
+    redraw their chunks and evaluate both distances on whole chunks, as a
+    block does, and a violation record redraws its pair from its chunk, so no
+    full-length ``z``, ``w`` or distance is held.
     """
     t0 = time.perf_counter()
     draw = partial(ball_pair_chunk, spec, dim)
-    beta_abs, beta_zw = np.empty(spec.count), np.empty(spec.count)
+    margins = np.empty(spec.count)
+
+    def chunk_sides(chunks):
+        z, w = _draw_block(spec, chunks, draw)
+        return ball.beta(ball.embed_modulus(z), ball.embed_modulus(w)), ball.beta(z, w)
 
     def one(chunks, a, b):
-        z, w = _draw_block(spec, chunks, draw)
-        beta_abs[a:b] = ball.beta(ball.embed_modulus(z), ball.embed_modulus(w))
-        beta_zw[a:b] = ball.beta(z, w)
+        lhs, rhs = chunk_sides(chunks)
+        margins[a:b] = rhs - lhs
+
+    def sides_at(rows):
+        lhs, rhs = np.empty(len(rows)), np.empty(len(rows))
+        for ci in np.unique(rows // CHUNK_SIZE).tolist():
+            hit = rows // CHUNK_SIZE == ci
+            both = chunk_sides(range(ci, ci + 1))
+            lhs[hit], rhs[hit] = (x[rows[hit] % CHUNK_SIZE] for x in both)
+        return lhs, rhs
 
     def pair_at(i):
         ci = i // CHUNK_SIZE
@@ -524,7 +579,7 @@ def _abs_ball_report(spec: SampleSpec, dim: int, workers: int) -> VerificationRe
 
     _map_chunks(spec, one, workers)
     case = InequalityCase(id=f"abs_beta_ball_n{dim}", tol_abs=1e-12, tol_rel=0.0)
-    return _finalize(case, spec.seed, pair_at, beta_abs, beta_zw, t0)
+    return _finalize(case, spec.seed, pair_at, margins, sides_at, t0)
 
 
 def verify_abs_inequalities(
@@ -602,23 +657,25 @@ def verify_proof_chain(
         "min_first_link": float(np.min(first_link)),
         "min_second_link": float(np.min(second_link)),
     }
-    return _finalize(case, spec.seed, _rows_of(z, w), lhs, rhs, t0, extras)
+    return _finalize(case, spec.seed, _rows_of(z, w), rhs - lhs, _rows_of(lhs, rhs), t0, extras)
 
 
-# op -> (what the op needs of its catalog function, InequalityCase defaults).
-# Needs: "weight", a weight whose domain holds the Re-image; "disk", a disk
-# codomain; "strip", the Re-image (-1, 1); None, no function or weight at all.
-# A ``weight`` is accepted only by "weight" ops, a ``factor`` only by ops whose
-# defaults carry one.
+# op -> (what the op needs of its catalog function, InequalityCase defaults,
+# reads of the disk-pair stream).  Needs: "weight", a weight whose domain holds
+# the Re-image; "disk", a disk codomain; "strip", the Re-image (-1, 1); None,
+# no function or weight at all.  A ``weight`` is accepted only by "weight" ops,
+# a ``factor`` only by ops whose defaults carry one.  ``run_suite`` releases
+# the shared stream at the last read its cases add up to (a case whose
+# curvature gate fails reads nothing, and the stream then lives to the end).
 OPS = {
-    "re_contraction": ("weight", {}),
-    "pointwise_gradient": ("weight", {}),
-    "modulus_contraction": ("disk", {}),
-    "schwarz_pick": ("disk", {}),
-    "pavlovic": ("disk", {}),
-    "kv_factor": ("strip", {"factor": KV_FACTOR}),
-    "abs_inequalities": (None, {}),
-    "proof_chain": ("weight", {"tol_abs": 1e-6}),
+    "re_contraction": ("weight", {}, 1),
+    "pointwise_gradient": ("weight", {}, 0),
+    "modulus_contraction": ("disk", {}, 1),
+    "schwarz_pick": ("disk", {}, 1),
+    "pavlovic": ("disk", {}, 0),
+    "kv_factor": ("strip", {"factor": KV_FACTOR}, 1),
+    "abs_inequalities": (None, {}, 2),
+    "proof_chain": ("weight", {"tol_abs": 1e-6}, 0),
 }
 
 
@@ -702,7 +759,7 @@ def validate_config(config: SuiteConfig) -> list:
         if cs.op not in OPS:
             errors.append(f"{label}: unknown op {cs.op!r}")
             continue
-        needs, defaults = OPS[cs.op]
+        needs, defaults, _ = OPS[cs.op]
         factor = cs.factor
         if factor is not None and "factor" not in defaults:
             errors.append(f"{label}: {cs.op} takes no factor")
@@ -869,9 +926,10 @@ class SuiteResult:
 def run_suite(config: SuiteConfig, keep_margins: bool = True) -> SuiteResult:
     """Run every configured case; deterministic for a fixed config and seed.
 
-    The cases share one disk-pair stream per ``SampleSpec``, released on
-    return.  With ``keep_margins`` false each report drops its per-sample
-    margins as soon as it is made; only ``margins_csv`` reads them.
+    The cases share one disk-pair stream per ``SampleSpec``, released after
+    the last read the cases' ops announce, or on return.  With
+    ``keep_margins`` false each report drops its per-sample margins as soon
+    as it is made; only ``margins_csv`` reads them.
     """
     errors = validate_config(config)
     if errors:
@@ -879,20 +937,20 @@ def run_suite(config: SuiteConfig, keep_margins: bool = True) -> SuiteResult:
     t0 = time.perf_counter()
     spec = config.sample
     reports = []
-    token = _SHARED_STREAMS.set({})
+    reads = sum(OPS[cs.op][2] for cs in config.cases)
+    streams = _SHARED_STREAMS.set({spec: (reads, None)})
+    keep = _KEEP_MARGINS.set(keep_margins)
     try:
         for cs in config.cases:
             if OPS[cs.op][0] is None:  # the function-free family: one report per distance
-                made = verify_abs_inequalities(spec, dims=config.ball_dims, workers=config.workers)
+                reports += verify_abs_inequalities(spec, dims=config.ball_dims, workers=config.workers)
             else:
                 # Resolved at call time, so a wrapper set on the module attribute is used.
                 check = globals()[f"verify_{cs.op}"]
-                made = [check(_build_case(cs), spec, config.workers)]
-            if not keep_margins:
-                made = [replace(r, margins=None) for r in made]
-            reports.extend(made)
+                reports.append(check(_build_case(cs), spec, config.workers))
     finally:
-        _SHARED_STREAMS.reset(token)
+        _KEEP_MARGINS.reset(keep)
+        _SHARED_STREAMS.reset(streams)
     overall = all(r.status == "pass" for r in reports)
     return SuiteResult(
         overall_pass=overall,

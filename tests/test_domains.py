@@ -152,6 +152,14 @@ class TestPathLength:
             path_length(HP, PathPolyline((1.0 - 10.0j, -0.5 + 0.0j)))
 
 
+# 40-digit mpmath distances of half-plane pairs (at the parsed doubles) whose
+# closed form once lost most of its bits.
+HP_FROZEN = {
+    (1e-323 + 0j, 3e-323 + 1e-16j): "1412.712514217165062387604734310493941429",
+    (1e-323 + 0j, 3e-323 + 1e-300j): "104.8441813965471139573081982721233835681",
+}
+
+
 class TestDistanceClosedForm:
     def test_disk_radius_half(self):
         r = distance(DISK, 0.0, 0.5)
@@ -177,6 +185,9 @@ class TestDistanceClosedForm:
             (1.0 + 1.0j, 1.0 + 1.0j + 1e-12),
             (2.0, 2.0 + 1e-9j),
             (1e-100, 1.000001e-100),
+            # both real parts subnormal: sqrt(Re z) sqrt(Re w) is subnormal too
+            (1e-323, 3e-323 + 1e-16j),
+            (1e-323, 3e-323 + 1e-300j),
         ],
     )
     def test_half_plane_matches_mpmath_far_and_near(self, z, w):
@@ -184,6 +195,9 @@ class TestDistanceClosedForm:
         with mpmath.workdps(60):
             zm, wm = mpmath.mpc(z.real, z.imag), mpmath.mpc(w.real, w.imag)
             oracle = mpmath.acosh(1 + abs(zm - wm) ** 2 / (2 * zm.real * wm.real))
+            frozen = HP_FROZEN.get((z, w))
+            if frozen is not None:
+                assert abs(oracle / mpmath.mpf(frozen) - 1) < 1e-38
         value = distance(HP, z, w).value
         assert math.isfinite(value)
         assert value == pytest.approx(float(oracle), rel=1e-14)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -329,6 +330,54 @@ class TestKvFactor:
         assert rep.margins[v["index"]] == v["margin"]
 
 
+# Three full blocks and a partial one.
+BLOCKS_COUNT = 3 * harness.BLOCK_CHUNKS * CHUNK_SIZE + 1500
+
+
+class TestBlockReduction:
+    """Block-reduced results against their full-array references."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("lhs_kind", ["theorem", "nan_in_later_blocks", "all_zero"])
+    def test_kv_sup_ratio_is_the_full_array_argmax(self, monkeypatch, workers, lhs_kind):
+        spec = SampleSpec(count=BLOCKS_COUNT, seed=3, scheme="boundary_biased")
+        f = get("strip_map")
+        z, w, s = harness._disk_stream(spec, 1)
+        block = harness.BLOCK_CHUNKS * CHUNK_SIZE
+        # NaN only at rows of the second and fourth block: the first NaN wins
+        nan_at = f.eval(z[[block + 77, 3 * block + 5]])
+        lhs_of = {
+            "theorem": harness._re_lhs(disk_diameter_weight()),
+            "nan_in_later_blocks": lambda fz, fw: np.where(np.isin(fz, nan_at), np.nan, 0.0),
+            "all_zero": lambda fz, fw: np.zeros(len(fz)),  # ties everywhere: the first row wins
+        }[lhs_kind]
+        monkeypatch.setattr(harness, "_re_lhs", lambda weight: lhs_of)
+        case = InequalityCase(id="kv_factor:strip_map", function=f, factor=KV_FACTOR)
+        with np.errstate(invalid="ignore"):
+            rep = verify_kv_factor(case, spec, workers)
+            lhs = lhs_of(f.eval(z), f.eval(w))
+            ratio = np.where(s > 0.0, lhs / np.where(s > 0.0, s, 1.0), 0.0)
+        i = int(np.argmax(ratio))
+        if lhs_kind != "theorem":  # the rule itself, not only agreement with it
+            assert i == {"nan_in_later_blocks": block + 77, "all_zero": 0}[lhs_kind]
+        assert np.float64(rep.extras["sup_ratio"]).tobytes() == ratio[i].tobytes()
+        assert rep.extras["sup_ratio_pair"] == [
+            harness._serialize_point(z[i]),
+            harness._serialize_point(w[i]),
+        ]
+
+    def test_violation_sides_give_the_block_margin_bits(self):
+        spec = SampleSpec(count=BLOCKS_COUNT, seed=11)
+        case = InequalityCase(id="schwarz_pick:blaschke_product", function=get("blaschke_product"),
+                              factor=0.5)
+        rep = verify_schwarz_pick(case, spec, workers=2)
+        blocks = {v["index"] // (harness.BLOCK_CHUNKS * CHUNK_SIZE) for v in rep.violations}
+        assert blocks == {0, 1, 2, 3}
+        for v in rep.violations:
+            assert (v["rhs"] - v["lhs"]).hex() == v["margin"].hex()
+            assert rep.margins[v["index"]] == v["margin"]
+
+
 class TestProofChain:
     def test_strip_map_links(self):
         case = InequalityCase(
@@ -417,8 +466,10 @@ class TestFinalize:
         lhs[3:7] = [1e12 + 500.0, np.nan, np.inf, -np.inf]
         case = InequalityCase(id="x", tol_abs=1e-9, tol_rel=1e-9)
         with np.errstate(invalid="ignore"):
-            report = harness._finalize(case, 0, lambda i: (0j, 0j), lhs, rhs, 0.0)
             margins = rhs - lhs
+            report = harness._finalize(
+                case, 0, lambda i: (0j, 0j), margins, lambda i: (lhs[i], rhs[i]), 0.0
+            )
             want = np.nonzero(margins < -(case.tol_abs + case.tol_rel * np.abs(rhs)))[0]
         assert 100 < len(want) < 4000
         assert 3 not in want
@@ -601,6 +652,21 @@ class TestSharedDiskStream:
         assert Counter(drawn) == {0: 2, 1: 2}  # no cache outlives a bare call
         np.testing.assert_array_equal(first.margins, second.margins)
 
+    def test_released_after_its_last_read(self, monkeypatch):
+        # the default suite ends with abs_inequalities: its disk pair reads the
+        # stream last, and the ball reports after them find it gone
+        seen = []
+        original = harness._abs_ball_report
+
+        def spying(spec, dim, workers):
+            seen.append(dict(harness._SHARED_STREAMS.get()))
+            return original(spec, dim, workers)
+
+        monkeypatch.setattr(harness, "_abs_ball_report", spying)
+        result = run_suite(default_config(count=512))
+        assert result.overall_pass
+        assert seen == [{}, {}, {}]
+
     def test_released_when_a_case_raises(self, monkeypatch):
         def broken(case, spec, workers):
             raise RuntimeError("boom")
@@ -755,6 +821,28 @@ class TestKeepMargins:
         assert all(r.margins is None for r in dropped.reports)
         assert all(r.margins is not None for r in kept.reports if r.samples_used)
         assert dropped.margins_csv() == "case_id,sample_index,margin\n"
+
+    def test_peak_memory_is_the_stream_and_one_case(self):
+        # What a suite holds at once: the shared stream (z, w and sigma: 40 B
+        # per sample) and 2 x 8 B per sample for the running case, plus block
+        # slack, the temporaries of the blocks in flight, which does not grow
+        # with the count.  Measured at 2**17 samples and 2 workers: peaks of
+        # 11.1 to 12.7 MB, in the dimension-3 ball report, where the stream is
+        # gone and two ball blocks hold about 5.4 MB of temporaries each; so
+        # the slack is 7 MiB.  Keeping the abs reports' margins until
+        # verify_abs_inequalities returns peaks at 15.2 to 16.4 MB, keeping the
+        # stream through the ball reports at 17.9 MB, and both together with
+        # every case's lhs and rhs beside its margins at 22.6 to 22.9 MB.
+        count = 2**17
+        slack = 7 * 2**20
+        tracemalloc.start()
+        try:
+            result = run_suite(default_config(count=count, workers=2), keep_margins=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.overall_pass
+        assert peak <= (40 + 2 * 8) * count + slack
 
     def test_csv_blocks_do_not_move_bytes(self, monkeypatch):
         result = run_suite(default_config(count=300))
