@@ -2,30 +2,35 @@
 
 ``OPS`` is the one op table: what each op needs of its catalog function, the
 case defaults it carries and how often it reads the disk-pair stream.
-``validate_config`` and ``run_suite`` read it; ``run_suite`` calls the checker ``verify_<op>(case, spec, workers)``.  Every
-inequality on the disk-pair stream (``re_contraction``,
-``modulus_contraction``, ``schwarz_pick``, ``kv_factor`` and the disk half of
-``abs_inequalities``) goes through one driver, ``_verify_pairs``, each
-supplying only its ``sides(f(z), f(w), sigma(z, w)) -> (lhs, rhs)``.
+``validate_config`` and ``run_suite`` read it; ``run_suite`` calls the
+checker ``verify_<op>(case, spec, workers)``.  Every sampled pair inequality
+goes through one driver, ``_verify_pairs``: the four pair ops
+(``re_contraction``, ``modulus_contraction``, ``schwarz_pick``,
+``kv_factor``) and the five ``abs_inequalities`` reports, two on the
+disk-pair stream and one on the ball-pair stream of each dimension.  A stream
+``stream(chunks, a, b) -> (z, w, d)`` gives the pairs of rows [a, b) and
+their distance on the manifold; each case supplies only its ``sides(z, w, d)
+-> (lhs, rhs)``.
 
 Pairs come from seeded substreams (one PCG64 stream per fixed-size chunk of
 1024 samples, keyed by seed, ball dimension and chunk index); chunks define
 the stream.  The unit of evaluation is the block, ``BLOCK_CHUNKS`` consecutive
-chunks: ``_map_chunks`` hands each pool task one block, which draws its chunks
-one by one, evaluates the catalog map and the distance kernels once on all of
-them, and writes its rows of full-length arrays in place.  Neither chunk nor
-block boundaries depend on the worker count, so a suite is bitwise
+chunks: ``_map_chunks`` hands each pool task one block, which reads its rows
+of the stream, evaluates the catalog map and the distance kernels once on all
+of them, and writes its rows of full-length arrays in place.  Neither chunk
+nor block boundaries depend on the worker count, so a suite is bitwise
 reproducible at any parallelism level.  Within one ``run_suite`` call the
 disk-pair stream of a ``SampleSpec`` is drawn once, up front: full-length
-``z``, ``w`` and ``sigma(z, w)`` are filled in one pass and shared, every
-disk-pair case only evaluates its own two sides on them, and the last read
-that the suite's ops announce (``OPS``) releases the stream.
+``z``, ``w`` and ``sigma(z, w)`` are filled in one pass and shared, and the
+last read that the suite's ops announce (``OPS``) releases them.  A ball-pair
+stream draws the chunks of each read and holds nothing.
 
 A sampled case holds one full-length array, its margins (margin = rhs - lhs):
-each block reduces its two sides to their difference in place, and
-``_finalize`` forms the sides again only on the violation candidates, through
-the function that made the block's, so the bits agree.  ``kv_factor`` reduces
-its supremum ratio in the same pass, one slot per block.
+each block reduces its two sides to their difference in place.  The sides of
+the violation candidates are formed again: each chunk that holds one is read
+again through the stream, and its candidates go through the same ``sides``,
+so the bits agree.  ``kv_factor`` reduces its supremum ratio and that ratio's
+pair in the same pass, one slot per block.
 
 A block gives the bits its chunks would give one at a time only while every
 kernel is elementwise and blind to array size.  numpy breaks the second: a
@@ -87,6 +92,8 @@ CHUNK_SIZE = 1024
 BLOCK_CHUNKS = 16
 CSV_BLOCK_ROWS = 16_384
 MAX_WORKERS = 64
+# The layout version of the ``data`` payload, the only one a config may name.
+SCHEMA_VERSION = 1
 
 SCHEMES = ("uniform_disk", "boundary_biased")
 
@@ -257,21 +264,22 @@ def _draw_block(spec: SampleSpec, chunks: range, draw: Callable) -> tuple:
     return tuple(np.concatenate(part) for part in zip(*drawn))
 
 
-# SampleSpec -> (disk-stream reads still to come, (z, w, sigma) or None) while
-# a run_suite call is in progress, else None.
+# SampleSpec -> (disk-stream reads still to come, the drawn stream or None)
+# while a run_suite call is in progress, else None.
 _SHARED_STREAMS: ContextVar[dict | None] = ContextVar("_SHARED_STREAMS", default=None)
 # False while a run_suite call that drops the per-sample margins is in progress.
 _KEEP_MARGINS: ContextVar[bool] = ContextVar("_KEEP_MARGINS", default=True)
 
 
-def _disk_stream(spec: SampleSpec, workers: int) -> tuple:
-    """The full-length ``z``, ``w`` and ``sigma(z, w)`` of the disk-pair stream of ``spec``.
+def _disk_stream(spec: SampleSpec, workers: int) -> Callable:
+    """The disk-pair stream of ``spec``: rows of full-length ``z``, ``w`` and ``sigma(z, w)``.
 
-    One ``_map_chunks`` pass fills them in place: each block draws its chunks
-    through ``disk_pair_chunk`` into its rows of ``z`` and ``w``, then fills
-    those rows of ``sigma`` with one call on the whole block.  Inside
-    ``run_suite`` the stream is drawn once per spec and shared until the last
-    read the suite expects, which releases it; any other call draws its own.
+    One ``_map_chunks`` pass fills the three arrays in place: each block
+    draws its chunks through ``disk_pair_chunk`` into its rows of ``z`` and
+    ``w``, then fills those rows of ``sigma`` with one call on the whole
+    block.  A read slices them.  Inside ``run_suite`` the stream is drawn
+    once per spec and shared until the last read the suite expects, which
+    releases it; any other call draws its own.
     """
     shared = _SHARED_STREAMS.get() or {}
     reads, stream = shared.get(spec, (0, None))
@@ -285,7 +293,10 @@ def _disk_stream(spec: SampleSpec, workers: int) -> tuple:
             s[a:b] = sigma(z[a:b], w[a:b])
 
         _map_chunks(spec, one, workers)
-        stream = z, w, s
+
+        def stream(chunks, a, b):
+            return z[a:b], w[a:b], s[a:b]
+
     if reads > 1:
         shared[spec] = reads - 1, stream
     else:
@@ -293,45 +304,52 @@ def _disk_stream(spec: SampleSpec, workers: int) -> tuple:
     return stream
 
 
-def _rows_of(a, b) -> Callable:
-    """The row lookup ``i -> (a[i], b[i])`` of two arrays; ``i`` may be an index array."""
-    return lambda i: (a[i], b[i])
+def _ball_stream(spec: SampleSpec, dim: int) -> Callable:
+    """The ball-pair stream of dimension ``dim``: a read draws its chunks, ``d = beta(z, w)``."""
+    draw = partial(ball_pair_chunk, spec, dim)
+
+    def stream(chunks, a, b):
+        z, w = _draw_block(spec, chunks, draw)
+        return z, w, ball.beta(z, w)
+
+    return stream
+
+
+def _rows_of(*arrays) -> Callable:
+    """The row lookup ``rows -> tuple(x[rows] for x in arrays)``."""
+    return lambda rows: tuple(x[rows] for x in arrays)
 
 
 def _finalize(
     case: InequalityCase,
     spec_seed: int,
-    pair_at: Callable,
     margins: np.ndarray,
-    sides_at: Callable,
+    rows_at: Callable,
     t0: float,
     extras: dict | None = None,
 ) -> VerificationReport:
     """The report of ``margins`` (rhs - lhs per sample).
 
-    ``pair_at(i) -> (z, w)`` gives the pair of sample ``i``, ``sides_at(rows)
-    -> (lhs, rhs)`` both sides on an index array.  With tol_rel >= 0 a
-    violation is also below -tol_abs, so both sides and the relative
-    tolerance are formed only on those candidates: ``sides_at`` is called
-    once, on them (never on none), and must give the bits whose difference
-    made their margins.
+    ``rows_at(rows) -> (z, w, lhs, rhs)`` gives the pairs and both sides on a
+    sorted index array.  With tol_rel >= 0 a violation is also below
+    -tol_abs, so both sides and the relative tolerance are formed only on
+    those candidates: ``rows_at`` is called once, on them (never on none),
+    and must give the bits whose difference made their margins.
     """
     near = np.nonzero(margins < -case.tol_abs)[0]
     violations = []
     if len(near):
-        lhs, rhs = sides_at(near)
+        z, w, lhs, rhs = rows_at(near)
         tol = case.tol_abs + case.tol_rel * np.abs(rhs)
         for k in np.nonzero(margins[near] < -tol)[0]:
-            i = int(near[k])
-            zi, wi = pair_at(i)
             violations.append(
                 {
-                    "index": i,
-                    "z": _serialize_point(zi),
-                    "w": _serialize_point(wi),
+                    "index": int(near[k]),
+                    "z": _serialize_point(z[k]),
+                    "w": _serialize_point(w[k]),
                     "lhs": float(lhs[k]),
                     "rhs": float(rhs[k]),
-                    "margin": float(margins[i]),
+                    "margin": float(margins[near[k]]),
                 }
             )
     return VerificationReport(
@@ -375,45 +393,55 @@ def _verify_pairs(
     spec: SampleSpec,
     workers: int,
     sides: Callable,
+    stream: Callable | None = None,
     gated: bool = False,
     on_block: Callable | None = None,
-):
-    """lhs <= rhs over the disk-pair stream, for ``sides(f(z), f(w), sigma(z, w)) -> (lhs, rhs)``.
+) -> VerificationReport:
+    """lhs <= rhs over a pair stream, for ``sides(z, w, d) -> (lhs, rhs)``.
 
-    A case with no function passes the pair itself for ``f(z), f(w)``.  Each
-    block writes only its rows of the margins; ``_finalize`` forms the sides
-    of the violation candidates through the same ``sides``.  If given,
-    ``on_block(a, lhs, sigma)`` sees the left side and sigma of each block in
-    that pass, ``a`` the block's first row.  Returns the report and the pair
-    lookup ``i -> (z[i], w[i])``, None when the curvature gate fails.
+    ``stream(chunks, a, b) -> (z, w, d)`` gives the pairs of rows [a, b),
+    which the chunk range ``chunks`` covers, and their distance ``d``.  It
+    defaults to the disk-pair stream of ``spec`` (``d = sigma(z, w)``), read
+    once the curvature gate has passed.  Each block writes only its rows of
+    the margins.  The violation candidates and their pairs take one path on
+    every stream, ``rows_at``: each chunk that holds one is read again
+    through the stream on its own, and the picked pairs go through the same
+    ``sides``, whose kernels are elementwise, so they give the bits of the
+    block.  If given, ``on_block(a, z, w, lhs, d)`` sees the pairs, left side
+    and distance of each block in that pass, ``a`` the block's first row.
     """
     t0 = time.perf_counter()
     failed = _gate(case, spec.seed, t0) if gated else None
     if failed:
-        return failed, None
-    f = case.function
-    z, w, s = _disk_stream(spec, workers)
-
-    def sides_at(rows):  # a block's slice, or the candidates' index array
-        fz, fw = (f.eval(z[rows]), f.eval(w[rows])) if f else (z[rows], w[rows])
-        return sides(fz, fw, s[rows])
-
+        return failed
+    stream = stream or _disk_stream(spec, workers)
     margins = np.empty(spec.count)
 
     def one(chunks, a, b):
-        lhs, rhs = sides_at(slice(a, b))
+        z, w, d = stream(chunks, a, b)
+        lhs, rhs = sides(z, w, d)
         margins[a:b] = rhs - lhs
         if on_block:
-            on_block(a, lhs, s[a:b])
+            on_block(a, z, w, lhs, d)
+
+    def rows_at(rows):
+        picked, chunk_of = [], rows // CHUNK_SIZE
+        for ci in sorted(set(chunk_of.tolist())):  # np.unique would import numpy.ma
+            a = ci * CHUNK_SIZE
+            z, w, d = stream(range(ci, ci + 1), a, min(a + CHUNK_SIZE, spec.count))
+            k = rows[chunk_of == ci] - a
+            picked.append((z[k], w[k], d[k]))
+        z, w, d = (np.concatenate(part) for part in zip(*picked))
+        return (z, w, *sides(z, w, d))
 
     _map_chunks(spec, one, workers)
-    pair_at = _rows_of(z, w)
-    return _finalize(case, spec.seed, pair_at, margins, sides_at, t0), pair_at
+    return _finalize(case, spec.seed, margins, rows_at, t0)
 
 
 def _bounded_by_sigma(case: InequalityCase, lhs_of: Callable) -> Callable:
     """The sides ``lhs_of(f(z), f(w))`` and ``case.factor * sigma(z, w)`` of a disk-pair op."""
-    return lambda fz, fw, s: (lhs_of(fz, fw), case.factor * s)
+    f = case.function
+    return lambda z, w, s: (lhs_of(f.eval(z), f.eval(w)), case.factor * s)
 
 
 def verify_re_contraction(
@@ -421,7 +449,7 @@ def verify_re_contraction(
 ) -> VerificationReport:
     """d_w(Re f(z), Re f(w)) <= sigma(z, w), gated on curv_w <= -1."""
     sides = _bounded_by_sigma(case, _re_lhs(case.target))
-    return _verify_pairs(case, spec, workers, sides, gated=True)[0]
+    return _verify_pairs(case, spec, workers, sides, gated=True)
 
 
 def _re_lhs(weight: Weight) -> Callable:
@@ -466,14 +494,14 @@ def verify_pointwise_gradient(
     lhs = _gradient_lhs(case.target, case.function, z)
     rhs = np.ones_like(lhs)
     extras = {"max_lhs": float(np.max(lhs)), "argmax": _serialize_point(z[int(np.argmax(lhs))])}
-    return _finalize(case, spec.seed, _rows_of(z, z), rhs - lhs, _rows_of(lhs, rhs), t0, extras)
+    return _finalize(case, spec.seed, rhs - lhs, _rows_of(z, z, lhs, rhs), t0, extras)
 
 
 def verify_modulus_contraction(
     case: InequalityCase, spec: SampleSpec, workers: int = 1
 ) -> VerificationReport:
     """sigma(|f(z)|, |f(w)|) <= sigma(z, w) for disk-codomain entries."""
-    return _verify_pairs(case, spec, workers, _bounded_by_sigma(case, _modulus_lhs))[0]
+    return _verify_pairs(case, spec, workers, _bounded_by_sigma(case, _modulus_lhs))
 
 
 def _modulus_lhs(fz, fw):
@@ -485,7 +513,7 @@ def verify_schwarz_pick(
     case: InequalityCase, spec: SampleSpec, workers: int = 1
 ) -> VerificationReport:
     """sigma(f(z), f(w)) <= sigma(z, w) for disk-codomain entries."""
-    return _verify_pairs(case, spec, workers, _bounded_by_sigma(case, sigma))[0]
+    return _verify_pairs(case, spec, workers, _bounded_by_sigma(case, sigma))
 
 
 def verify_pavlovic(
@@ -510,7 +538,7 @@ def verify_pavlovic(
         "min_margin_zero": float(np.min(margins[zero])) if np.any(zero) else None,
         "min_margin_nonzero": float(np.min(margins[~zero])) if np.any(~zero) else None,
     }
-    return _finalize(case, spec.seed, _rows_of(z, z), margins, _rows_of(lhs, rhs), t0, extras)
+    return _finalize(case, spec.seed, margins, _rows_of(z, z, lhs, rhs), t0, extras)
 
 
 def verify_kv_factor(
@@ -521,65 +549,28 @@ def verify_kv_factor(
     The left side is the distance of the weight 2/(1-t^2) on (-1, 1), i.e.
     |2 atanh U(z) - 2 atanh U(w)| for U = Re f.  The empirical supremum of the
     ratio lhs/sigma is recorded (pairs with sigma = 0 are excluded from it).
-    It is reduced in the margins' pass: each block keeps its largest ratio
-    and that ratio's row, and ``np.argmax`` over the blocks in stream order
-    picks the first largest (or first NaN), as it would over the whole ratio.
+    It is reduced in the margins' pass, with its pair: each block keeps its
+    largest ratio and that ratio's pair, and ``np.argmax`` over the blocks in
+    stream order picks the first largest (or first NaN), as it would over the
+    whole ratio.
     """
-    sups = {}  # first row of a block -> (its sup ratio, the row where it occurs)
+    sups = {}  # first row of a block -> (its sup ratio, the pair where it occurs)
 
-    def block_sup(a, lhs, s):
+    def block_sup(a, z, w, lhs, s):
         ratio = np.where(s > 0.0, lhs / np.where(s > 0.0, s, 1.0), 0.0)
         k = int(np.argmax(ratio))
-        sups[a] = ratio[k], a + k
+        sups[a] = ratio[k], (z[k], w[k])
 
     sides = _bounded_by_sigma(case, _re_lhs(disk_diameter_weight()))
-    report, pair_at = _verify_pairs(case, spec, workers, sides, on_block=block_sup)
-    ratios, rows = zip(*(sups[a] for a in sorted(sups)))
+    report = _verify_pairs(case, spec, workers, sides, on_block=block_sup)
+    ratios, pairs = zip(*(sups[a] for a in sorted(sups)))
     j = int(np.argmax(ratios))
     extras = {
         "factor": case.factor,
         "sup_ratio": float(ratios[j]),
-        "sup_ratio_pair": [_serialize_point(x) for x in pair_at(rows[j])],
+        "sup_ratio_pair": [_serialize_point(x) for x in pairs[j]],
     }
     return replace(report, extras=extras)
-
-
-def _abs_ball_report(spec: SampleSpec, dim: int, workers: int) -> VerificationReport:
-    """beta(|z|, |w|) <= beta(z, w) on the ball stream of ``dim``.
-
-    Each block writes its rows of the margins in place.  Violation candidates
-    redraw their chunks and evaluate both distances on whole chunks, as a
-    block does, and a violation record redraws its pair from its chunk, so no
-    full-length ``z``, ``w`` or distance is held.
-    """
-    t0 = time.perf_counter()
-    draw = partial(ball_pair_chunk, spec, dim)
-    margins = np.empty(spec.count)
-
-    def chunk_sides(chunks):
-        z, w = _draw_block(spec, chunks, draw)
-        return ball.beta(ball.embed_modulus(z), ball.embed_modulus(w)), ball.beta(z, w)
-
-    def one(chunks, a, b):
-        lhs, rhs = chunk_sides(chunks)
-        margins[a:b] = rhs - lhs
-
-    def sides_at(rows):
-        lhs, rhs = np.empty(len(rows)), np.empty(len(rows))
-        for ci in np.unique(rows // CHUNK_SIZE).tolist():
-            hit = rows // CHUNK_SIZE == ci
-            both = chunk_sides(range(ci, ci + 1))
-            lhs[hit], rhs[hit] = (x[rows[hit] % CHUNK_SIZE] for x in both)
-        return lhs, rhs
-
-    def pair_at(i):
-        ci = i // CHUNK_SIZE
-        z, w = _draw_block(spec, range(ci, ci + 1), draw)
-        return z[i % CHUNK_SIZE], w[i % CHUNK_SIZE]
-
-    _map_chunks(spec, one, workers)
-    case = InequalityCase(id=f"abs_beta_ball_n{dim}", tol_abs=1e-12, tol_rel=0.0)
-    return _finalize(case, spec.seed, pair_at, margins, sides_at, t0)
 
 
 def verify_abs_inequalities(
@@ -587,16 +578,22 @@ def verify_abs_inequalities(
 ) -> list:
     """Modulus-monotonicity margins: disk rho, disk sigma, ball beta per dim.
 
-    On the disk, rho(|z|, |w|) <= rho(z, w) and sigma(|z|, |w|) <= sigma(z, w).
+    On the disk-pair stream, rho(|z|, |w|) <= rho(z, w) and sigma(|z|, |w|) <=
+    sigma(z, w); on the ball-pair stream of each dimension in ``dims``,
+    beta(|z|, |w|) <= beta(z, w), with |z| the point (|z|,) of the slice B^1.
     """
+
+    def beta_sides(z, w, b):
+        return ball.beta(ball.embed_modulus(z), ball.embed_modulus(w)), b
+
+    table = [  # case id suffix, stream (None: the disk-pair stream), sides
+        ("rho_disk", None, lambda z, w, s: (rho(np.abs(z), np.abs(w)), rho(z, w))),
+        ("sigma_disk", None, lambda z, w, s: (_modulus_lhs(z, w), s)),
+    ] + [(f"beta_ball_n{dim}", _ball_stream(spec, dim), beta_sides) for dim in dims]
     reports = []
-    for name, sides in (
-        ("rho", lambda z, w, s: (rho(np.abs(z), np.abs(w)), rho(z, w))),
-        ("sigma", lambda z, w, s: (_modulus_lhs(z, w), s)),
-    ):
-        case = InequalityCase(id=f"abs_{name}_disk", tol_abs=1e-12, tol_rel=0.0)
-        reports.append(_verify_pairs(case, spec, workers, sides)[0])
-    reports.extend(_abs_ball_report(spec, dim, workers) for dim in dims)
+    for name, stream, sides in table:
+        case = InequalityCase(id=f"abs_{name}", tol_abs=1e-12, tol_rel=0.0)
+        reports.append(_verify_pairs(case, spec, workers, sides, stream))
     return reports
 
 
@@ -612,7 +609,7 @@ def verify_proof_chain(
 
     whose integrand is exactly the gradient-bound left side, hence <= 1.  The
     replayed chain is d_w(Re f(z), Re f(w)) <= I <= sigma(z, w); both link
-    margins are checked at tolerance 1e-6 on the first 128 pairs of the
+    margins are checked at tolerance 1e-12 on the first 128 pairs of the
     stream.  The replay is serial; ``workers`` is accepted for the common
     checker call shape.
     """
@@ -657,7 +654,7 @@ def verify_proof_chain(
         "min_first_link": float(np.min(first_link)),
         "min_second_link": float(np.min(second_link)),
     }
-    return _finalize(case, spec.seed, _rows_of(z, w), rhs - lhs, _rows_of(lhs, rhs), t0, extras)
+    return _finalize(case, spec.seed, rhs - lhs, _rows_of(z, w, lhs, rhs), t0, extras)
 
 
 # op -> (what the op needs of its catalog function, InequalityCase defaults,
@@ -675,7 +672,7 @@ OPS = {
     "pavlovic": ("disk", {}, 0),
     "kv_factor": ("strip", {"factor": KV_FACTOR}, 1),
     "abs_inequalities": (None, {}, 2),
-    "proof_chain": ("weight", {"tol_abs": 1e-6}, 0),
+    "proof_chain": ("weight", {"tol_abs": 1e-12}, 0),
 }
 
 
@@ -734,7 +731,7 @@ def validate_config(config: SuiteConfig) -> list:
     # type(), not isinstance: bool is an int subclass, and 1.0 == 1.
     if type(config.schema_version) is not int:
         errors.append(f"schema_version: {config.schema_version!r} is not an integer")
-    elif config.schema_version != 1:
+    elif config.schema_version != SCHEMA_VERSION:
         errors.append(f"schema_version: unsupported {config.schema_version!r}")
     if type(config.workers) is not int or not 1 <= config.workers <= MAX_WORKERS:
         errors.append(f"workers: {config.workers!r} is not an integer in 1..{MAX_WORKERS}")
@@ -847,11 +844,10 @@ class SuiteResult:
     reports: tuple
     seed: int
     wall_time: float
-    schema_version: int = 1
 
     def data_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "seed": self.seed,
             "overall_pass": self.overall_pass,
             "cases": [r.to_dict() for r in self.reports],

@@ -342,7 +342,8 @@ class TestBlockReduction:
     def test_kv_sup_ratio_is_the_full_array_argmax(self, monkeypatch, workers, lhs_kind):
         spec = SampleSpec(count=BLOCKS_COUNT, seed=3, scheme="boundary_biased")
         f = get("strip_map")
-        z, w, s = harness._disk_stream(spec, 1)
+        n_chunks = -(-spec.count // CHUNK_SIZE)
+        z, w, s = harness._disk_stream(spec, 1)(range(n_chunks), 0, spec.count)
         block = harness.BLOCK_CHUNKS * CHUNK_SIZE
         # NaN only at rows of the second and fourth block: the first NaN wins
         nan_at = f.eval(z[[block + 77, 3 * block + 5]])
@@ -384,19 +385,19 @@ class TestProofChain:
             id="proof_chain:strip_map:strip",
             function=get("strip_map"),
             target=strip_weight(),
-            tol_abs=1e-6,
+            tol_abs=1e-12,
         )
         rep = verify_proof_chain(case, SampleSpec(count=4096))
         assert rep.status == "pass"
-        assert rep.extras["min_first_link"] > -1e-6
-        assert rep.extras["min_second_link"] > -1e-6
+        assert rep.extras["min_first_link"] > -1e-12
+        assert rep.extras["min_second_link"] > -1e-12
 
     def test_cayley_links(self):
         case = InequalityCase(
             id="proof_chain:cayley:half_plane",
             function=get("cayley"),
             target=half_plane_weight(),
-            tol_abs=1e-6,
+            tol_abs=1e-12,
         )
         rep = verify_proof_chain(case, SampleSpec(count=2048))
         assert rep.status == "pass"
@@ -406,7 +407,7 @@ class TestProofChain:
             id="proof_chain:strip_map:disk_diameter",
             function=get("strip_map"),
             target=disk_diameter_weight(),
-            tol_abs=1e-6,
+            tol_abs=1e-12,
         )
         rep = verify_proof_chain(case, SampleSpec(count=64))
         assert rep.status == "hypothesis-not-met"
@@ -467,9 +468,9 @@ class TestFinalize:
         case = InequalityCase(id="x", tol_abs=1e-9, tol_rel=1e-9)
         with np.errstate(invalid="ignore"):
             margins = rhs - lhs
-            report = harness._finalize(
-                case, 0, lambda i: (0j, 0j), margins, lambda i: (lhs[i], rhs[i]), 0.0
-            )
+            pairs = np.zeros(4096, dtype=complex)
+            rows_at = harness._rows_of(pairs, pairs, lhs, rhs)
+            report = harness._finalize(case, 0, margins, rows_at, 0.0)
             want = np.nonzero(margins < -(case.tol_abs + case.tol_rel * np.abs(rhs)))[0]
         assert 100 < len(want) < 4000
         assert 3 not in want
@@ -656,16 +657,16 @@ class TestSharedDiskStream:
         # the default suite ends with abs_inequalities: its disk pair reads the
         # stream last, and the ball reports after them find it gone
         seen = []
-        original = harness._abs_ball_report
+        original = harness.ball_pair_chunk
 
-        def spying(spec, dim, workers):
-            seen.append(dict(harness._SHARED_STREAMS.get()))
-            return original(spec, dim, workers)
+        def spying(spec, dim, ci, n, last):
+            seen.append((dim, dict(harness._SHARED_STREAMS.get())))
+            return original(spec, dim, ci, n, last)
 
-        monkeypatch.setattr(harness, "_abs_ball_report", spying)
-        result = run_suite(default_config(count=512))
+        monkeypatch.setattr(harness, "ball_pair_chunk", spying)
+        result = run_suite(default_config(count=512))  # one chunk per ball stream
         assert result.overall_pass
-        assert seen == [{}, {}, {}]
+        assert seen == [(1, {}), (2, {}), (3, {})]
 
     def test_released_when_a_case_raises(self, monkeypatch):
         def broken(case, spec, workers):
@@ -801,7 +802,9 @@ class TestBallViolationRecords:
             return out
 
         monkeypatch.setattr(ball, "beta", forced)
-        report = harness._abs_ball_report(spec, dim, workers=2)
+        # the ball report of dim: the driver on the ball-pair stream of dim
+        report = verify_abs_inequalities(spec, dims=(dim,), workers=2)[-1]
+        assert report.case_id == f"abs_beta_ball_n{dim}"
         assert report.status == "violated"
         assert [v["index"] for v in report.violations] == targets
         for v in report.violations:
@@ -809,6 +812,7 @@ class TestBallViolationRecords:
             assert v["z"] == harness._serialize_point(z)
             assert v["w"] == harness._serialize_point(w)
             assert v["lhs"] > v["rhs"] == -1.0
+            assert (v["rhs"] - v["lhs"]).hex() == v["margin"].hex()
         assert report.violations[-1]["z"] == report.violations[-1]["w"]
 
 
