@@ -2,8 +2,9 @@
 
 Every entry carries an analytic derivative and a declared codomain; both
 declarations are checkable (finite-difference quotients for the derivative,
-dense sample grids for codomain containment) and the harness re-validates
-them before running a suite.  Codomains:
+dense sample grids for codomain containment) by ``validate_entry``.  The
+catalog is a constant, so its tests validate every entry once; a suite config
+can only name entries.  Codomains:
 
     disk               |f| < 1
     strip              Re f in (-1, 1)

@@ -27,10 +27,10 @@ from .disk import sigma as disk_sigma
 from .weights import (
     _DE_W,
     _DE_X,
-    _FD_STEP_D1,
+    _FD_STEP,
     GridSpec,
     Weight,
-    _fd_first,
+    _log_differences,
     _tanh_sinh,
     curvature_k,
     omega_distance,
@@ -277,11 +277,11 @@ def _brentq(f, a: float, b: float, xtol: float):
 
 
 def _slope(wt: Weight, x: float) -> float:
-    """w'(x): the weight's analytic d1 when it has one, else a central difference inside J."""
+    """w'(x): the weight's analytic d1 when it has one, else w (log w)' differenced inside J."""
     if wt.d1 is not None:
         return float(wt.d1(x))
-    h = min(_FD_STEP_D1 * max(1.0, abs(x)), 0.5 * (x - wt.domain.lo), 0.5 * (wt.domain.hi - x))
-    return float(_fd_first(wt.density, x, h))
+    h = min(_FD_STEP * max(1.0, abs(x)), 0.5 * (x - wt.domain.lo), 0.5 * (wt.domain.hi - x))
+    return float(wt.density(x) * _log_differences(wt, x, h)[0])
 
 
 def _minimizer(wt: Weight) -> float:

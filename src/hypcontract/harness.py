@@ -73,7 +73,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import ball
-from .catalog import HoloFunction, catalog, get as catalog_get, validate_entry
+from .catalog import HoloFunction, catalog, get as catalog_get
 from .disk import BOUNDARY_GUARD, mobius, rho, sigma, sigma_real
 from .weights import (
     Weight,
@@ -138,11 +138,11 @@ class SampleSpec:
 
 @dataclass(frozen=True)
 class InequalityCase:
-    """One inequality instance: a function, a target structure, a factor."""
+    """One inequality instance: a function, a target weight (None on the disk), a factor."""
 
     id: str
     function: HoloFunction | None = None
-    target: object = "sigma"  # Weight | "sigma" | "beta"
+    target: Weight | None = None
     factor: float = 1.0
     tol_abs: float = 1e-9
     tol_rel: float = 1e-9
@@ -745,7 +745,6 @@ def validate_config(config: SuiteConfig) -> list:
             seen_dims.add(dim)
     if not config.cases:
         errors.append("cases: empty suite")
-    validated_functions = set()
     seen_ids = set()
     for cs in config.cases:
         label = cs.case_id
@@ -778,12 +777,6 @@ def validate_config(config: SuiteConfig) -> list:
         except KeyError:
             errors.append(f"{label}: unknown catalog function {cs.function!r}")
             continue
-        if f.name not in validated_functions:
-            try:
-                validate_entry(f)
-                validated_functions.add(f.name)
-            except ValueError as exc:
-                errors.append(f"{label}: {exc}")
         if needs == "weight":
             if not cs.weight:
                 errors.append(f"{label}: missing weight")
@@ -814,7 +807,7 @@ def _build_case(cs: CaseSpec) -> InequalityCase:
     return InequalityCase(
         id=cs.case_id,
         function=catalog_get(cs.function) if cs.function else None,
-        target=WEIGHT_FACTORIES[cs.weight]() if cs.weight else "sigma",
+        target=WEIGHT_FACTORIES[cs.weight]() if cs.weight else None,
         **kwargs,
     )
 

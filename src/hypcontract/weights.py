@@ -26,11 +26,10 @@ from typing import Callable
 
 import numpy as np
 
-# Central-difference steps.  First derivatives use the classic cbrt(eps) rule;
-# second derivatives use eps**(1/4), which balances truncation against the
-# eps/h**2 rounding term (cbrt(eps) leaves ~1e-4 noise for O(1) densities).
-_FD_STEP_D1 = float(np.cbrt(np.finfo(float).eps))
-_FD_STEP_D2 = float(np.finfo(float).eps ** 0.25)
+# Central-difference step for weights that carry only a density, times
+# max(1, |t|).  eps**(1/4) balances the truncation of the second difference of
+# log w against its eps/h**2 rounding term; the first difference shares it.
+_FD_STEP = float(np.finfo(float).eps ** 0.25)
 
 
 @dataclass(frozen=True)
@@ -231,45 +230,35 @@ def omega_distance(w: Weight, a, b):
     return float(out) if out.ndim == 0 else out
 
 
-def _fd_first(f: Callable, t: float, h: float) -> float:
-    return (f(t + h) - f(t - h)) / (2.0 * h)
-
-
-def _fd_second(f: Callable, t: float, h: float) -> float:
-    return (f(t + h) - 2.0 * f(t) + f(t - h)) / (h * h)
+def _log_differences(w: Weight, t, h):
+    """Central differences ((log w)', (log w)'') at t with step h; t and h broadcast."""
+    lo, mid, hi = (np.log(w.density(x)) for x in (t - h, t, t + h))
+    return (hi - lo) / (2.0 * h), (hi - 2.0 * mid + lo) / (h * h)
 
 
 def curvature_k(w: Weight, t):
     """Curvature quantity (w'^2 - w w'')/w^4 at interior points.
 
     Analytic derivatives are used when the weight carries them; otherwise
-    central differences, which need the stencil to stay inside the domain.
+    -(log w)''/w^2 by central differences, which need t +- h inside the domain.
     """
     t_arr = np.asarray(t, dtype=float)
     if not w.domain.contains(t_arr):
         raise ValueError("curvature point outside the open weight domain")
+    den = w.density(t_arr)
     if w.has_analytic_derivatives:
-        den = w.density(t_arr)
         out = (w.d1(t_arr) ** 2 - den * w.d2(t_arr)) / den**4
-        return float(out) if np.ndim(out) == 0 else out
-
-    def one(ti: float) -> float:
-        scale = max(1.0, abs(ti))
-        h1 = _FD_STEP_D1 * scale
-        h2 = _FD_STEP_D2 * scale
-        h = max(h1, h2)
-        if not (w.domain.contains(ti - h) and w.domain.contains(ti + h)):
+    else:
+        h = _FD_STEP * np.maximum(1.0, np.abs(t_arr))
+        fits = (t_arr - h > w.domain.lo) & (t_arr + h < w.domain.hi)
+        if not np.all(fits):
+            i = np.flatnonzero(~fits)[0]
             raise ValueError(
-                f"t={ti} too close to a domain endpoint for the FD stencil (h={h:.3e})"
+                f"t={float(t_arr.flat[i])} too close to a domain endpoint for the FD stencil "
+                f"(h={float(h.flat[i]):.3e})"
             )
-        den = float(w.density(ti))
-        wd1 = _fd_first(w.density, ti, h1)
-        wd2 = _fd_second(w.density, ti, h2)
-        return (wd1 * wd1 - den * wd2) / den**4
-
-    if t_arr.ndim == 0:
-        return one(float(t_arr))
-    return np.array([one(float(ti)) for ti in t_arr.ravel()]).reshape(t_arr.shape)
+        out = -_log_differences(w, t_arr, h)[1] / den**2
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _family_sign(fam: WeightFamily) -> float:

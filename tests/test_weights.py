@@ -209,8 +209,11 @@ class TestCurvature:
         w = Weight(domain=Interval(-0.93, 0.93), density=strip.density, name="strip-fd")
         assert not w.has_analytic_derivatives
         ts = GridSpec(n=201, shrink=1e-3).points(w.domain)
-        ks = np.asarray(curvature_k(w, ts))
-        assert np.max(np.abs(ks + 1.0)) < 1e-5
+        ks = curvature_k(w, ts.reshape(3, 67))
+        assert np.max(np.abs(ks + 1.0)) < 3e-6
+        # the whole-array differences equal the scalar calls bit for bit
+        scalar = np.array([curvature_k(w, float(t)) for t in ts]).reshape(3, 67)
+        assert ks.tobytes() == scalar.tobytes()
 
     def test_stencil_near_endpoint_rejected(self):
         w = _strip_density_only()
@@ -218,6 +221,9 @@ class TestCurvature:
             curvature_k(w, 1.0 - 1e-9)
         with pytest.raises(ValueError):
             curvature_k(w, 1.5)
+        # an array is rejected by its first entry whose stencil leaves J
+        with pytest.raises(ValueError, match=r"^t=0\.999999999 too close"):
+            curvature_k(w, np.array([0.0, 0.5, 1.0 - 1e-9, -1.0 + 1e-6]))
 
 
 class TestFamilies:
