@@ -209,12 +209,12 @@ def cmd_verify(args) -> int:
     print(f"overall: {'PASS' if result.overall_pass else 'FAIL'}")
     # A write can still fail (a full disk); that is an error, not a verdict.
     for path, write in (
-        (args.json_out, lambda fh: fh.write(result.to_json())),
+        (args.json_out, lambda fh: fh.write(result.to_json().encode())),
         (args.csv_out, result.write_margins_csv),
     ):
         if path:
             try:
-                with open(path, "w", encoding="utf-8") as fh:
+                with open(path, "wb") as fh:
                     write(fh)
             except OSError as exc:
                 return fail(f"cannot write {path}: {exc.strerror or exc}")

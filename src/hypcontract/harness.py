@@ -61,7 +61,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
@@ -831,6 +830,17 @@ def _first_equal_columns(cols: list) -> list:
     return source
 
 
+def _index_digits(count: int) -> np.ndarray:
+    """Rows ``i,`` for i < ``count``: the digits right-aligned behind NULs, then a comma."""
+    width = len(str(max(count - 1, 0)))
+    i = np.arange(count)
+    out = np.zeros((count, width + 1), dtype=np.uint8)
+    out[:, width] = ord(",")
+    for c in range(width):
+        out[:, width - 1 - c] = np.where(i >= 10**c, i // 10**c % 10 + ord("0"), 0 if c else ord("0"))
+    return out
+
+
 @dataclass(frozen=True)
 class SuiteResult:
     overall_pass: bool
@@ -863,53 +873,61 @@ class SuiteResult:
         return json.dumps(self.data_dict(), indent=2, sort_keys=True)
 
     def write_margins_csv(self, fh) -> None:
-        """Write the per-sample margins CSV to ``fh``, ``CSV_BLOCK_ROWS`` rows at a time.
+        """Write the per-sample margins CSV to the binary file ``fh``, ``CSV_BLOCK_ROWS`` rows at a time.
 
-        A row costs one ``float.__repr__`` and no Python frame.  The index
-        strings ``"i,"`` are built once per call, up to the longest column,
-        and every case reads them (a shorter column a prefix); a block is
-        written as ``case_id + ","``, then the C-level join of index and
-        margin text on ``"\\n" + case_id + ","``, then ``"\\n"``.
+        No value costs a Python call: ``reprs.repr_matrix`` gives the bytes of
+        ``float.__repr__`` for a block of margins as a NUL-padded matrix.  A
+        block's rows are assembled side by side in one ``uint8`` matrix,
+        ``case_id,`` then the right-aligned index digits and ``,`` (built once
+        per call, up to the longest column; every case reads a prefix), then
+        the margin bytes and ``\\n``, and the block is written without its NULs.
 
         A margin column whose bits equal an earlier column's is formatted only
         once: in the default suite ``schwarz_pick:constant`` repeats
         ``modulus_contraction:constant`` (both have lhs 0) and
         ``abs_sigma_disk`` repeats ``modulus_contraction:identity`` (the same
-        ``|2 atanh|z| - 2 atanh|w||``).  The earlier column's text is kept,
-        one string per block, until its last repeat is written.  Bits, not
-        values, decide: ``0.0`` and ``-0.0`` print differently.
+        ``|2 atanh|z| - 2 atanh|w||``).  The earlier column's formatted blocks
+        are kept until its last repeat is written.  Bits, not values, decide:
+        ``0.0`` and ``-0.0`` print differently.
         """
-        fh.write("case_id,sample_index,margin\n")
+        from . import reprs  # only a CSV needs it; ``verify`` without one never loads it
+
+        fh.write(b"case_id,sample_index,margin\n")
         cols = [
             (r.case_id, np.asarray(r.margins, dtype=float))
             for r in self.reports
             if r.margins is not None
         ]
-        index = list(map("{},".format, range(max((len(m) for _, m in cols), default=0))))
+        index = _index_digits(max((len(m) for _, m in cols), default=0))
         source = _first_equal_columns([m for _, m in cols])
         last_use = {k: j for j, k in enumerate(source) if k != j}
-        kept = {k: [] for k in last_use}  # a repeated column's text per block
+        kept = {k: [] for k in last_use}  # a repeated column's formatted blocks
         for j, (case_id, m) in enumerate(cols):
-            head = case_id + ","
-            sep = "\n" + head
+            head = f"{case_id},".encode()
+            cut = len(head) + index.shape[1]
+            # the block's rows side by side; head and newline columns are set once
+            rows = np.empty((min(len(m), CSV_BLOCK_ROWS), cut + reprs.WIDTH + 1), dtype=np.uint8)
+            rows[:, : len(head)] = np.frombuffer(head, dtype=np.uint8)
+            rows[:, -1] = ord("\n")
             k = source[j]
-            texts = kept.pop(k) if last_use.get(k) == j else kept.get(k)
+            blocks = kept.pop(k) if last_use.get(k) == j else kept.get(k)
             for bi, a in enumerate(range(0, len(m), CSV_BLOCK_ROWS)):
-                b = a + CSV_BLOCK_ROWS
+                b = min(a + CSV_BLOCK_ROWS, len(m))
                 if k != j:
-                    reprs = texts[bi].split("\n")
+                    text = blocks[bi]
                 else:
-                    reprs = list(map(float.__repr__, m[a:b].tolist()))
-                    if texts is not None:
-                        texts.append("\n".join(reprs))
-                fh.write(head)
-                fh.write(sep.join(map(operator.add, index[a:b], reprs)))
-                fh.write("\n")
+                    text = reprs.repr_matrix(m[a:b])[0]
+                    if blocks is not None:
+                        blocks.append(text)
+                block = rows[: b - a]
+                block[:, len(head) : cut] = index[a:b]
+                block[:, cut:-1] = text
+                fh.write(block.tobytes().translate(None, b"\0"))
 
     def margins_csv(self) -> str:
-        buf = io.StringIO()
+        buf = io.BytesIO()
         self.write_margins_csv(buf)
-        return buf.getvalue()
+        return buf.getvalue().decode("ascii")
 
 
 def run_suite(config: SuiteConfig, keep_margins: bool = True) -> SuiteResult:

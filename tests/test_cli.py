@@ -279,7 +279,7 @@ class TestVerify:
 
     def test_failed_write_removes_the_outputs_it_created(self, tmp_path, capsys, monkeypatch):
         def full(self, fh):
-            fh.write("case_id,sample_index,margin\n")
+            fh.write(b"case_id,sample_index,margin\n")
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(harness.SuiteResult, "write_margins_csv", full)
@@ -839,6 +839,24 @@ def test_package_root_loads_no_submodule():
         "['hypcontract', 'hypcontract.disk', 'hypcontract.domains', 'hypcontract.liouville', "
         "'hypcontract.weights']",
     ]
+
+
+_LOADED_FOR_CSV = """
+import contextlib, io, sys, tempfile
+import hypcontract.cli
+loaded = ["hypcontract.reprs" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()), tempfile.TemporaryDirectory() as tmp:
+    hypcontract.cli.main(["verify", "--count", "64"])
+    loaded.append("hypcontract.reprs" in sys.modules)
+    hypcontract.cli.main(["verify", "--count", "64", "--csv-out", tmp + "/margins.csv"])
+    loaded.append("hypcontract.reprs" in sys.modules)
+print(loaded)
+"""
+
+
+def test_only_the_margins_csv_loads_the_block_formatter():
+    # import time (setup_s) and a verify without --csv-out pay nothing for it
+    assert _fresh_interpreter_lines(_LOADED_FOR_CSV) == ["[False, False, True]"]
 
 
 def test_catalog_listing(capsys):

@@ -571,7 +571,7 @@ class TestMarginsCsv:
     def test_file_holds_the_same_text(self, crafted_result, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", 7)
         path = tmp_path / "margins.csv"
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "wb") as fh:
             crafted_result.write_margins_csv(fh)
         assert path.read_text(encoding="utf-8") == crafted_result.margins_csv()
 
