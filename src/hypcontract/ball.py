@@ -67,18 +67,24 @@ def norm(z):
 
 def check_ball_point(z) -> np.ndarray:
     """Validate |z| < 1 - guard componentwise-finite; returns z as an ndarray."""
+    return _checked_norms(z)[0]
+
+
+def _checked_norms(z) -> tuple:
+    """The checks of ``check_ball_point``; returns ``z`` as a complex ndarray and its norms."""
     z = np.asarray(z, dtype=complex)
     if z.ndim == 0 or z.shape[-1] < 1:
         raise ValueError("ball point must be a complex vector of length >= 1")
     # A non-finite component makes the norm inf or nan, so one pass over the
     # norms finds every bad point; the components are read again only to say why.
-    if not np.all(norm(z) < _MAX_NORM):
+    norms = norm(z)
+    if not np.all(norms < _MAX_NORM):
         if not np.all(np.isfinite(z)):
             raise ValueError("ball point has non-finite component")
         raise ValueError(
             f"point outside the admissible ball (|z| >= 1 - {BOUNDARY_GUARD:g})"
         )
-    return z
+    return z, norms
 
 
 def mobius(a, w):
@@ -108,7 +114,7 @@ def beta(z, w):
 
 def embed_modulus(z):
     """Map z to the real point (|z|,) of the disk slice B^1, shape ``(..., 1)``."""
-    return np.asarray(norm(check_ball_point(z)), dtype=complex)[..., np.newaxis]
+    return np.asarray(_checked_norms(z)[1], dtype=complex)[..., np.newaxis]
 
 
 def bergman_form(z, u, v):

@@ -11,6 +11,7 @@ seed in the config file still wins, and the variable is then not read).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -200,24 +201,36 @@ def cmd_verify(args) -> int:
                 return fail(f"cannot write {path}: {exc.strerror or exc}")
             if not existed:
                 created.append(path)
+    # The CSV is written during the run, a case at a time.  It is opened, and
+    # an existing file truncated, only when its first column arrives.
+    csv = None
+
+    def add_margins(case_id, margins):
+        nonlocal csv
+        if csv is None:
+            csv = harness.MarginsCsv(files.enter_context(open(args.csv_out, "wb")))
+        csv.add(case_id, margins)
+
     try:
-        result = run_suite(config, keep_margins=bool(args.csv_out))
+        with contextlib.ExitStack() as files:  # closing flushes; a full disk may show only then
+            result = run_suite(
+                config, keep_margins=False, on_margins=add_margins if args.csv_out else None
+            )
+            if args.csv_out and csv is None:  # no report has margins: the header alone
+                harness.MarginsCsv(files.enter_context(open(args.csv_out, "wb")))
     except MemoryError as exc:  # a --count whose streams cannot be allocated
         return fail(f"not enough memory for the suite: {exc}")
+    except OSError as exc:  # the suite itself does no I/O
+        return fail(f"cannot write {args.csv_out}: {exc.strerror or exc}")
     for r in result.reports:
         print(_report_line(r.to_dict()))
     print(f"overall: {'PASS' if result.overall_pass else 'FAIL'}")
-    # A write can still fail (a full disk); that is an error, not a verdict.
-    for path, write in (
-        (args.json_out, lambda fh: fh.write(result.to_json().encode())),
-        (args.csv_out, result.write_margins_csv),
-    ):
-        if path:
-            try:
-                with open(path, "wb") as fh:
-                    write(fh)
-            except OSError as exc:
-                return fail(f"cannot write {path}: {exc.strerror or exc}")
+    if args.json_out:  # a write can still fail (a full disk); that is an error, not a verdict
+        try:
+            with open(args.json_out, "wb") as fh:
+                fh.write(result.to_json().encode())
+        except OSError as exc:
+            return fail(f"cannot write {args.json_out}: {exc.strerror or exc}")
     return 0 if result.overall_pass else 1
 
 

@@ -24,9 +24,11 @@ _MAX_ABS = 1.0 - BOUNDARY_GUARD
 def check_disk_point(z) -> None:
     """Raise ValueError unless every entry of z is finite with |z| < 1 - guard."""
     z = np.asarray(z)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("disk point has non-finite component")
-    if np.any(np.abs(z) >= _MAX_ABS):
+    # A non-finite entry has a nan or infinite modulus, which fails the bound,
+    # so one pass finds every bad point; the entries are read again only to say why.
+    if not np.all(np.abs(z) < _MAX_ABS):
+        if not np.all(np.isfinite(z)):
+            raise ValueError("disk point has non-finite component")
         raise ValueError(
             f"point outside the admissible disk (|z| >= 1 - {BOUNDARY_GUARD:g})"
         )

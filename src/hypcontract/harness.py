@@ -41,9 +41,11 @@ harmless).  Chunks (at most 48 KiB) never reach the threshold, blocks do; so
 a kernel on the block path binds the right-hand temporary of a complex
 product to a name first (the sites say so), and the tests compare every
 kernel on one block against its chunks.
-Reports carry margin statistics; the per-sample margins stay on the reports
-only when ``run_suite`` is asked to keep them (the CSV output needs them,
-nothing else does), else each report drops them as it is made.
+Reports carry margin statistics.  Only the margins CSV reads the per-sample
+margins: ``run_suite`` can hand each report's margins to a ``MarginsCsv`` as
+soon as its checker returns, and the reports keep them only when asked to,
+so a run that streams the CSV holds the margins of one checker call at a
+time (``verify_abs_inequalities`` returns its five reports together).
 
 A sampled pair with margin below -(tol_abs + tol_rel*|rhs|) is a violation;
 the hypotheses are theorems, so violations indicate implementation bugs.  The
@@ -811,34 +813,61 @@ def _build_case(cs: CaseSpec) -> InequalityCase:
     )
 
 
-def _first_equal_columns(cols: list) -> list:
-    """For each float64 column, the position of the first column with the same bits.
-
-    Columns are keyed on length and ``hash`` of their bytes; a key hit is
-    confirmed by comparing ``int64`` views, so equal values with other bits
-    (``0.0`` and ``-0.0``) never match.
-    """
-    source, seen = [], {}
-    for j, m in enumerate(cols):
-        bits = m.view(np.int64)
-        same = seen.setdefault((len(m), hash(m.tobytes())), [])
-        k = next((k for k in same if np.array_equal(cols[k].view(np.int64), bits)), None)
-        if k is None:
-            same.append(j)
-            k = j
-        source.append(k)
-    return source
-
-
 def _index_digits(count: int) -> np.ndarray:
     """Rows ``i,`` for i < ``count``: the digits right-aligned behind NULs, then a comma."""
     width = len(str(max(count - 1, 0)))
-    i = np.arange(count)
     out = np.zeros((count, width + 1), dtype=np.uint8)
     out[:, width] = ord(",")
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     for c in range(width):
-        out[:, width - 1 - c] = np.where(i >= 10**c, i // 10**c % 10 + ord("0"), 0 if c else ord("0"))
+        # Digit c of i runs through 0-9, each held for 10**c rows, so one
+        # cycle repeated gives the column in bytes, with no integer temporaries.
+        column = np.resize(np.repeat(digits, 10**c), count)
+        if c:
+            column[: 10**c] = 0  # i < 10**c has no digit c
+        out[:, width - 1 - c] = column
     return out
+
+
+class MarginsCsv:
+    """The per-sample margins CSV, written to the binary file ``fh`` one case at a time.
+
+    The header line is written at once; ``add(case_id, margins)`` writes a
+    case's rows ``case_id,i,repr(margins[i])`` ``CSV_BLOCK_ROWS`` at a time
+    and keeps nothing of them, so a caller can drop each case's margins as
+    soon as they are written.  No value costs a Python call:
+    ``reprs.repr_matrix`` gives the bytes of ``float.__repr__`` for a block
+    of margins as a NUL-padded matrix.  A block's rows are assembled side by
+    side in one ``uint8`` matrix, ``case_id,`` then the right-aligned index
+    digits and ``,``, then the margin bytes and ``\\n``, and the block is
+    written without its NULs.  The index digits are built for the longest
+    case so far, and every case reads a prefix of them.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self._index = _index_digits(0)
+        fh.write(b"case_id,sample_index,margin\n")
+
+    def add(self, case_id: str, margins) -> None:
+        """Write the rows of one case's margins."""
+        from . import reprs  # only a CSV needs it; ``verify`` without one never loads it
+
+        m = np.asarray(margins, dtype=float)
+        if len(m) > len(self._index):
+            self._index = _index_digits(len(m))
+        head = f"{case_id},".encode()
+        cut = len(head) + self._index.shape[1]
+        # the block's rows side by side; head and newline columns are set once
+        rows = np.empty((min(len(m), CSV_BLOCK_ROWS), cut + reprs.WIDTH + 1), dtype=np.uint8)
+        rows[:, : len(head)] = np.frombuffer(head, dtype=np.uint8)
+        rows[:, -1] = ord("\n")
+        for a in range(0, len(m), CSV_BLOCK_ROWS):
+            b = min(a + CSV_BLOCK_ROWS, len(m))
+            block = rows[: b - a]
+            block[:, len(head) : cut] = self._index[a:b]
+            block[:, cut:-1] = reprs.repr_matrix(m[a:b])[0]
+            self.fh.write(block.tobytes().translate(None, b"\0"))
 
 
 @dataclass(frozen=True)
@@ -873,56 +902,15 @@ class SuiteResult:
         return json.dumps(self.data_dict(), indent=2, sort_keys=True)
 
     def write_margins_csv(self, fh) -> None:
-        """Write the per-sample margins CSV to the binary file ``fh``, ``CSV_BLOCK_ROWS`` rows at a time.
+        """Write the margins CSV of the reports that kept their margins to the binary file ``fh``.
 
-        No value costs a Python call: ``reprs.repr_matrix`` gives the bytes of
-        ``float.__repr__`` for a block of margins as a NUL-padded matrix.  A
-        block's rows are assembled side by side in one ``uint8`` matrix,
-        ``case_id,`` then the right-aligned index digits and ``,`` (built once
-        per call, up to the longest column; every case reads a prefix), then
-        the margin bytes and ``\\n``, and the block is written without its NULs.
-
-        A margin column whose bits equal an earlier column's is formatted only
-        once: in the default suite ``schwarz_pick:constant`` repeats
-        ``modulus_contraction:constant`` (both have lhs 0) and
-        ``abs_sigma_disk`` repeats ``modulus_contraction:identity`` (the same
-        ``|2 atanh|z| - 2 atanh|w||``).  The earlier column's formatted blocks
-        are kept until its last repeat is written.  Bits, not values, decide:
-        ``0.0`` and ``-0.0`` print differently.
+        One ``MarginsCsv`` takes the columns in report order, as ``run_suite``
+        hands them to a streamed one.
         """
-        from . import reprs  # only a CSV needs it; ``verify`` without one never loads it
-
-        fh.write(b"case_id,sample_index,margin\n")
-        cols = [
-            (r.case_id, np.asarray(r.margins, dtype=float))
-            for r in self.reports
-            if r.margins is not None
-        ]
-        index = _index_digits(max((len(m) for _, m in cols), default=0))
-        source = _first_equal_columns([m for _, m in cols])
-        last_use = {k: j for j, k in enumerate(source) if k != j}
-        kept = {k: [] for k in last_use}  # a repeated column's formatted blocks
-        for j, (case_id, m) in enumerate(cols):
-            head = f"{case_id},".encode()
-            cut = len(head) + index.shape[1]
-            # the block's rows side by side; head and newline columns are set once
-            rows = np.empty((min(len(m), CSV_BLOCK_ROWS), cut + reprs.WIDTH + 1), dtype=np.uint8)
-            rows[:, : len(head)] = np.frombuffer(head, dtype=np.uint8)
-            rows[:, -1] = ord("\n")
-            k = source[j]
-            blocks = kept.pop(k) if last_use.get(k) == j else kept.get(k)
-            for bi, a in enumerate(range(0, len(m), CSV_BLOCK_ROWS)):
-                b = min(a + CSV_BLOCK_ROWS, len(m))
-                if k != j:
-                    text = blocks[bi]
-                else:
-                    text = reprs.repr_matrix(m[a:b])[0]
-                    if blocks is not None:
-                        blocks.append(text)
-                block = rows[: b - a]
-                block[:, len(head) : cut] = index[a:b]
-                block[:, cut:-1] = text
-                fh.write(block.tobytes().translate(None, b"\0"))
+        csv = MarginsCsv(fh)
+        for r in self.reports:
+            if r.margins is not None:
+                csv.add(r.case_id, r.margins)
 
     def margins_csv(self) -> str:
         buf = io.BytesIO()
@@ -930,13 +918,20 @@ class SuiteResult:
         return buf.getvalue().decode("ascii")
 
 
-def run_suite(config: SuiteConfig, keep_margins: bool = True) -> SuiteResult:
+def run_suite(
+    config: SuiteConfig, keep_margins: bool = True, on_margins: Callable | None = None
+) -> SuiteResult:
     """Run every configured case; deterministic for a fixed config and seed.
 
     The cases share one disk-pair stream per ``SampleSpec``, released after
     the last read the cases' ops announce, or on return.  With
-    ``keep_margins`` false each report drops its per-sample margins as soon
-    as it is made; only ``margins_csv`` reads them.
+    ``on_margins``, each report's per-sample margins go to
+    ``on_margins(case_id, margins)`` in report order as soon as its checker
+    returns (a report without margins is skipped), such as
+    ``MarginsCsv(fh).add``; an exception it raises ends the run.  With
+    ``keep_margins`` false each report then drops its margins, so the run
+    holds those of one checker call at a time; only the margins CSV reads
+    them.
     """
     errors = validate_config(config)
     if errors:
@@ -944,17 +939,24 @@ def run_suite(config: SuiteConfig, keep_margins: bool = True) -> SuiteResult:
     t0 = time.perf_counter()
     spec = config.sample
     reports = []
+
+    def hand_over(made):
+        for r in made:
+            if on_margins and r.margins is not None:
+                on_margins(r.case_id, r.margins)
+            reports.append(r if keep_margins else replace(r, margins=None))
+
     reads = sum(OPS[cs.op][2] for cs in config.cases)
     streams = _SHARED_STREAMS.set({spec: (reads, None)})
-    keep = _KEEP_MARGINS.set(keep_margins)
+    keep = _KEEP_MARGINS.set(keep_margins or on_margins is not None)
     try:
         for cs in config.cases:
             if OPS[cs.op][0] is None:  # the function-free family: one report per distance
-                reports += verify_abs_inequalities(spec, dims=config.ball_dims, workers=config.workers)
+                hand_over(verify_abs_inequalities(spec, dims=config.ball_dims, workers=config.workers))
             else:
                 # Resolved at call time, so a wrapper set on the module attribute is used.
                 check = globals()[f"verify_{cs.op}"]
-                reports.append(check(_build_case(cs), spec, config.workers))
+                hand_over([check(_build_case(cs), spec, config.workers)])
     finally:
         _KEEP_MARGINS.reset(keep)
         _SHARED_STREAMS.reset(streams)

@@ -64,12 +64,15 @@ class TestVerify:
         }
         path = tmp_path / "hypo.json"
         path.write_text(json.dumps(cfg))
-        rc = main(["verify", "--config", str(path)])
+        csv = tmp_path / "margins.csv"
+        csv.write_text("old")
+        rc = main(["verify", "--config", str(path), "--csv-out", str(csv)])
         out = capsys.readouterr().out
         assert rc == 1
         assert "HYPO" in out
         assert "margins=n/a" in out
         assert "overall: FAIL" in out
+        assert csv.read_text() == "case_id,sample_index,margin\n"  # no case has margins
 
     def test_missing_config(self, tmp_path, capsys):
         rc = main(["verify", "--config", str(tmp_path / "absent.json")])
@@ -278,20 +281,23 @@ class TestVerify:
         assert list(tmp_path.iterdir()) == []  # the file this run created is removed
 
     def test_failed_write_removes_the_outputs_it_created(self, tmp_path, capsys, monkeypatch):
-        def full(self, fh):
-            fh.write(b"case_id,sample_index,margin\n")
-            raise OSError(28, "No space left on device")
+        written = []
 
-        monkeypatch.setattr(harness.SuiteResult, "write_margins_csv", full)
+        def full(self, case_id, margins):  # the disk fills up at the third column
+            if len(written) == 2:
+                raise OSError(28, "No space left on device")
+            written.append(case_id)
+
+        monkeypatch.setattr(harness.MarginsCsv, "add", full)
         old, new = tmp_path / "old.json", tmp_path / "new.csv"
         old.write_text("old")
         rc = main(["verify", "--count", "64", "--json-out", str(old), "--csv-out", str(new)])
         out, err = capsys.readouterr()
         assert rc == 2
-        assert out.endswith("overall: PASS\n")  # the verdict was printed before the write
+        assert out == ""  # the CSV is written during the run, so no verdict is printed
         assert err == f"error: cannot write {new}: No space left on device\n"
         assert [p.name for p in tmp_path.iterdir()] == ["old.json"]
-        assert json.loads(old.read_text())["data"]["overall_pass"] is True
+        assert old.read_text() == "old"  # the JSON is written after the run
 
     @pytest.mark.parametrize("csv_path", ["same.out", "./same.out"], ids=["literal", "dot-alias"])
     @pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
