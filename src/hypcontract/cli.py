@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -212,7 +213,10 @@ def cmd_verify(args) -> int:
         csv.add(case_id, margins)
 
     try:
-        with contextlib.ExitStack() as files:  # closing flushes; a full disk may show only then
+        # closing flushes; a full disk may show only then
+        with warnings.catch_warnings(), contextlib.ExitStack() as files:
+            # numpy's, on every thread: an overflow is reported below, by the statistic it makes infinite
+            warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
             result = run_suite(
                 config, keep_margins=False, on_margins=add_margins if args.csv_out else None
             )
@@ -222,13 +226,17 @@ def cmd_verify(args) -> int:
         return fail(f"not enough memory for the suite: {exc}")
     except OSError as exc:  # the suite itself does no I/O
         return fail(f"cannot write {args.csv_out}: {exc.strerror or exc}")
+    try:  # a non-finite statistic is no verdict, with or without --json-out
+        report_json = result.to_json()
+    except ValueError as exc:
+        return fail(str(exc))
     for r in result.reports:
         print(_report_line(r.to_dict()))
     print(f"overall: {'PASS' if result.overall_pass else 'FAIL'}")
     if args.json_out:  # a write can still fail (a full disk); that is an error, not a verdict
         try:
             with open(args.json_out, "wb") as fh:
-                fh.write(result.to_json().encode())
+                fh.write(report_json.encode())
         except OSError as exc:
             return fail(f"cannot write {args.json_out}: {exc.strerror or exc}")
     return 0 if result.overall_pass else 1

@@ -42,10 +42,10 @@ a kernel on the block path binds the right-hand temporary of a complex
 product to a name first (the sites say so), and the tests compare every
 kernel on one block against its chunks.
 Reports carry margin statistics.  Only the margins CSV reads the per-sample
-margins: ``run_suite`` can hand each report's margins to a ``MarginsCsv`` as
-soon as its checker returns, and the reports keep them only when asked to,
-so a run that streams the CSV holds the margins of one checker call at a
-time (``verify_abs_inequalities`` returns its five reports together).
+margins: ``run_suite`` hands each report over as soon as it is made (the
+abs family yields its five one at a time), its margins to a ``MarginsCsv``
+if asked to, and drops them there unless asked to keep them, so a run that
+streams the CSV holds the margins of one report and one CSV block at a time.
 
 A sampled pair with margin below -(tol_abs + tol_rel*|rhs|) is a violation;
 the hypotheses are theorems, so violations indicate implementation bugs.  The
@@ -68,7 +68,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -92,6 +92,7 @@ CHUNK_SIZE = 1024
 # so per-chunk tasks spend the run trading the GIL; blocks of 16 amortize it.
 BLOCK_CHUNKS = 16
 CSV_BLOCK_ROWS = 16_384
+_TEN8 = np.uint64(10**8)  # a row number's digits go eight to a word
 MAX_WORKERS = 64
 # The layout version of the ``data`` payload, the only one a config may name.
 SCHEMA_VERSION = 1
@@ -268,8 +269,6 @@ def _draw_block(spec: SampleSpec, chunks: range, draw: Callable) -> tuple:
 # SampleSpec -> (disk-stream reads still to come, the drawn stream or None)
 # while a run_suite call is in progress, else None.
 _SHARED_STREAMS: ContextVar[dict | None] = ContextVar("_SHARED_STREAMS", default=None)
-# False while a run_suite call that drops the per-sample margins is in progress.
-_KEEP_MARGINS: ContextVar[bool] = ContextVar("_KEEP_MARGINS", default=True)
 
 
 def _disk_stream(spec: SampleSpec, workers: int) -> Callable:
@@ -363,7 +362,7 @@ def _finalize(
         seed=spec_seed,
         wall_time=time.perf_counter() - t0,
         extras=extras or {},
-        margins=margins if _KEEP_MARGINS.get() else None,
+        margins=margins,
     )
 
 
@@ -576,12 +575,15 @@ def verify_kv_factor(
 
 def verify_abs_inequalities(
     spec: SampleSpec, dims: tuple = (1, 2, 3), workers: int = 1
-) -> list:
+) -> Iterator[VerificationReport]:
     """Modulus-monotonicity margins: disk rho, disk sigma, ball beta per dim.
 
     On the disk-pair stream, rho(|z|, |w|) <= rho(z, w) and sigma(|z|, |w|) <=
     sigma(z, w); on the ball-pair stream of each dimension in ``dims``,
     beta(|z|, |w|) <= beta(z, w), with |z| the point (|z|,) of the slice B^1.
+    The reports are yielded in that order, each made only when the previous
+    one has been taken, so a caller that drops each report's margins holds
+    those of one report at a time.
     """
 
     def beta_sides(z, w, b):
@@ -591,11 +593,9 @@ def verify_abs_inequalities(
         ("rho_disk", None, lambda z, w, s: (rho(np.abs(z), np.abs(w)), rho(z, w))),
         ("sigma_disk", None, lambda z, w, s: (_modulus_lhs(z, w), s)),
     ] + [(f"beta_ball_n{dim}", _ball_stream(spec, dim), beta_sides) for dim in dims]
-    reports = []
     for name, stream, sides in table:
         case = InequalityCase(id=f"abs_{name}", tol_abs=1e-12, tol_rel=0.0)
-        reports.append(_verify_pairs(case, spec, workers, sides, stream))
-    return reports
+        yield _verify_pairs(case, spec, workers, sides, stream)
 
 
 def verify_proof_chain(
@@ -813,20 +813,26 @@ def _build_case(cs: CaseSpec) -> InequalityCase:
     )
 
 
-def _index_digits(count: int) -> np.ndarray:
-    """Rows ``i,`` for i < ``count``: the digits right-aligned behind NULs, then a comma."""
-    width = len(str(max(count - 1, 0)))
-    out = np.zeros((count, width + 1), dtype=np.uint8)
-    out[:, width] = ord(",")
-    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    for c in range(width):
-        # Digit c of i runs through 0-9, each held for 10**c rows, so one
-        # cycle repeated gives the column in bytes, with no integer temporaries.
-        column = np.resize(np.repeat(digits, 10**c), count)
-        if c:
-            column[: 10**c] = 0  # i < 10**c has no digit c
-        out[:, width - 1 - c] = column
-    return out
+def _row_numbers(field: np.ndarray, first: int) -> None:
+    """Write ``first + r`` into row r of the ``uint8`` view ``field``, right-aligned behind NULs.
+
+    ``field`` holds ``(n, width)`` bytes, wide enough for ``first + n - 1``;
+    its rows need not be contiguous.  Eight digits go to a word through
+    ``reprs._ascii8``, so any row number of a ``SampleSpec`` takes three.
+    """
+    from . import reprs
+
+    n, width = field.shape
+    words = -(-width // 8)
+    rest = np.arange(first, first + n, dtype=np.uint64)
+    digits = np.empty((n, words), dtype="<u8")
+    for k in reversed(range(words)):
+        high = rest // _TEN8
+        digits[:, k] = reprs._ascii8(rest - high * _TEN8)
+        rest = high
+    field[:] = digits.view(np.uint8)[:, 8 * words - width :]
+    for p in range(1, width):  # rows below 10**p have no digit p: a prefix of the block
+        field[: max(10**p - first, 0), width - 1 - p] = 0
 
 
 class MarginsCsv:
@@ -835,18 +841,17 @@ class MarginsCsv:
     The header line is written at once; ``add(case_id, margins)`` writes a
     case's rows ``case_id,i,repr(margins[i])`` ``CSV_BLOCK_ROWS`` at a time
     and keeps nothing of them, so a caller can drop each case's margins as
-    soon as they are written.  No value costs a Python call:
-    ``reprs.repr_matrix`` gives the bytes of ``float.__repr__`` for a block
-    of margins as a NUL-padded matrix.  A block's rows are assembled side by
-    side in one ``uint8`` matrix, ``case_id,`` then the right-aligned index
-    digits and ``,``, then the margin bytes and ``\\n``, and the block is
-    written without its NULs.  The index digits are built for the longest
-    case so far, and every case reads a prefix of them.
+    soon as they are written.  No value costs a Python call.  A case's rows
+    are laid out side by side in one ``bytearray``, one block long:
+    ``case_id,`` then the right-aligned row number and ``,``, then the
+    margin's bytes and ``\\n``, each field NUL-padded.  Each block formats
+    its row numbers and margins (``reprs.repr_matrix``) straight into that
+    buffer, which is written without its NULs.  What a writer holds does
+    not grow with the count: the buffer and one block's temporaries.
     """
 
     def __init__(self, fh):
         self.fh = fh
-        self._index = _index_digits(0)
         fh.write(b"case_id,sample_index,margin\n")
 
     def add(self, case_id: str, margins) -> None:
@@ -854,20 +859,23 @@ class MarginsCsv:
         from . import reprs  # only a CSV needs it; ``verify`` without one never loads it
 
         m = np.asarray(margins, dtype=float)
-        if len(m) > len(self._index):
-            self._index = _index_digits(len(m))
+        if not len(m):
+            return
         head = f"{case_id},".encode()
-        cut = len(head) + self._index.shape[1]
-        # the block's rows side by side; head and newline columns are set once
-        rows = np.empty((min(len(m), CSV_BLOCK_ROWS), cut + reprs.WIDTH + 1), dtype=np.uint8)
+        index = slice(len(head), len(head) + len(str(len(m) - 1)))
+        value = slice(index.stop + 1, index.stop + 1 + reprs.WIDTH)
+        buf = bytearray(min(len(m), CSV_BLOCK_ROWS) * (value.stop + 1))
+        rows = np.frombuffer(buf, dtype=np.uint8).reshape(-1, value.stop + 1)
+        # the head, the comma after the row number and the newline, once per case
         rows[:, : len(head)] = np.frombuffer(head, dtype=np.uint8)
+        rows[:, index.stop] = ord(",")
         rows[:, -1] = ord("\n")
         for a in range(0, len(m), CSV_BLOCK_ROWS):
-            b = min(a + CSV_BLOCK_ROWS, len(m))
-            block = rows[: b - a]
-            block[:, len(head) : cut] = self._index[a:b]
-            block[:, cut:-1] = reprs.repr_matrix(m[a:b])[0]
-            self.fh.write(block.tobytes().translate(None, b"\0"))
+            block = rows[: len(m) - a]
+            _row_numbers(block[:, index], a)
+            reprs.repr_matrix(m[a : a + len(block)], out=block[:, value])
+            rows[len(block) :] = 0  # a short last block: the rows past it are NULs alone
+            self.fh.write(buf.translate(None, b"\0"))
 
 
 @dataclass(frozen=True)
@@ -895,11 +903,11 @@ class SuiteResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _to_json(self.to_dict())
 
     def data_json(self) -> str:
         """The deterministic payload only (no wall times); for golden comparison."""
-        return json.dumps(self.data_dict(), indent=2, sort_keys=True)
+        return _to_json(self.data_dict())
 
     def write_margins_csv(self, fh) -> None:
         """Write the margins CSV of the reports that kept their margins to the binary file ``fh``.
@@ -918,20 +926,52 @@ class SuiteResult:
         return buf.getvalue().decode("ascii")
 
 
+def _non_finite(value, path: str):
+    """``(path, value)`` of the first non-finite float in the JSON value ``value``, else None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (path, value)
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    for p, v in items:
+        found = _non_finite(v, p)
+        if found:
+            return found
+    return None
+
+
+def _to_json(payload: dict) -> str:
+    """``payload`` as JSON, which has no Infinity or NaN.
+
+    A non-finite value (a ``factor`` so large that the right side
+    overflows, say) raises ValueError naming the case and the field.
+    """
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        for case in payload.get("data", payload)["cases"]:
+            found = _non_finite(case, "")
+            if found:
+                raise ValueError(f"{case['case_id']}: {found[0]} is not finite: {found[1]}") from None
+        raise
+
+
 def run_suite(
     config: SuiteConfig, keep_margins: bool = True, on_margins: Callable | None = None
 ) -> SuiteResult:
     """Run every configured case; deterministic for a fixed config and seed.
 
     The cases share one disk-pair stream per ``SampleSpec``, released after
-    the last read the cases' ops announce, or on return.  With
-    ``on_margins``, each report's per-sample margins go to
-    ``on_margins(case_id, margins)`` in report order as soon as its checker
-    returns (a report without margins is skipped), such as
-    ``MarginsCsv(fh).add``; an exception it raises ends the run.  With
-    ``keep_margins`` false each report then drops its margins, so the run
-    holds those of one checker call at a time; only the margins CSV reads
-    them.
+    the last read the cases' ops announce, or on return.  Each report is
+    handed over as soon as it is made, before the next one is made: with
+    ``on_margins``, its per-sample margins go to ``on_margins(case_id,
+    margins)`` in report order (a report without margins is skipped), such
+    as ``MarginsCsv(fh).add``; an exception it raises ends the run.  With
+    ``keep_margins`` false the report then drops its margins, so the run
+    holds those of one report at a time; only the margins CSV reads them.
     """
     errors = validate_config(config)
     if errors:
@@ -940,25 +980,26 @@ def run_suite(
     spec = config.sample
     reports = []
 
-    def hand_over(made):
-        for r in made:
-            if on_margins and r.margins is not None:
-                on_margins(r.case_id, r.margins)
-            reports.append(r if keep_margins else replace(r, margins=None))
+    def hand_over(report):
+        """The report kept for the result; the only place margins are dropped."""
+        if on_margins and report.margins is not None:
+            on_margins(report.case_id, report.margins)
+        return report if keep_margins else replace(report, margins=None)
 
     reads = sum(OPS[cs.op][2] for cs in config.cases)
     streams = _SHARED_STREAMS.set({spec: (reads, None)})
-    keep = _KEEP_MARGINS.set(keep_margins or on_margins is not None)
     try:
         for cs in config.cases:
             if OPS[cs.op][0] is None:  # the function-free family: one report per distance
-                hand_over(verify_abs_inequalities(spec, dims=config.ball_dims, workers=config.workers))
+                made = verify_abs_inequalities(spec, dims=config.ball_dims, workers=config.workers)
+                # map() holds no report once hand_over returns, so each is
+                # released before the generator makes the next
+                reports.extend(map(hand_over, made))
             else:
                 # Resolved at call time, so a wrapper set on the module attribute is used.
                 check = globals()[f"verify_{cs.op}"]
-                hand_over([check(_build_case(cs), spec, config.workers)])
+                reports.append(hand_over(check(_build_case(cs), spec, config.workers)))
     finally:
-        _KEEP_MARGINS.reset(keep)
         _SHARED_STREAMS.reset(streams)
     overall = all(r.status == "pass" for r in reports)
     return SuiteResult(

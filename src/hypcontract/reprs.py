@@ -206,10 +206,14 @@ def _layout(neg, out, n, decpt) -> tuple:
     return src.view(np.uint8).reshape(-1)[gather], length[key]
 
 
-def repr_matrix(x) -> tuple:
-    """The bytes of ``float.__repr__`` of each value of ``x``: a NUL-padded matrix and the lengths."""
+def repr_matrix(x, out=None) -> tuple:
+    """The bytes of ``float.__repr__`` of each value of ``x``: a NUL-padded matrix and the lengths.
+
+    ``out``, a ``(len(x), WIDTH)`` ``uint8`` array or a view with any
+    strides, receives the matrix in place of a new one.
+    """
     x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
-    mat = np.empty((len(x), WIDTH), dtype=np.uint8)
+    mat = np.empty((len(x), WIDTH), dtype=np.uint8) if out is None else out
     lengths = np.empty(len(x), dtype=np.intp)
     for a in range(0, len(x), FORMAT_ROWS):
         b = min(a + FORMAT_ROWS, len(x))

@@ -279,7 +279,7 @@ def test_criterion_08_modulus_projection_on_the_ball():
     # projection contraction on balls of dimension 1..3; the one-dimensional
     # ball reduces exactly to the disk
     spec = SampleSpec(count=100_000)
-    reports = verify_abs_inequalities(spec, dims=(1, 2, 3))
+    reports = list(verify_abs_inequalities(spec, dims=(1, 2, 3)))
     mins = {r.case_id: r.min_margin for r in reports}
     for r in reports:
         assert r.status == "pass", r.case_id

@@ -299,6 +299,26 @@ class TestVerify:
         assert [p.name for p in tmp_path.iterdir()] == ["old.json"]
         assert old.read_text() == "old"  # the JSON is written after the run
 
+    @pytest.mark.parametrize("outputs", [False, True], ids=["no-outputs", "outputs"])
+    def test_non_finite_statistic_exits_2(self, tmp_path, capsys, outputs):
+        # factor * sigma overflows, so the mean margin is inf, which JSON cannot hold
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"cases": [{"op": "kv_factor", "function": "strip_map", "factor": 1e308}]}))
+        old = tmp_path / "old.json"
+        old.write_text("old")
+        argv = ["verify", "--config", str(cfg), "--count", "2000"]
+        if outputs:
+            argv += ["--json-out", str(old), "--csv-out", str(tmp_path / "new.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warnings do not reach the user
+            rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == "error: kv_factor:strip_map: mean_margin is not finite: inf\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json", "old.json"]
+        assert old.read_text() == "old"
+
     @pytest.mark.parametrize("csv_path", ["same.out", "./same.out"], ids=["literal", "dot-alias"])
     @pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
     def test_one_path_for_both_outputs_exits_2(self, tmp_path, capsys, monkeypatch, csv_path,

@@ -4,8 +4,10 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -416,7 +418,7 @@ class TestProofChain:
 
 class TestAbsInequalities:
     def test_ids_and_margins(self):
-        reports = verify_abs_inequalities(SampleSpec(count=2048), dims=(1, 2, 3))
+        reports = list(verify_abs_inequalities(SampleSpec(count=2048), dims=(1, 2, 3)))
         assert [r.case_id for r in reports] == [
             "abs_rho_disk",
             "abs_sigma_disk",
@@ -431,6 +433,27 @@ class TestAbsInequalities:
     def test_dims_subset(self):
         reports = verify_abs_inequalities(SampleSpec(count=256), dims=(2,))
         assert [r.case_id for r in reports] == ["abs_rho_disk", "abs_sigma_disk", "abs_beta_ball_n2"]
+
+    def test_each_report_is_handed_over_before_the_next_is_made(self, monkeypatch):
+        events, margins_made = [], []
+        original = harness._verify_pairs
+
+        def recording(case, *args, **kwargs):
+            # the margins of every earlier report are gone before this one is made
+            assert [ref() for ref in margins_made] == [None] * len(margins_made)
+            report = original(case, *args, **kwargs)
+            events.append(("made", case.id))
+            margins_made.append(weakref.ref(report.margins))
+            return report
+
+        monkeypatch.setattr(harness, "_verify_pairs", recording)
+        config = replace(default_config(count=2048), cases=(CaseSpec(op="abs_inequalities"),))
+        result = run_suite(
+            config, keep_margins=False, on_margins=lambda case_id, m: events.append(("handed", case_id))
+        )
+        ids = [r.case_id for r in result.reports]
+        assert len(ids) == 5
+        assert events == [e for case_id in ids for e in (("made", case_id), ("handed", case_id))]
 
 
 class TestDeterminism:
@@ -584,10 +607,57 @@ class TestMarginsCsv:
 
     @pytest.mark.parametrize("count", [0, 1, 10, 11, 1001, 100_001])
     def test_index_digits_are_the_row_numbers(self, count):
-        rows = harness._index_digits(count)
+        # a column's row numbers, written a block at a time, as the writer does
+        width = len(str(max(count - 1, 0)))
+        rows = np.zeros((count, width + 1), dtype=np.uint8)
+        rows[:, -1] = ord(",")
+        for a in range(0, count, 1000):
+            harness._row_numbers(rows[a : a + 1000, :-1], a)
         text = rows.tobytes().translate(None, b"\0").decode()
         assert text == "".join(f"{i}," for i in range(count))
-        assert rows.shape == (count, len(str(max(count - 1, 0))) + 1)
+
+    @pytest.mark.parametrize(
+        "first, n",
+        [
+            (0, 1),
+            (9, 2),  # 9 and 10
+            (harness.CSV_BLOCK_ROWS - 1, 2),  # the last row of a block and the first of the next
+            (6 * harness.CSV_BLOCK_ROWS, harness.CSV_BLOCK_ROWS),  # 99,999 and 100,000 inside a block
+            (10**8 - 2, 4),  # nine digits: two words
+            (10**16 - 2, 4),  # seventeen digits: three words
+            # the last rows of the longest stream a SampleSpec accepts
+            (np.iinfo(np.intp).max // np.dtype(complex).itemsize - 3, 3),
+        ],
+    )
+    def test_row_numbers_at_a_block_offset(self, first, n):
+        width = len(str(first + n - 1))
+        rows = np.full((n, width + 2), 0xFF, dtype=np.uint8)
+        field = rows[:, 1:-1]  # rows that are not contiguous, as in the writer's buffer
+        harness._row_numbers(field, first)
+        want = b"".join(str(i).encode().rjust(width, b"\0") for i in range(first, first + n))
+        assert field.tobytes() == want
+        assert (rows[:, 0] == 0xFF).all() and (rows[:, -1] == 0xFF).all()
+
+    def test_a_column_costs_one_block(self):
+        # What add() holds beside the margins: the row buffer of one block and
+        # that block's temporaries.  Measured at 1M rows: peaks of 2.1 MB, and
+        # 2.5 MB when the call builds the formatter's tables.  With the index
+        # digits that the writer once kept across cases (7 MB here), 11.0 MB.
+        margins = np.random.default_rng(1).standard_normal(1_000_000)
+        written = []
+
+        class Sink:
+            def write(self, data):
+                written.append(len(data))
+
+        tracemalloc.start()
+        try:
+            harness.MarginsCsv(Sink()).add("a_case", margins)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(written) == 1 + -(-len(margins) // harness.CSV_BLOCK_ROWS)
+        assert peak <= 3e6
 
     def test_file_holds_the_same_text(self, crafted_result, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", 7)
@@ -828,7 +898,7 @@ class TestBallViolationRecords:
 
         monkeypatch.setattr(ball, "beta", forced)
         # the ball report of dim: the driver on the ball-pair stream of dim
-        report = verify_abs_inequalities(spec, dims=(dim,), workers=2)[-1]
+        report = list(verify_abs_inequalities(spec, dims=(dim,), workers=2))[-1]
         assert report.case_id == f"abs_beta_ball_n{dim}"
         assert report.status == "violated"
         assert [v["index"] for v in report.violations] == targets
@@ -874,10 +944,13 @@ class TestKeepMargins:
         assert peak <= (40 + 2 * 8) * count + slack
 
     def test_streamed_csv_holds_one_case(self, tmp_path, capsys):
-        # verify --csv-out hands each case's margins to the CSV as its report
-        # is made, then drops them.  Measured at 100k samples: peaks of 10.3
-        # MB (the shared stream, 4 MB, the running case's margins and the CSV
-        # block in flight); keeping every case's margins to the end, 25.0 MB.
+        # verify --csv-out hands each report's margins to the CSV as the
+        # report is made, then drops them.  Measured at 100k samples: peaks of
+        # 7.5 MB, and 8.8 MB when the run builds the formatter's tables (the
+        # shared stream, 4 MB, the running case's margins and the CSV block
+        # in flight).  Holding the five abs reports together and the index
+        # digits across cases, 10.3 to 11.6 MB; keeping every case's margins
+        # to the end, 25.0 MB.
         path = tmp_path / "margins.csv"
         tracemalloc.start()
         try:
@@ -887,7 +960,7 @@ class TestKeepMargins:
             tracemalloc.stop()
         capsys.readouterr()
         assert rc == 0
-        assert peak <= 15e6
+        assert peak <= 10e6
 
     def test_csv_blocks_do_not_move_bytes(self, monkeypatch):
         result = run_suite(default_config(count=300))
@@ -931,6 +1004,21 @@ class TestSuiteResult:
         assert set(full) == {"data", "meta"}
         assert "wall_time" in full["meta"]
         assert full["data"] == json.loads(result.data_json())
+
+    @pytest.mark.parametrize(
+        "extras, violations, field",
+        [
+            ({"sup_ratio": math.nan}, (), "extras.sup_ratio is not finite: nan"),
+            ({"pair": [[0.0, 1.0], [-math.inf, 0.0]]}, (), "extras.pair[1][0] is not finite: -inf"),
+            ({}, ({"lhs": 1.0, "rhs": math.inf},), "violations[0].rhs is not finite: inf"),
+        ],
+    )
+    def test_json_names_a_non_finite_field(self, extras, violations, field):
+        report = replace(_report("a", None), extras=extras, violations=violations)
+        result = SuiteResult(overall_pass=False, reports=(_report("b", None), report), seed=0, wall_time=0.0)
+        for to_json in (result.to_json, result.data_json):
+            with pytest.raises(ValueError, match=re.escape(f"a: {field}")):
+                to_json()
 
     def test_margins_csv_layout(self, result):
         csv = result.margins_csv()

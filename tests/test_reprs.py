@@ -151,6 +151,17 @@ class TestFallback:
             i for i, (_, falls) in enumerate(EDGES * 2) if falls
         ]
 
+    def test_into_a_strided_view(self, monkeypatch):
+        # the margins CSV formats into its row buffer, fallback rows and format blocks included
+        monkeypatch.setattr(reprs, "FORMAT_ROWS", 3)
+        x = np.array([v for v, _ in EDGES] * 2)
+        rows = np.full((len(x), WIDTH + 5), 0xFF, dtype=np.uint8)
+        mat, lengths = repr_matrix(x, out=rows[:, 2:-3])
+        assert mat.base is rows
+        assert (rows[:, 2:-3] == _expected(x)[0]).all()
+        assert lengths.tolist() == _expected(x)[1]
+        assert (rows[:, :2] == 0xFF).all() and (rows[:, -3:] == 0xFF).all()
+
     def test_every_row_when_repr_is_not_short(self, monkeypatch):
         monkeypatch.setattr(sys, "float_repr_style", "legacy")
         x = np.array([0.1, -0.0, 1e-05])
