@@ -19,11 +19,13 @@ chunks: ``_map_chunks`` hands each pool task one block, which reads its rows
 of the stream, evaluates the catalog map and the distance kernels once on all
 of them, and writes its rows of full-length arrays in place.  Neither chunk
 nor block boundaries depend on the worker count, so a suite is bitwise
-reproducible at any parallelism level.  Within one ``run_suite`` call the
+reproducible at any parallelism level.  Both streams hold no distance: each
+read forms ``d`` on its own rows.  Within one ``run_suite`` call the
 disk-pair stream of a ``SampleSpec`` is drawn once, up front: full-length
-``z``, ``w`` and ``sigma(z, w)`` are filled in one pass and shared, and the
-last read that the suite's ops announce (``OPS``) releases them.  A ball-pair
-stream draws the chunks of each read and holds nothing.
+``z`` and ``w`` are filled in one pass and shared, and the last read that
+the suite's ops announce (``OPS``) releases them, a read that a failed
+curvature gate skips included.  A ball-pair stream draws the chunks of each
+read and holds nothing.
 
 A sampled case holds one full-length array, its margins (margin = rhs - lhs):
 each block reduces its two sides to their difference in place.  The sides of
@@ -271,31 +273,31 @@ def _draw_block(spec: SampleSpec, chunks: range, draw: Callable) -> tuple:
 _SHARED_STREAMS: ContextVar[dict | None] = ContextVar("_SHARED_STREAMS", default=None)
 
 
-def _disk_stream(spec: SampleSpec, workers: int) -> Callable:
-    """The disk-pair stream of ``spec``: rows of full-length ``z``, ``w`` and ``sigma(z, w)``.
+def _disk_stream(spec: SampleSpec, workers: int, draw: bool = True) -> Callable | None:
+    """The disk-pair stream of ``spec``: rows of full-length ``z`` and ``w``, ``d = sigma(z, w)``.
 
-    One ``_map_chunks`` pass fills the three arrays in place: each block
-    draws its chunks through ``disk_pair_chunk`` into its rows of ``z`` and
-    ``w``, then fills those rows of ``sigma`` with one call on the whole
-    block.  A read slices them.  Inside ``run_suite`` the stream is drawn
-    once per spec and shared until the last read the suite expects, which
-    releases it; any other call draws its own.
+    One ``_map_chunks`` pass fills ``z`` and ``w`` in place, each block
+    drawing its chunks through ``disk_pair_chunk`` into its rows.  A read
+    slices them and forms ``sigma`` on its own rows, as a ball-pair read
+    forms ``beta``.  Inside ``run_suite`` the stream is drawn once per spec
+    and shared until the last read the suite expects, which releases it;
+    any other call draws its own.  With ``draw`` false, as for a case whose
+    curvature gate failed, the read is counted and nothing is drawn; the
+    stream is returned only if it was drawn already.
     """
     shared = _SHARED_STREAMS.get() or {}
     reads, stream = shared.get(spec, (0, None))
-    if stream is None:
+    if stream is None and draw:
         z, w = np.empty(spec.count, dtype=complex), np.empty(spec.count, dtype=complex)
-        s = np.empty(spec.count)
-        draw = partial(disk_pair_chunk, spec)
+        pair = partial(disk_pair_chunk, spec)
 
         def one(chunks, a, b):
-            z[a:b], w[a:b] = _draw_block(spec, chunks, draw)
-            s[a:b] = sigma(z[a:b], w[a:b])
+            z[a:b], w[a:b] = _draw_block(spec, chunks, pair)
 
         _map_chunks(spec, one, workers)
 
         def stream(chunks, a, b):
-            return z[a:b], w[a:b], s[a:b]
+            return z[a:b], w[a:b], sigma(z[a:b], w[a:b])
 
     if reads > 1:
         shared[spec] = reads - 1, stream
@@ -318,6 +320,19 @@ def _ball_stream(spec: SampleSpec, dim: int) -> Callable:
 def _rows_of(*arrays) -> Callable:
     """The row lookup ``rows -> tuple(x[rows] for x in arrays)``."""
     return lambda rows: tuple(x[rows] for x in arrays)
+
+
+def _mean(margins: np.ndarray) -> float:
+    """``np.mean(margins)``, or, if its sum overflows on finite margins, their scaled mean.
+
+    The scaled mean divides by the largest magnitude first, so it stays
+    finite; the plain mean is kept wherever it is finite, so its bits hold.
+    """
+    mean = np.mean(margins)
+    if not np.isfinite(mean) and np.isfinite(margins).all():
+        scale = np.max(np.abs(margins))
+        mean = np.mean(margins / scale) * scale
+    return float(mean)
 
 
 def _finalize(
@@ -357,7 +372,7 @@ def _finalize(
         status="violated" if violations else "pass",
         samples_used=len(margins),
         min_margin=float(np.min(margins)),
-        mean_margin=float(np.mean(margins)),
+        mean_margin=_mean(margins),
         violations=tuple(violations),
         seed=spec_seed,
         wall_time=time.perf_counter() - t0,
@@ -401,9 +416,10 @@ def _verify_pairs(
 
     ``stream(chunks, a, b) -> (z, w, d)`` gives the pairs of rows [a, b),
     which the chunk range ``chunks`` covers, and their distance ``d``.  It
-    defaults to the disk-pair stream of ``spec`` (``d = sigma(z, w)``), read
-    once the curvature gate has passed.  Each block writes only its rows of
-    the margins.  The violation candidates and their pairs take one path on
+    defaults to the disk-pair stream of ``spec`` (``d = sigma(z, w)``), drawn
+    only once the curvature gate has passed; a case that fails the gate
+    still counts its read.  Each block writes only its rows of the margins.
+    The violation candidates and their pairs take one path on
     every stream, ``rows_at``: each chunk that holds one is read again
     through the stream on its own, and the picked pairs go through the same
     ``sides``, whose kernels are elementwise, so they give the bits of the
@@ -413,6 +429,8 @@ def _verify_pairs(
     t0 = time.perf_counter()
     failed = _gate(case, spec.seed, t0) if gated else None
     if failed:
+        if stream is None:
+            _disk_stream(spec, workers, draw=False)  # the read the case announced
         return failed
     stream = stream or _disk_stream(spec, workers)
     margins = np.empty(spec.count)
@@ -663,8 +681,7 @@ def verify_proof_chain(
 # the Re-image; "disk", a disk codomain; "strip", the Re-image (-1, 1); None,
 # no function or weight at all.  A ``weight`` is accepted only by "weight" ops,
 # a ``factor`` only by ops whose defaults carry one.  ``run_suite`` releases
-# the shared stream at the last read its cases add up to (a case whose
-# curvature gate fails reads nothing, and the stream then lives to the end).
+# the shared stream at the last read its cases add up to.
 OPS = {
     "re_contraction": ("weight", {}, 1),
     "pointwise_gradient": ("weight", {}, 0),

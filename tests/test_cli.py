@@ -319,6 +319,21 @@ class TestVerify:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json", "old.json"]
         assert old.read_text() == "old"
 
+    def test_overflowing_sum_of_finite_margins_has_a_finite_mean(self, tmp_path, capsys):
+        # margins up to 8.7e306, every one finite: their plain sum overflows,
+        # their mean (3.0e306) does not
+        cfg = tmp_path / "large.json"
+        cfg.write_text(json.dumps({"cases": [{"op": "kv_factor", "function": "strip_map", "factor": 1e306}]}))
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["verify", "--config", str(cfg), "--count", "2000", "--json-out", str(out)])
+        capsys.readouterr()
+        assert rc in (0, 1)
+        (case,) = json.loads(out.read_text())["data"]["cases"]
+        assert math.isfinite(case["mean_margin"])
+        assert 1e306 < case["mean_margin"] < 1e307
+
     @pytest.mark.parametrize("csv_path", ["same.out", "./same.out"], ids=["literal", "dot-alias"])
     @pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
     def test_one_path_for_both_outputs_exits_2(self, tmp_path, capsys, monkeypatch, csv_path,

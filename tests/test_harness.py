@@ -477,6 +477,16 @@ class TestDeterminism:
 
 
 class TestFinalize:
+    def test_mean_of_finite_margins_whose_sum_overflows(self):
+        margins = np.array([8e307, 9e307, -1e307, 7e307])
+        with np.errstate(over="ignore"):
+            assert np.mean(margins) == np.inf
+            assert harness._mean(margins) == pytest.approx(5.75e307, rel=1e-15)
+            # a finite plain mean keeps its bits; an infinite margin keeps its mean
+            small = np.random.default_rng(2).standard_normal(1000)
+            assert harness._mean(small) == float(np.mean(small))
+            assert harness._mean(np.append(margins, np.inf)) == np.inf
+
     @pytest.mark.parametrize("tol_rel", [-1e-9, -math.inf, math.nan])
     def test_rejects_a_negative_or_nan_tol_rel(self, tol_rel):
         with pytest.raises(ValueError, match="tol_rel must be >= 0"):
@@ -772,6 +782,83 @@ class TestSharedDiskStream:
             run_suite(default_config(count=256))
         assert harness._SHARED_STREAMS.get() is None
 
+    def test_a_failed_gate_takes_its_read_without_drawing(self, monkeypatch):
+        # The re_contraction case fails its curvature gate (2/(1-t^2) has
+        # curvature above -1), yet the read it announced is counted: the last
+        # disk read, abs_sigma_disk's, releases the stream before the ball
+        # reports run.
+        config = SuiteConfig(
+            sample=SampleSpec(count=512),
+            cases=(
+                CaseSpec(op="re_contraction", function="strip_map", weight="disk_diameter"),
+                CaseSpec(op="modulus_contraction", function="identity"),
+                CaseSpec(op="abs_inequalities"),
+            ),
+        )
+        drawn, seen = [], []
+        disk_original, ball_original = harness.disk_pair_chunk, harness.ball_pair_chunk
+
+        def counting(spec, ci, n, last):
+            drawn.append(ci)
+            return disk_original(spec, ci, n, last)
+
+        def spying(spec, dim, ci, n, last):
+            seen.append((dim, dict(harness._SHARED_STREAMS.get())))
+            return ball_original(spec, dim, ci, n, last)
+
+        monkeypatch.setattr(harness, "disk_pair_chunk", counting)
+        monkeypatch.setattr(harness, "ball_pair_chunk", spying)
+        alone = run_suite(replace(config, cases=config.cases[:1]))
+        assert alone.reports[0].status == "hypothesis-not-met"
+        assert drawn == []  # the failed case draws nothing
+        result = run_suite(config)
+        assert [r.status for r in result.reports[:2]] == ["hypothesis-not-met", "pass"]
+        assert drawn == [0]
+        assert seen == [(1, {}), (2, {}), (3, {})]
+
+    def test_a_read_forms_sigma_on_its_rows(self, monkeypatch):
+        # The stream holds z and w; each read forms sigma, which it looks up on
+        # the harness module, on its own rows: a whole block in the margins'
+        # pass, a single chunk when rows_at reads a candidate's chunk again.
+        spec = SampleSpec(count=BLOCKS_COUNT, seed=9)
+        block = harness.BLOCK_CHUNKS * CHUNK_SIZE
+        n_chunks = -(-spec.count // CHUNK_SIZE)
+        stream = harness._disk_stream(spec, 2)
+        z, w, d = stream(range(n_chunks), 0, spec.count)
+        assert d.tobytes() == sigma(z, w).tobytes()
+        chunks = range(harness.BLOCK_CHUNKS, 2 * harness.BLOCK_CHUNKS)
+        zb, wb, db = stream(chunks, block, 2 * block)
+        draws = [disk_pair_chunk(spec, ci, CHUNK_SIZE, False) for ci in chunks]
+        assert zb.tobytes() == np.concatenate([p[0] for p in draws]).tobytes()
+        assert wb.tobytes() == np.concatenate([p[1] for p in draws]).tobytes()
+        assert db.tobytes() == sigma(zb, wb).tobytes() == d[block : 2 * block].tobytes()
+
+        formed = []  # the row count of every sigma call
+
+        def counting_sigma(a, b):
+            formed.append(len(a))
+            return sigma(a, b)
+
+        monkeypatch.setattr(harness, "sigma", counting_sigma)
+        picks = [5, block + 77, spec.count - 2]  # the last chunk is partial
+        sided = []
+
+        def sides(a, b, s):
+            sided.append((a, b, s))
+            return np.where(np.isin(a, z[picks]), s + 1.0, 0.0), s
+
+        case = InequalityCase(id="x", tol_abs=1e-12, tol_rel=0.0)
+        report = harness._verify_pairs(case, spec, 1, sides, stream=stream)
+        # three full blocks and a partial one, then the chunks of the three picks
+        assert formed == [block] * 3 + [spec.count - 3 * block] + [
+            CHUNK_SIZE, CHUNK_SIZE, spec.count % CHUNK_SIZE
+        ]
+        assert [v["index"] for v in report.violations] == picks
+        zr, wr, dr = sided[-1]  # the candidates, picked from their re-read chunks
+        assert zr.tobytes() == z[picks].tobytes()
+        assert dr.tobytes() == d[picks].tobytes() == sigma(zr, wr).tobytes()
+        assert [v["rhs"] for v in report.violations] == d[picks].tolist()
+
     def test_shared_stream_matches_private_draws(self):
         # a suite case reads the shared stream; a bare call draws its own
         config = default_config(count=2 * CHUNK_SIZE + 3)
@@ -922,18 +1009,19 @@ class TestKeepMargins:
         assert dropped.margins_csv() == "case_id,sample_index,margin\n"
 
     def test_peak_memory_is_the_stream_and_one_case(self):
-        # What a suite holds at once: the shared stream (z, w and sigma: 40 B
-        # per sample) and 2 x 8 B per sample for the running case, plus block
+        # What a suite holds at once: the shared stream's draws (z and w: 32 B
+        # per sample), the running case's margins (8 B per sample) and block
         # slack, the temporaries of the blocks in flight, which does not grow
         # with the count.  Measured at 2**17 samples and 2 workers: peaks of
-        # 11.1 to 12.7 MB, in the dimension-3 ball report, where the stream is
-        # gone and two ball blocks hold about 5.4 MB of temporaries each; so
-        # the slack is 7 MiB.  Keeping the abs reports' margins until
-        # verify_abs_inequalities returns peaks at 15.2 to 16.4 MB, keeping the
-        # stream through the ball reports at 17.9 MB, and both together with
-        # every case's lhs and rhs beside its margins at 22.6 to 22.9 MB.
+        # 8.8 to 13.1 MB, the highest in the dimension-3 ball report, where the
+        # stream is gone and two ball blocks hold about 5.4 MB of temporaries
+        # each (the disk cases peak at 8.9 to 9.4 MB); so the slack is 8.5 MiB.
+        # Keeping the abs reports' margins until verify_abs_inequalities
+        # returned peaked at 15.2 to 16.4 MB, keeping the stream through the
+        # ball reports at 17.9 MB, and both together with every case's lhs and
+        # rhs beside its margins at 22.6 to 22.9 MB.
         count = 2**17
-        slack = 7 * 2**20
+        slack = 17 * 2**19  # 8.5 MiB
         tracemalloc.start()
         try:
             result = run_suite(default_config(count=count, workers=2), keep_margins=False)
@@ -941,7 +1029,29 @@ class TestKeepMargins:
         finally:
             tracemalloc.stop()
         assert result.overall_pass
-        assert peak <= (40 + 2 * 8) * count + slack
+        assert peak <= (32 + 8) * count + slack
+
+    def test_disk_cases_hold_the_draws_and_one_case(self):
+        # The four pair ops alone, so the peak is on the shared stream: its
+        # draws (32 B per sample), the running case's margins (8 B per sample)
+        # and block slack.  Measured at 2**19 samples and 2 workers: peaks of
+        # 24.2 to 25.2 MB, so the slack is 4.5 MiB.  A stream that also held
+        # sigma (8 B per sample more) peaked at 28.1 to 29.1 MB.
+        count = 2**19
+        slack = 9 * 2**19  # 4.5 MiB
+        config = default_config(count=count, workers=2)
+        config = replace(config, cases=tuple(cs for cs in config.cases if harness.OPS[cs.op][2] == 1))
+        assert {cs.op for cs in config.cases} == {
+            "re_contraction", "modulus_contraction", "schwarz_pick", "kv_factor"
+        }
+        tracemalloc.start()
+        try:
+            result = run_suite(config, keep_margins=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.overall_pass
+        assert peak <= (32 + 8) * count + slack
 
     def test_streamed_csv_holds_one_case(self, tmp_path, capsys):
         # verify --csv-out hands each report's margins to the CSV as the
