@@ -41,16 +41,21 @@ def mobius(a, z):
     return (a - z) / (1.0 - np.conj(a) * z)
 
 
-def rho(z, w):
-    """Pseudo-hyperbolic distance |phi_z(w)|, in [0, 1)."""
-    check_disk_point(z)
-    check_disk_point(w)
+def rho(z, w, checked=False):
+    """Pseudo-hyperbolic distance |phi_z(w)|, in [0, 1).
+
+    ``checked`` true says that z and w have passed ``check_disk_point``
+    already, so they are not checked again.
+    """
+    if not checked:
+        check_disk_point(z)
+        check_disk_point(w)
     return np.abs((z - w) / (1.0 - np.conj(z) * w))
 
 
-def sigma(z, w):
-    """Hyperbolic distance 2*atanh(rho(z, w))."""
-    return 2.0 * np.arctanh(rho(z, w))
+def sigma(z, w, checked=False):
+    """Hyperbolic distance 2*atanh(rho(z, w)); ``checked`` as for ``rho``."""
+    return 2.0 * np.arctanh(rho(z, w, checked))
 
 
 def sigma_real(a, b):

@@ -22,10 +22,11 @@ nor block boundaries depend on the worker count, so a suite is bitwise
 reproducible at any parallelism level.  Both streams hold no distance: each
 read forms ``d`` on its own rows.  Within one ``run_suite`` call the
 disk-pair stream of a ``SampleSpec`` is drawn once, up front: full-length
-``z`` and ``w`` are filled in one pass and shared, and the last read that
-the suite's ops announce (``OPS``) releases them, a read that a failed
-curvature gate skips included.  A ball-pair stream draws the chunks of each
-read and holds nothing.
+``z`` and ``w`` are filled and checked in one pass and shared, and the last
+read that the suite's ops announce (``OPS``) releases them, a read that a
+failed curvature gate skips included.  Its reads form ``sigma`` without
+checking the pairs again, and a read whose sides take no distance forms
+none.  A ball-pair stream draws the chunks of each read and holds nothing.
 
 A sampled case holds one full-length array, its margins (margin = rhs - lhs):
 each block reduces its two sides to their difference in place.  The sides of
@@ -75,7 +76,7 @@ from typing import Callable, Iterator
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from . import ball
+from . import ball, disk
 from .catalog import HoloFunction, catalog, get as catalog_get
 from .disk import BOUNDARY_GUARD, mobius, rho, sigma, sigma_real
 from .weights import (
@@ -273,36 +274,51 @@ def _draw_block(spec: SampleSpec, chunks: range, draw: Callable) -> tuple:
 _SHARED_STREAMS: ContextVar[dict | None] = ContextVar("_SHARED_STREAMS", default=None)
 
 
-def _disk_stream(spec: SampleSpec, workers: int, draw: bool = True) -> Callable | None:
+def _disk_stream(
+    spec: SampleSpec, workers: int, draw: bool = True, distance: bool = True
+) -> Callable | None:
     """The disk-pair stream of ``spec``: rows of full-length ``z`` and ``w``, ``d = sigma(z, w)``.
 
     One ``_map_chunks`` pass fills ``z`` and ``w`` in place, each block
-    drawing its chunks through ``disk_pair_chunk`` into its rows.  A read
-    slices them and forms ``sigma`` on its own rows, as a ball-pair read
-    forms ``beta``.  Inside ``run_suite`` the stream is drawn once per spec
-    and shared until the last read the suite expects, which releases it;
-    any other call draws its own.  With ``draw`` false, as for a case whose
-    curvature gate failed, the read is counted and nothing is drawn; the
-    stream is returned only if it was drawn already.
+    drawing its chunks through ``disk_pair_chunk`` into its rows and checking
+    them.  A read slices them and forms ``sigma`` on its own rows, without
+    checking them again, as a ball-pair read forms ``beta``; with
+    ``distance`` false, for sides that ignore ``d``, it gives ``d = None``.
+    Inside ``run_suite`` the stream is drawn once per spec and shared until
+    the last read the suite expects, which releases it; any other call draws
+    its own.  With ``draw`` false, as for a case whose curvature gate failed,
+    the read is counted, nothing is drawn and None is returned.
     """
     shared = _SHARED_STREAMS.get() or {}
-    reads, stream = shared.get(spec, (0, None))
-    if stream is None and draw:
+    reads, pairs = shared.get(spec, (0, None))
+    if pairs is None and draw:
         z, w = np.empty(spec.count, dtype=complex), np.empty(spec.count, dtype=complex)
         pair = partial(disk_pair_chunk, spec)
 
         def one(chunks, a, b):
             z[a:b], w[a:b] = _draw_block(spec, chunks, pair)
+            # looked up on the module, as rho looks it up, so a wrapper set there sees it
+            disk.check_disk_point(z[a:b])
+            disk.check_disk_point(w[a:b])
 
         _map_chunks(spec, one, workers)
 
-        def stream(chunks, a, b):
-            return z[a:b], w[a:b], sigma(z[a:b], w[a:b])
+        def pairs(a, b):
+            return z[a:b], w[a:b]
 
     if reads > 1:
-        shared[spec] = reads - 1, stream
+        shared[spec] = reads - 1, pairs
     else:
         shared.pop(spec, None)
+    if not draw:
+        return None
+
+    def stream(chunks, a, b):
+        zb, wb = pairs(a, b)
+        if not distance:
+            return zb, wb, None
+        return zb, wb, sigma(zb, wb, checked=True)
+
     return stream
 
 
@@ -411,14 +427,16 @@ def _verify_pairs(
     stream: Callable | None = None,
     gated: bool = False,
     on_block: Callable | None = None,
+    distance: bool = True,
 ) -> VerificationReport:
     """lhs <= rhs over a pair stream, for ``sides(z, w, d) -> (lhs, rhs)``.
 
     ``stream(chunks, a, b) -> (z, w, d)`` gives the pairs of rows [a, b),
     which the chunk range ``chunks`` covers, and their distance ``d``.  It
-    defaults to the disk-pair stream of ``spec`` (``d = sigma(z, w)``), drawn
-    only once the curvature gate has passed; a case that fails the gate
-    still counts its read.  Each block writes only its rows of the margins.
+    defaults to the disk-pair stream of ``spec`` (``d = sigma(z, w)``, or
+    None with ``distance`` false), drawn only once the curvature gate has
+    passed; a case that fails the gate still counts its read.  Each block
+    writes only its rows of the margins.
     The violation candidates and their pairs take one path on
     every stream, ``rows_at``: each chunk that holds one is read again
     through the stream on its own, and the picked pairs go through the same
@@ -432,7 +450,7 @@ def _verify_pairs(
         if stream is None:
             _disk_stream(spec, workers, draw=False)  # the read the case announced
         return failed
-    stream = stream or _disk_stream(spec, workers)
+    stream = stream or _disk_stream(spec, workers, distance=distance)
     margins = np.empty(spec.count)
 
     def one(chunks, a, b):
@@ -613,7 +631,8 @@ def verify_abs_inequalities(
     ] + [(f"beta_ball_n{dim}", _ball_stream(spec, dim), beta_sides) for dim in dims]
     for name, stream, sides in table:
         case = InequalityCase(id=f"abs_{name}", tol_abs=1e-12, tol_rel=0.0)
-        yield _verify_pairs(case, spec, workers, sides, stream)
+        # rho_disk's sides read no distance, so its reads form none
+        yield _verify_pairs(case, spec, workers, sides, stream, distance=name != "rho_disk")
 
 
 def verify_proof_chain(

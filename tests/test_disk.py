@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypcontract import disk
 from hypcontract.disk import (
     BOUNDARY_GUARD,
     check_disk_point,
@@ -128,3 +129,16 @@ def test_modulus_lower_bound_on_denominator():
     z, w = _pairs(20000, 11)
     assert np.all(np.abs(1.0 - np.conj(z) * w) >= 1.0 - np.abs(z) * np.abs(w) - 1e-15)
 
+
+
+def test_checked_points_keep_their_bits_and_skip_the_checks(monkeypatch):
+    z, w = _pairs(20_000, 7, cap=0.999)  # a block of 16,384 rows and more
+    w[-1] = z[-1]
+    plain_rho, plain_sigma = rho(z, w), sigma(z, w)
+    checks = []
+    monkeypatch.setattr(disk, "check_disk_point", checks.append)
+    assert rho(z, w, checked=True).tobytes() == plain_rho.tobytes()
+    assert sigma(z, w, checked=True).tobytes() == plain_sigma.tobytes()
+    assert checks == []
+    sigma(z, w)
+    assert len(checks) == 2

@@ -835,7 +835,8 @@ class TestSharedDiskStream:
 
         formed = []  # the row count of every sigma call
 
-        def counting_sigma(a, b):
+        def counting_sigma(a, b, checked=False):
+            assert checked  # the fill checked the pairs
             formed.append(len(a))
             return sigma(a, b)
 
@@ -858,6 +859,38 @@ class TestSharedDiskStream:
         assert zr.tobytes() == z[picks].tobytes()
         assert dr.tobytes() == d[picks].tobytes() == sigma(zr, wr).tobytes()
         assert [v["rhs"] for v in report.violations] == d[picks].tolist()
+
+    def test_the_fill_checks_the_draws(self, monkeypatch):
+        # The reads form sigma unchecked, so a draw outside the admissible
+        # disk is refused once, at the fill.
+        original = harness.disk_pair_chunk
+
+        def outside(spec, ci, n, last):
+            z, w = original(spec, ci, n, last)
+            if ci == 1:
+                w[3] = 1.0
+            return z, w
+
+        monkeypatch.setattr(harness, "disk_pair_chunk", outside)
+        with pytest.raises(ValueError, match="outside the admissible disk"):
+            harness._disk_stream(SampleSpec(count=3 * CHUNK_SIZE), 2)
+
+    def test_a_read_forms_no_distance_for_sides_that_take_none(self, monkeypatch):
+        # abs_rho_disk's sides ignore d: of the two disk reads of
+        # abs_inequalities, only abs_sigma_disk's forms sigma.
+        spec = SampleSpec(count=BLOCKS_COUNT, seed=4)
+        expected = [r.to_dict() for r in verify_abs_inequalities(spec, dims=())]
+        formed = []
+
+        def counting_sigma(a, b, checked=False):
+            formed.append(len(a))
+            return sigma(a, b, checked)
+
+        monkeypatch.setattr(harness, "sigma", counting_sigma)
+        reports = list(verify_abs_inequalities(spec, dims=()))
+        assert [r.to_dict() for r in reports] == expected
+        block = harness.BLOCK_CHUNKS * CHUNK_SIZE
+        assert formed == [block] * 3 + [spec.count - 3 * block]
 
     def test_shared_stream_matches_private_draws(self):
         # a suite case reads the shared stream; a bare call draws its own
@@ -1035,10 +1068,11 @@ class TestKeepMargins:
         # The four pair ops alone, so the peak is on the shared stream: its
         # draws (32 B per sample), the running case's margins (8 B per sample)
         # and block slack.  Measured at 2**19 samples and 2 workers: peaks of
-        # 24.2 to 25.2 MB, so the slack is 4.5 MiB.  A stream that also held
-        # sigma (8 B per sample more) peaked at 28.1 to 29.1 MB.
+        # 24.2 to 25.2 MB.  A stream that also held sigma (8 B per sample
+        # more) peaked at 28.1 to 29.1 MB, so the slack of 6 MiB puts the
+        # bound, 27.3 MB, about halfway between the two.
         count = 2**19
-        slack = 9 * 2**19  # 4.5 MiB
+        slack = 6 * 2**20
         config = default_config(count=count, workers=2)
         config = replace(config, cases=tuple(cs for cs in config.cases if harness.OPS[cs.op][2] == 1))
         assert {cs.op for cs in config.cases} == {
