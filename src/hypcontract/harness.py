@@ -1,16 +1,18 @@
 """Deterministic sampled verification of the contraction inequalities.
 
 ``OPS`` is the one op table: what each op needs of its catalog function, the
-case defaults it carries and how often it reads the disk-pair stream.
-``validate_config`` and ``run_suite`` read it; ``run_suite`` calls the
-checker ``verify_<op>(case, spec, workers)``.  Every sampled pair inequality
-goes through one driver, ``_verify_pairs``: the four pair ops
+case defaults it carries and whether it reads the disk-pair stream.
+``validate_config`` and ``run_suite`` read it.  ``run_suite`` plans one row
+``(case, check, reads_disk_stream)`` per report and calls
+``check(case, spec, workers)``: the checker ``verify_<op>`` of a case, or, for
+``abs_inequalities``, one row of ``_abs_cases`` per distance.  Every sampled
+pair inequality goes through one driver, ``_verify_pairs``: the four pair ops
 (``re_contraction``, ``modulus_contraction``, ``schwarz_pick``,
-``kv_factor``) and the five ``abs_inequalities`` reports, two on the
-disk-pair stream and one on the ball-pair stream of each dimension.  A stream
-``stream(chunks, a, b) -> (z, w, d)`` gives the pairs of rows [a, b) and
-their distance on the manifold; each case supplies only its ``sides(z, w, d)
--> (lhs, rhs)``.
+``kv_factor``) and the ``abs_inequalities`` rows, two on the disk-pair stream
+and one on the ball-pair stream of each dimension.  A stream ``stream(a, b)
+-> (z, w, d)`` gives the pairs of rows [a, b), on chunk bounds, and their
+distance on the manifold; each case supplies only its ``sides(z, w, d) ->
+(lhs, rhs)``.
 
 Pairs come from seeded substreams (one PCG64 stream per fixed-size chunk of
 1024 samples, keyed by seed, ball dimension and chunk index); chunks define
@@ -21,12 +23,13 @@ of them, and writes its rows of full-length arrays in place.  Neither chunk
 nor block boundaries depend on the worker count, so a suite is bitwise
 reproducible at any parallelism level.  Both streams hold no distance: each
 read forms ``d`` on its own rows.  Within one ``run_suite`` call the
-disk-pair stream of a ``SampleSpec`` is drawn once, up front: full-length
-``z`` and ``w`` are filled and checked in one pass and shared, and the last
-read that the suite's ops announce (``OPS``) releases them, a read that a
-failed curvature gate skips included.  Its reads form ``sigma`` without
-checking the pairs again, and a read whose sides take no distance forms
-none.  A ball-pair stream draws the chunks of each read and holds nothing.
+disk-pair stream of a ``SampleSpec`` is drawn once, by the first row that
+reads it: full-length ``z`` and ``w`` are filled and checked in one pass and
+shared, and ``run_suite`` releases them once the last row that reads them
+has made its report.  A case whose curvature gate fails reads nothing.  The
+reads form ``sigma`` without checking the pairs again, and a read whose sides
+take no distance forms none.  A ball-pair stream draws the chunks of each
+read and holds nothing.
 
 A sampled case holds one full-length array, its margins (margin = rhs - lhs):
 each block reduces its two sides to their difference in place.  The sides of
@@ -45,10 +48,10 @@ a kernel on the block path binds the right-hand temporary of a complex
 product to a name first (the sites say so), and the tests compare every
 kernel on one block against its chunks.
 Reports carry margin statistics.  Only the margins CSV reads the per-sample
-margins: ``run_suite`` hands each report over as soon as it is made (the
-abs family yields its five one at a time), its margins to a ``MarginsCsv``
-if asked to, and drops them there unless asked to keep them, so a run that
-streams the CSV holds the margins of one report and one CSV block at a time.
+margins: ``run_suite`` hands each report over as soon as its row has made
+it, its margins to a ``MarginsCsv`` if asked to, and drops them there unless
+asked to keep them, so a run that streams the CSV holds the margins of one
+report and one CSV block at a time.
 
 A sampled pair with margin below -(tol_abs + tol_rel*|rhs|) is a violation;
 the hypotheses are theorems, so violations indicate implementation bugs.  The
@@ -240,43 +243,43 @@ def ball_pair_chunk(spec: SampleSpec, dim: int, ci: int, n: int, last: bool):
 
 
 def _map_chunks(spec: SampleSpec, one: Callable, workers: int) -> None:
-    """``one(chunks, a, b)`` for every block: the chunk range ``chunks`` covering rows [a, b).
+    """``one(a, b)`` for the rows [a, b) of every block.
 
     A block is ``BLOCK_CHUNKS`` consecutive chunks (fewer at the end of the
     stream); each pool task evaluates one block and writes its rows in place.
     """
-    n_chunks = (spec.count + CHUNK_SIZE - 1) // CHUNK_SIZE
+    block = BLOCK_CHUNKS * CHUNK_SIZE
 
-    def bounded(c0):
-        chunks = range(c0, min(c0 + BLOCK_CHUNKS, n_chunks))
-        one(chunks, c0 * CHUNK_SIZE, min(chunks.stop * CHUNK_SIZE, spec.count))
+    def bounded(a):
+        one(a, min(a + block, spec.count))
 
-    starts = range(0, n_chunks, BLOCK_CHUNKS)
+    starts = range(0, spec.count, block)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             list(ex.map(bounded, starts))  # list() re-raises a block's exception
     else:
-        for c0 in starts:
-            bounded(c0)
+        for a in starts:
+            bounded(a)
 
 
-def _draw_block(spec: SampleSpec, chunks: range, draw: Callable) -> tuple:
-    """``z`` and ``w`` of the chunks ``chunks``, each drawn by ``draw(ci, n, last)``."""
+def _draw_block(spec: SampleSpec, a: int, b: int, draw: Callable) -> tuple:
+    """``z`` and ``w`` of the rows [a, b), each chunk drawn by ``draw(ci, n, last)``.
+
+    ``a`` is a chunk bound, and ``b`` a chunk bound or the end of the stream.
+    """
     drawn = []
-    for ci in chunks:
+    for ci in range(a // CHUNK_SIZE, -(-b // CHUNK_SIZE)):
         n = min(CHUNK_SIZE, spec.count - ci * CHUNK_SIZE)
         drawn.append(draw(ci, n, (ci + 1) * CHUNK_SIZE >= spec.count))
     return tuple(np.concatenate(part) for part in zip(*drawn))
 
 
-# SampleSpec -> (disk-stream reads still to come, the drawn stream or None)
-# while a run_suite call is in progress, else None.
+# SampleSpec -> its drawn disk-pair stream, while a run_suite call is in
+# progress, else None.
 _SHARED_STREAMS: ContextVar[dict | None] = ContextVar("_SHARED_STREAMS", default=None)
 
 
-def _disk_stream(
-    spec: SampleSpec, workers: int, draw: bool = True, distance: bool = True
-) -> Callable | None:
+def _disk_stream(spec: SampleSpec, workers: int, distance: bool = True) -> Callable:
     """The disk-pair stream of ``spec``: rows of full-length ``z`` and ``w``, ``d = sigma(z, w)``.
 
     One ``_map_chunks`` pass fills ``z`` and ``w`` in place, each block
@@ -284,19 +287,17 @@ def _disk_stream(
     them.  A read slices them and forms ``sigma`` on its own rows, without
     checking them again, as a ball-pair read forms ``beta``; with
     ``distance`` false, for sides that ignore ``d``, it gives ``d = None``.
-    Inside ``run_suite`` the stream is drawn once per spec and shared until
-    the last read the suite expects, which releases it; any other call draws
-    its own.  With ``draw`` false, as for a case whose curvature gate failed,
-    the read is counted, nothing is drawn and None is returned.
+    Inside ``run_suite`` the first read of a spec draws the stream and
+    shares it, until ``run_suite`` releases it; any other call draws its own.
     """
-    shared = _SHARED_STREAMS.get() or {}
-    reads, pairs = shared.get(spec, (0, None))
-    if pairs is None and draw:
+    shared = _SHARED_STREAMS.get()
+    pairs = shared.get(spec) if shared is not None else None
+    if pairs is None:
         z, w = np.empty(spec.count, dtype=complex), np.empty(spec.count, dtype=complex)
         pair = partial(disk_pair_chunk, spec)
 
-        def one(chunks, a, b):
-            z[a:b], w[a:b] = _draw_block(spec, chunks, pair)
+        def one(a, b):
+            z[a:b], w[a:b] = _draw_block(spec, a, b, pair)
             # looked up on the module, as rho looks it up, so a wrapper set there sees it
             disk.check_disk_point(z[a:b])
             disk.check_disk_point(w[a:b])
@@ -306,14 +307,10 @@ def _disk_stream(
         def pairs(a, b):
             return z[a:b], w[a:b]
 
-    if reads > 1:
-        shared[spec] = reads - 1, pairs
-    else:
-        shared.pop(spec, None)
-    if not draw:
-        return None
+        if shared is not None:
+            shared[spec] = pairs
 
-    def stream(chunks, a, b):
+    def stream(a, b):
         zb, wb = pairs(a, b)
         if not distance:
             return zb, wb, None
@@ -326,8 +323,8 @@ def _ball_stream(spec: SampleSpec, dim: int) -> Callable:
     """The ball-pair stream of dimension ``dim``: a read draws its chunks, ``d = beta(z, w)``."""
     draw = partial(ball_pair_chunk, spec, dim)
 
-    def stream(chunks, a, b):
-        z, w = _draw_block(spec, chunks, draw)
+    def stream(a, b):
+        z, w = _draw_block(spec, a, b, draw)
         return z, w, ball.beta(z, w)
 
     return stream
@@ -425,18 +422,15 @@ def _verify_pairs(
     workers: int,
     sides: Callable,
     stream: Callable | None = None,
-    gated: bool = False,
     on_block: Callable | None = None,
     distance: bool = True,
 ) -> VerificationReport:
     """lhs <= rhs over a pair stream, for ``sides(z, w, d) -> (lhs, rhs)``.
 
-    ``stream(chunks, a, b) -> (z, w, d)`` gives the pairs of rows [a, b),
-    which the chunk range ``chunks`` covers, and their distance ``d``.  It
-    defaults to the disk-pair stream of ``spec`` (``d = sigma(z, w)``, or
-    None with ``distance`` false), drawn only once the curvature gate has
-    passed; a case that fails the gate still counts its read.  Each block
-    writes only its rows of the margins.
+    ``stream(a, b) -> (z, w, d)`` gives the pairs of rows [a, b), on chunk
+    bounds, and their distance ``d``.  It defaults to the disk-pair stream
+    of ``spec`` (``d = sigma(z, w)``, or None with ``distance`` false).
+    Each block writes only its rows of the margins.
     The violation candidates and their pairs take one path on
     every stream, ``rows_at``: each chunk that holds one is read again
     through the stream on its own, and the picked pairs go through the same
@@ -445,16 +439,11 @@ def _verify_pairs(
     and distance of each block in that pass, ``a`` the block's first row.
     """
     t0 = time.perf_counter()
-    failed = _gate(case, spec.seed, t0) if gated else None
-    if failed:
-        if stream is None:
-            _disk_stream(spec, workers, draw=False)  # the read the case announced
-        return failed
     stream = stream or _disk_stream(spec, workers, distance=distance)
     margins = np.empty(spec.count)
 
-    def one(chunks, a, b):
-        z, w, d = stream(chunks, a, b)
+    def one(a, b):
+        z, w, d = stream(a, b)
         lhs, rhs = sides(z, w, d)
         margins[a:b] = rhs - lhs
         if on_block:
@@ -464,7 +453,7 @@ def _verify_pairs(
         picked, chunk_of = [], rows // CHUNK_SIZE
         for ci in sorted(set(chunk_of.tolist())):  # np.unique would import numpy.ma
             a = ci * CHUNK_SIZE
-            z, w, d = stream(range(ci, ci + 1), a, min(a + CHUNK_SIZE, spec.count))
+            z, w, d = stream(a, min(a + CHUNK_SIZE, spec.count))
             k = rows[chunk_of == ci] - a
             picked.append((z[k], w[k], d[k]))
         z, w, d = (np.concatenate(part) for part in zip(*picked))
@@ -485,7 +474,7 @@ def verify_re_contraction(
 ) -> VerificationReport:
     """d_w(Re f(z), Re f(w)) <= sigma(z, w), gated on curv_w <= -1."""
     sides = _bounded_by_sigma(case, _re_lhs(case.target))
-    return _verify_pairs(case, spec, workers, sides, gated=True)
+    return _gate(case, spec.seed, time.perf_counter()) or _verify_pairs(case, spec, workers, sides)
 
 
 def _re_lhs(weight: Weight) -> Callable:
@@ -614,12 +603,22 @@ def verify_abs_inequalities(
 ) -> Iterator[VerificationReport]:
     """Modulus-monotonicity margins: disk rho, disk sigma, ball beta per dim.
 
+    The reports of ``_abs_cases``, yielded in its order, each made only when
+    the previous one has been taken, so a caller that drops each report's
+    margins holds those of one report at a time.
+    """
+    for case, check, _ in _abs_cases(spec, dims):
+        yield check(case, spec, workers)
+
+
+def _abs_cases(spec: SampleSpec, dims: tuple) -> list:
+    """The rows ``(case, check, reads_disk_stream)`` of the ``abs_inequalities`` reports.
+
     On the disk-pair stream, rho(|z|, |w|) <= rho(z, w) and sigma(|z|, |w|) <=
     sigma(z, w); on the ball-pair stream of each dimension in ``dims``,
     beta(|z|, |w|) <= beta(z, w), with |z| the point (|z|,) of the slice B^1.
-    The reports are yielded in that order, each made only when the previous
-    one has been taken, so a caller that drops each report's margins holds
-    those of one report at a time.
+    ``check(case, spec, workers)`` makes a row's report, as a ``verify_*``
+    checker does.
     """
 
     def beta_sides(z, w, b):
@@ -629,10 +628,13 @@ def verify_abs_inequalities(
         ("rho_disk", None, lambda z, w, s: (rho(np.abs(z), np.abs(w)), rho(z, w))),
         ("sigma_disk", None, lambda z, w, s: (_modulus_lhs(z, w), s)),
     ] + [(f"beta_ball_n{dim}", _ball_stream(spec, dim), beta_sides) for dim in dims]
+    rows = []
     for name, stream, sides in table:
         case = InequalityCase(id=f"abs_{name}", tol_abs=1e-12, tol_rel=0.0)
         # rho_disk's sides read no distance, so its reads form none
-        yield _verify_pairs(case, spec, workers, sides, stream, distance=name != "rho_disk")
+        check = partial(_verify_pairs, sides=sides, stream=stream, distance=name != "rho_disk")
+        rows.append((case, check, stream is None))
+    return rows
 
 
 def verify_proof_chain(
@@ -696,20 +698,21 @@ def verify_proof_chain(
 
 
 # op -> (what the op needs of its catalog function, InequalityCase defaults,
-# reads of the disk-pair stream).  Needs: "weight", a weight whose domain holds
-# the Re-image; "disk", a disk codomain; "strip", the Re-image (-1, 1); None,
-# no function or weight at all.  A ``weight`` is accepted only by "weight" ops,
-# a ``factor`` only by ops whose defaults carry one.  ``run_suite`` releases
-# the shared stream at the last read its cases add up to.
+# whether it reads the disk-pair stream).  Needs: "weight", a weight whose
+# domain holds the Re-image; "disk", a disk codomain; "strip", the Re-image
+# (-1, 1); None, no function or weight at all.  A ``weight`` is accepted only
+# by "weight" ops, a ``factor`` only by ops whose defaults carry one.  The
+# function-free op is expanded by ``_abs_cases``, whose rows say which of its
+# reports read the stream.
 OPS = {
-    "re_contraction": ("weight", {}, 1),
-    "pointwise_gradient": ("weight", {}, 0),
-    "modulus_contraction": ("disk", {}, 1),
-    "schwarz_pick": ("disk", {}, 1),
-    "pavlovic": ("disk", {}, 0),
-    "kv_factor": ("strip", {"factor": KV_FACTOR}, 1),
-    "abs_inequalities": (None, {}, 2),
-    "proof_chain": ("weight", {"tol_abs": 1e-12}, 0),
+    "re_contraction": ("weight", {}, True),
+    "pointwise_gradient": ("weight", {}, False),
+    "modulus_contraction": ("disk", {}, True),
+    "schwarz_pick": ("disk", {}, True),
+    "pavlovic": ("disk", {}, False),
+    "kv_factor": ("strip", {"factor": KV_FACTOR}, True),
+    "abs_inequalities": (None, {}, True),
+    "proof_chain": ("weight", {"tol_abs": 1e-12}, False),
 }
 
 
@@ -1000,9 +1003,12 @@ def run_suite(
 ) -> SuiteResult:
     """Run every configured case; deterministic for a fixed config and seed.
 
-    The cases share one disk-pair stream per ``SampleSpec``, released after
-    the last read the cases' ops announce, or on return.  Each report is
-    handed over as soon as it is made, before the next one is made: with
+    The suite is planned first, one row ``(case, check, reads_disk_stream)``
+    per report: one per case, and the ``_abs_cases`` rows for
+    ``abs_inequalities``.  The rows share one disk-pair stream, drawn by the
+    first row that reads it and released as soon as the last such row has
+    made its report, or on return.  Each report is handed over as soon as
+    it is made, before the next one is made: with
     ``on_margins``, its per-sample margins go to ``on_margins(case_id,
     margins)`` in report order (a report without margins is skipped), such
     as ``MarginsCsv(fh).add``; an exception it raises ends the run.  With
@@ -1022,19 +1028,23 @@ def run_suite(
             on_margins(report.case_id, report.margins)
         return report if keep_margins else replace(report, margins=None)
 
-    reads = sum(OPS[cs.op][2] for cs in config.cases)
-    streams = _SHARED_STREAMS.set({spec: (reads, None)})
+    plan = []
+    for cs in config.cases:
+        if OPS[cs.op][0] is None:  # the function-free family: one row per distance
+            plan += _abs_cases(spec, config.ball_dims)
+        else:
+            # Looked up on the module, so a wrapper set on the module attribute is used.
+            plan.append((_build_case(cs), globals()[f"verify_{cs.op}"], OPS[cs.op][2]))
+    last_read = max((i for i, row in enumerate(plan) if row[2]), default=-1)
+    shared = {}
+    streams = _SHARED_STREAMS.set(shared)
     try:
-        for cs in config.cases:
-            if OPS[cs.op][0] is None:  # the function-free family: one report per distance
-                made = verify_abs_inequalities(spec, dims=config.ball_dims, workers=config.workers)
-                # map() holds no report once hand_over returns, so each is
-                # released before the generator makes the next
-                reports.extend(map(hand_over, made))
-            else:
-                # Resolved at call time, so a wrapper set on the module attribute is used.
-                check = globals()[f"verify_{cs.op}"]
-                reports.append(hand_over(check(_build_case(cs), spec, config.workers)))
+        for i, (case, check, _) in enumerate(plan):
+            report = check(case, spec, config.workers)
+            if i == last_read:  # released before the report is handed over
+                shared.clear()
+            reports.append(hand_over(report))
+            del report  # it may hold margins that hand_over dropped
     finally:
         _SHARED_STREAMS.reset(streams)
     overall = all(r.status == "pass" for r in reports)

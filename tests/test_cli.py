@@ -106,6 +106,15 @@ class TestVerify:
         assert "missing function" in text
         assert "'op' field" in text
 
+    def test_an_abs_report_id_is_no_op(self, tmp_path, capsys):
+        # run_suite expands abs_inequalities into its reports; their ids name no op
+        path = tmp_path / "abs.json"
+        path.write_text(json.dumps({"cases": [{"op": "abs_rho_disk"}]}))
+        rc = main(["verify", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert json.loads(err)["errors"] == ["abs_rho_disk: unknown op 'abs_rho_disk'"]
+
     def test_json_and_csv_outputs(self, tmp_path, capsys):
         jpath = tmp_path / "report.json"
         cpath = tmp_path / "margins.csv"

@@ -345,8 +345,7 @@ class TestBlockReduction:
     def test_kv_sup_ratio_is_the_full_array_argmax(self, monkeypatch, workers, lhs_kind):
         spec = SampleSpec(count=BLOCKS_COUNT, seed=3, scheme="boundary_biased")
         f = get("strip_map")
-        n_chunks = -(-spec.count // CHUNK_SIZE)
-        z, w, s = harness._disk_stream(spec, 1)(range(n_chunks), 0, spec.count)
+        z, w, s = harness._disk_stream(spec, 1)(0, spec.count)
         block = harness.BLOCK_CHUNKS * CHUNK_SIZE
         # NaN only at rows of the second and fourth block: the first NaN wins
         nan_at = f.eval(z[[block + 77, 3 * block + 5]])
@@ -782,11 +781,10 @@ class TestSharedDiskStream:
             run_suite(default_config(count=256))
         assert harness._SHARED_STREAMS.get() is None
 
-    def test_a_failed_gate_takes_its_read_without_drawing(self, monkeypatch):
+    def test_a_failed_gate_draws_nothing(self, monkeypatch):
         # The re_contraction case fails its curvature gate (2/(1-t^2) has
-        # curvature above -1), yet the read it announced is counted: the last
-        # disk read, abs_sigma_disk's, releases the stream before the ball
-        # reports run.
+        # curvature above -1), so it draws nothing; the stream goes after the
+        # last case that reads it, abs_sigma_disk, before the ball reports run.
         config = SuiteConfig(
             sample=SampleSpec(count=512),
             cases=(
@@ -816,18 +814,77 @@ class TestSharedDiskStream:
         assert drawn == [0]
         assert seen == [(1, {}), (2, {}), (3, {})]
 
+    def test_released_after_the_last_row_that_reads_it(self, monkeypatch):
+        # A failed gate first, the abs reports next, a disk case last: the
+        # stream is drawn once, by abs_rho_disk, and held through the ball
+        # reports until schwarz_pick:power has made its report.
+        spec = SampleSpec(count=3 * CHUNK_SIZE + 5)
+        config = SuiteConfig(
+            sample=spec,
+            cases=(
+                CaseSpec(op="re_contraction", function="strip_map", weight="disk_diameter"),
+                CaseSpec(op="abs_inequalities"),
+                CaseSpec(op="schwarz_pick", function="power"),
+            ),
+            workers=2,
+        )
+        drawn, shared, seen = [], [], []
+        disk_original, ball_original = harness.disk_pair_chunk, harness.ball_pair_chunk
+        stream_original = harness._disk_stream
+
+        def counting(spec, ci, n, last):
+            drawn.append(ci)
+            return disk_original(spec, ci, n, last)
+
+        def capturing(*args, **kwargs):
+            # the pool threads do not see the context variable; its dict is shared
+            shared.append(harness._SHARED_STREAMS.get())
+            return stream_original(*args, **kwargs)
+
+        def spying(spec, dim, ci, n, last):
+            seen.append((dim, frozenset(shared[0])))
+            return ball_original(spec, dim, ci, n, last)
+
+        monkeypatch.setattr(harness, "disk_pair_chunk", counting)
+        monkeypatch.setattr(harness, "_disk_stream", capturing)
+        monkeypatch.setattr(harness, "ball_pair_chunk", spying)
+        result = run_suite(config)
+        assert Counter(drawn) == {0: 1, 1: 1, 2: 1, 3: 1}
+        assert len(shared) == 3 and all(d is shared[0] for d in shared)
+        assert set(seen) == {(1, frozenset([spec])), (2, frozenset([spec])), (3, frozenset([spec]))}
+        assert shared[0] == {}
+        assert harness._SHARED_STREAMS.get() is None
+        monkeypatch.undo()
+        gated = InequalityCase(
+            id="re_contraction:strip_map:disk_diameter",
+            function=get("strip_map"),
+            target=disk_diameter_weight(),
+        )
+        power = InequalityCase(id="schwarz_pick:power", function=get("power"))
+        bare = [
+            verify_re_contraction(gated, spec, 2),
+            *verify_abs_inequalities(spec, workers=2),
+            verify_schwarz_pick(power, spec, 2),
+        ]
+        assert [r.status for r in result.reports] == ["hypothesis-not-met"] + ["pass"] * 6
+        assert [r.to_dict() for r in result.reports] == [r.to_dict() for r in bare]
+        for got, want in zip(result.reports, bare):
+            if want.margins is None:
+                assert got.margins is None
+            else:
+                np.testing.assert_array_equal(got.margins, want.margins)
+
     def test_a_read_forms_sigma_on_its_rows(self, monkeypatch):
         # The stream holds z and w; each read forms sigma, which it looks up on
         # the harness module, on its own rows: a whole block in the margins'
         # pass, a single chunk when rows_at reads a candidate's chunk again.
         spec = SampleSpec(count=BLOCKS_COUNT, seed=9)
         block = harness.BLOCK_CHUNKS * CHUNK_SIZE
-        n_chunks = -(-spec.count // CHUNK_SIZE)
         stream = harness._disk_stream(spec, 2)
-        z, w, d = stream(range(n_chunks), 0, spec.count)
+        z, w, d = stream(0, spec.count)
         assert d.tobytes() == sigma(z, w).tobytes()
+        zb, wb, db = stream(block, 2 * block)
         chunks = range(harness.BLOCK_CHUNKS, 2 * harness.BLOCK_CHUNKS)
-        zb, wb, db = stream(chunks, block, 2 * block)
         draws = [disk_pair_chunk(spec, ci, CHUNK_SIZE, False) for ci in chunks]
         assert zb.tobytes() == np.concatenate([p[0] for p in draws]).tobytes()
         assert wb.tobytes() == np.concatenate([p[1] for p in draws]).tobytes()
@@ -916,7 +973,7 @@ def _one_block(pair_chunk, *dim):
     """The pairs of one full block, drawn chunk by chunk, and its chunk bounds."""
     n = harness.BLOCK_CHUNKS * CHUNK_SIZE
     spec = SampleSpec(count=n + 1, seed=63)
-    z, w = harness._draw_block(spec, range(harness.BLOCK_CHUNKS), partial(pair_chunk, spec, *dim))
+    z, w = harness._draw_block(spec, 0, n, partial(pair_chunk, spec, *dim))
     assert z.nbytes >= ELISION_BYTES
     bounds = [(a, a + CHUNK_SIZE) for a in range(0, n, CHUNK_SIZE)]
     return z, w, bounds
@@ -1074,7 +1131,9 @@ class TestKeepMargins:
         count = 2**19
         slack = 6 * 2**20
         config = default_config(count=count, workers=2)
-        config = replace(config, cases=tuple(cs for cs in config.cases if harness.OPS[cs.op][2] == 1))
+        # the cases with a function whose op reads the stream
+        reads = [cs for cs in config.cases if harness.OPS[cs.op][2] and cs.function]
+        config = replace(config, cases=tuple(reads))
         assert {cs.op for cs in config.cases} == {
             "re_contraction", "modulus_contraction", "schwarz_pick", "kv_factor"
         }
