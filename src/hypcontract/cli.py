@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON suite config (default: built-in full suite)")
     p.add_argument("--seed", type=int, help="sampling seed override")
     p.add_argument("--count", type=int, help="samples per case override")
-    p.add_argument("--workers", type=int, help="parallel chunk workers")
+    p.add_argument("--workers", type=int, help="threads evaluating blocks, this one included")
     p.add_argument("--json-out", help="write the full JSON report here")
     p.add_argument("--csv-out", help="write per-sample margins CSV here")
     p.set_defaults(func=cmd_verify)

@@ -14,22 +14,26 @@ and one on the ball-pair stream of each dimension.  A stream ``stream(a, b)
 distance on the manifold; each case supplies only its ``sides(z, w, d) ->
 (lhs, rhs)``.
 
-Pairs come from seeded substreams (one PCG64 stream per fixed-size chunk of
-1024 samples, keyed by seed, ball dimension and chunk index); chunks define
-the stream.  The unit of evaluation is the block, ``BLOCK_CHUNKS`` consecutive
-chunks: ``_map_chunks`` hands each pool task one block, which reads its rows
-of the stream, evaluates the catalog map and the distance kernels once on all
-of them, and writes its rows of full-length arrays in place.  Neither chunk
-nor block boundaries depend on the worker count, so a suite is bitwise
-reproducible at any parallelism level.  Both streams hold no distance: each
-read forms ``d`` on its own rows.  Within one ``run_suite`` call the
-disk-pair stream of a ``SampleSpec`` is drawn once, by the first row that
-reads it: full-length ``z`` and ``w`` are filled and checked in one pass and
-shared, and ``run_suite`` releases them once the last row that reads them
-has made its report.  A case whose curvature gate fails reads nothing.  The
-reads form ``sigma`` without checking the pairs again, and a read whose sides
-take no distance forms none.  A ball-pair stream draws the chunks of each
-read and holds nothing.
+Pairs come from seeded substreams: one PCG64 stream per fixed-size chunk of
+1024 samples, keyed by seed, ball dimension and chunk index.  The chunk keys
+define the stream: a read of rows [a, b) draws each of its chunks from its
+own key, straight into the read's arrays, and then forms the points of all
+its rows at once, with the bits of each chunk formed on its own.  The unit
+of evaluation is the block, ``BLOCK_CHUNKS`` consecutive chunks:
+``_map_chunks`` runs the blocks on the calling thread and ``workers - 1``
+more, and each block reads its rows of the stream in one draw, evaluates the
+catalog map and the distance kernels once on all of them, and writes its
+rows of full-length arrays in place.  Neither chunk nor block boundaries
+depend on the worker count, so a suite is bitwise reproducible at any
+parallelism level.  Both streams hold no distance: each read forms ``d`` on
+its own rows.  Within one ``run_suite`` call the disk-pair stream of a
+``SampleSpec`` is drawn once, by the first row that reads it: full-length
+``z`` and ``w`` are filled and checked in one pass and shared, and
+``run_suite`` releases them once the last row that reads them has made its
+report.  A case whose curvature gate fails reads nothing.  The reads form
+``sigma`` without checking the pairs again, and a read whose sides take no
+distance forms none.  A ball-pair stream draws the rows of each read and
+holds nothing.
 
 A sampled case holds one full-length array, its margins (margin = rhs - lhs):
 each block reduces its two sides to their difference in place.  The sides of
@@ -45,8 +49,8 @@ computed in place into that temporary with the operands swapped, and the
 product of two complex arrays is not bitwise commutative (a real factor is
 harmless).  Chunks (at most 48 KiB) never reach the threshold, blocks do; so
 a kernel on the block path binds the right-hand temporary of a complex
-product to a name first (the sites say so), and the tests compare every
-kernel on one block against its chunks.
+product to a name first (the sites say so), and the tests compare the draws
+and every kernel on one block against its chunks.
 Reports carry margin statistics.  Only the margins CSV reads the per-sample
 margins: ``run_suite`` hands each report over as soon as its row has made
 it, its margins to a ``MarginsCsv`` if asked to, and drops them there unless
@@ -69,8 +73,8 @@ from __future__ import annotations
 import io
 import json
 import math
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -94,8 +98,9 @@ from .weights import (
 KV_FACTOR = 4.0 / math.pi
 DEFAULT_SEED = 101
 CHUNK_SIZE = 1024
-# Chunks per pool task.  Evaluation cost per numpy call is a few microseconds,
-# so per-chunk tasks spend the run trading the GIL; blocks of 16 amortize it.
+# Chunks per block, a thread's unit of work.  Evaluation cost per numpy call is
+# a few microseconds, so per-chunk work spends the run trading the GIL; blocks
+# of 16 amortize it.
 BLOCK_CHUNKS = 16
 CSV_BLOCK_ROWS = 16_384
 _TEN8 = np.uint64(10**8)  # a row number's digits go eight to a word
@@ -138,6 +143,9 @@ class SampleSpec:
             raise ValueError(f"sample count must be <= {longest}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        # numpy splits a larger seed into 32-bit words, so [2**32 + 5, 7] keys [5, 1, 7]
+        if self.seed >= 2**32:
+            raise ValueError("seed must be < 2**32")
         if not 0.0 < self.radius_cap <= 1.0 - BOUNDARY_GUARD:
             raise ValueError("radius_cap must lie in (0, 1 - boundary_guard]")
         if self.scheme not in SCHEMES:
@@ -208,70 +216,94 @@ def _radius(spec: SampleSpec, u: np.ndarray, ball_dim: int = 1) -> np.ndarray:
     return np.minimum(1.0 - 10.0 ** (-3.0 * u), spec.radius_cap)
 
 
-def disk_pair_chunk(spec: SampleSpec, ci: int, n: int, last: bool):
-    """Chunk ``ci`` of the disk-pair stream; the very last pair is degenerate."""
-    rng = np.random.default_rng([spec.seed, ci])
-    u = rng.random((4, n))
+def _chunk_rows(a: int, b: int) -> Iterator[tuple]:
+    """``(ci, lo, hi)``: each chunk ``ci`` of the rows [a, b) and its rows [lo, hi) of them.
+
+    ``a`` is a chunk bound, and ``b`` a chunk bound or the end of the stream,
+    so a chunk's rows are all its draws.
+    """
+    for ci in range(a // CHUNK_SIZE, -(-b // CHUNK_SIZE)):
+        yield ci, ci * CHUNK_SIZE - a, min((ci + 1) * CHUNK_SIZE, b) - a
+
+
+def disk_pair_chunk(spec: SampleSpec, a: int, b: int):
+    """The pairs of rows [a, b) of the disk-pair stream, with no degenerate pair.
+
+    Each chunk ``ci`` draws the variates of one ``(4, n)`` draw of its PCG64
+    stream, keyed ``[seed, ci]``, straight into the rows of the block's
+    arrays, one variate after another; radius and angle are then formed once
+    for all rows.  ``_disk_stream`` makes its last pair degenerate.
+    """
+    u = np.empty((4, b - a))
+    for ci, lo, hi in _chunk_rows(a, b):
+        rng = np.random.default_rng([spec.seed, ci])
+        for x in u:
+            rng.random(out=x[lo:hi])
     z = _radius(spec, u[0]) * np.exp(2j * np.pi * u[1])
     w = _radius(spec, u[2]) * np.exp(2j * np.pi * u[3])
-    if last:
-        w[-1] = z[-1]
     return z, w
 
 
-def ball_pair_chunk(spec: SampleSpec, dim: int, ci: int, n: int, last: bool):
-    """Chunk of pairs in the complex ball of dimension ``dim``.
+def ball_pair_chunk(spec: SampleSpec, dim: int, a: int, b: int):
+    """The pairs of rows [a, b) of the ball-pair stream of dimension ``dim``, with no degenerate pair.
 
-    The Gaussian draws ``g`` are read as complex coordinates in place and
-    scaled in real arithmetic: by ``1 / |vec|``, which is what numpy's
-    complex-by-real division multiplies by, then by the radius.  That gives
-    the bits of ``(g0 + 1j g1) / |vec| * r`` except, possibly, the sign of a
-    zero: a Gaussian draw of exactly 0.0, or a radius of exactly 0.0.
+    Each chunk ``ci`` draws, from its PCG64 stream keyed ``[seed, dim, ci]``,
+    the variates of one ``(2, n, dim, 2)`` Gaussian draw ``g`` and one
+    ``(2, n)`` uniform draw, in that order, straight into the rows of the
+    block's arrays; norm, radius and scaling then run once for all rows.
+    ``g`` is read as complex coordinates in place and scaled in real
+    arithmetic: by ``1 / |vec|``, which is what numpy's complex-by-real
+    division multiplies by, then by the radius.  That gives the bits of
+    ``(g0 + 1j g1) / |vec| * r`` except, possibly, the sign of a zero: a
+    Gaussian draw of exactly 0.0, or a radius of exactly 0.0.
     """
-    rng = np.random.default_rng([spec.seed, dim, ci])
-    g = rng.standard_normal((2, n, dim, 2))
-    u = rng.random((2, n))
+    g = np.empty((2, b - a, dim, 2))
+    u = np.empty((2, b - a))
+    for ci, lo, hi in _chunk_rows(a, b):
+        rng = np.random.default_rng([spec.seed, dim, ci])
+        for x in g:
+            rng.standard_normal(out=x[lo:hi])
+        for x in u:
+            rng.random(out=x[lo:hi])
     vec = g.view(complex)[..., 0]
     norms = np.maximum(ball.norm(vec), 1e-300)
     r = _radius(spec, u, ball_dim=dim)
     g *= (1.0 / norms)[..., np.newaxis, np.newaxis]
     g *= r[..., np.newaxis, np.newaxis]
-    z, w = vec[0], vec[1]
-    if last:
-        w[-1] = z[-1]
-    return z, w
+    return vec[0], vec[1]
 
 
 def _map_chunks(spec: SampleSpec, one: Callable, workers: int) -> None:
-    """``one(a, b)`` for the rows [a, b) of every block.
+    """``one(a, b)`` for the rows [a, b) of every block, on ``workers`` threads.
 
     A block is ``BLOCK_CHUNKS`` consecutive chunks (fewer at the end of the
-    stream); each pool task evaluates one block and writes its rows in place.
+    stream); each evaluates one block and writes its rows in place.  The
+    calling thread and ``workers - 1`` started ones take the blocks in row
+    order.  Once a block has failed no thread starts another, and the
+    exception of the lowest failing block is raised, as a serial loop would
+    raise it: every block below a started one has started.
     """
     block = BLOCK_CHUNKS * CHUNK_SIZE
+    starts = iter(range(0, spec.count, block))  # next() on it is atomic under the GIL
+    failed = {}  # first row of a failed block -> its exception
 
-    def bounded(a):
-        one(a, min(a + block, spec.count))
-
-    starts = range(0, spec.count, block)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(bounded, starts))  # list() re-raises a block's exception
-    else:
+    def work():
         for a in starts:
-            bounded(a)
+            if failed:
+                return
+            try:
+                one(a, min(a + block, spec.count))
+            except BaseException as exc:
+                failed[a] = exc
 
-
-def _draw_block(spec: SampleSpec, a: int, b: int, draw: Callable) -> tuple:
-    """``z`` and ``w`` of the rows [a, b), each chunk drawn by ``draw(ci, n, last)``.
-
-    ``a`` is a chunk bound, and ``b`` a chunk bound or the end of the stream.
-    """
-    drawn = []
-    for ci in range(a // CHUNK_SIZE, -(-b // CHUNK_SIZE)):
-        n = min(CHUNK_SIZE, spec.count - ci * CHUNK_SIZE)
-        drawn.append(draw(ci, n, (ci + 1) * CHUNK_SIZE >= spec.count))
-    return tuple(np.concatenate(part) for part in zip(*drawn))
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for t in threads:
+        t.start()
+    work()
+    for t in threads:
+        t.join()
+    if failed:
+        raise failed[min(failed)]
 
 
 # SampleSpec -> its drawn disk-pair stream, while a run_suite call is in
@@ -283,26 +315,27 @@ def _disk_stream(spec: SampleSpec, workers: int, distance: bool = True) -> Calla
     """The disk-pair stream of ``spec``: rows of full-length ``z`` and ``w``, ``d = sigma(z, w)``.
 
     One ``_map_chunks`` pass fills ``z`` and ``w`` in place, each block
-    drawing its chunks through ``disk_pair_chunk`` into its rows and checking
-    them.  A read slices them and forms ``sigma`` on its own rows, without
-    checking them again, as a ball-pair read forms ``beta``; with
-    ``distance`` false, for sides that ignore ``d``, it gives ``d = None``.
-    Inside ``run_suite`` the first read of a spec draws the stream and
-    shares it, until ``run_suite`` releases it; any other call draws its own.
+    drawing its rows in one ``disk_pair_chunk`` call and checking them; the
+    last pair is then made degenerate.  A read slices them and forms
+    ``sigma`` on its own rows, without checking them again, as a ball-pair
+    read forms ``beta``; with ``distance`` false, for sides that ignore
+    ``d``, it gives ``d = None``.  Inside ``run_suite`` the first read of a
+    spec draws the stream and shares it, until ``run_suite`` releases it;
+    any other call draws its own.
     """
     shared = _SHARED_STREAMS.get()
     pairs = shared.get(spec) if shared is not None else None
     if pairs is None:
         z, w = np.empty(spec.count, dtype=complex), np.empty(spec.count, dtype=complex)
-        pair = partial(disk_pair_chunk, spec)
 
         def one(a, b):
-            z[a:b], w[a:b] = _draw_block(spec, a, b, pair)
-            # looked up on the module, as rho looks it up, so a wrapper set there sees it
+            # looked up on the module, as rho looks them up, so a wrapper set there sees them
+            z[a:b], w[a:b] = disk_pair_chunk(spec, a, b)
             disk.check_disk_point(z[a:b])
             disk.check_disk_point(w[a:b])
 
         _map_chunks(spec, one, workers)
+        w[-1] = z[-1]
 
         def pairs(a, b):
             return z[a:b], w[a:b]
@@ -320,11 +353,15 @@ def _disk_stream(spec: SampleSpec, workers: int, distance: bool = True) -> Calla
 
 
 def _ball_stream(spec: SampleSpec, dim: int) -> Callable:
-    """The ball-pair stream of dimension ``dim``: a read draws its chunks, ``d = beta(z, w)``."""
-    draw = partial(ball_pair_chunk, spec, dim)
+    """The ball-pair stream of dimension ``dim``: a read draws its rows in one call, ``d = beta(z, w)``.
+
+    A read that ends the stream makes its last pair degenerate.
+    """
 
     def stream(a, b):
-        z, w = _draw_block(spec, a, b, draw)
+        z, w = ball_pair_chunk(spec, dim, a, b)
+        if b == spec.count:
+            w[-1] = z[-1]
         return z, w, ball.beta(z, w)
 
     return stream
@@ -660,7 +697,7 @@ def verify_proof_chain(
         return failed
 
     count = min(spec.count, 128)
-    z, w = disk_pair_chunk(spec, 0, min(spec.count, CHUNK_SIZE), False)
+    z, w = disk_pair_chunk(spec, 0, min(spec.count, CHUNK_SIZE))  # chunk 0, no degenerate pair
     z, w = z[:count], w[:count]
     x_nodes, wq = leggauss(8)
     tq = 0.5 * (x_nodes + 1.0)

@@ -284,7 +284,7 @@ def test_criterion_08_modulus_projection_on_the_ball():
     for r in reports:
         assert r.status == "pass", r.case_id
         assert r.samples_used == 100_000
-    z, w = ball_pair_chunk(SampleSpec(count=1000), 1, 0, 1000, False)
+    z, w = ball_pair_chunk(SampleSpec(count=1000), 1, 0, 1000)
     rho_gap = float(np.max(np.abs(ball.rho(z, w) - np.asarray(disk.rho(z[:, 0], w[:, 0])))))
     sig = np.asarray(disk.sigma(z[:, 0], w[:, 0]))
     beta_rel = float(

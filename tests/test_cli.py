@@ -245,6 +245,33 @@ class TestVerify:
         assert rc == 2
         assert json.loads(err)["errors"]
 
+    @pytest.mark.parametrize("route", ["flag", "config", "variable"])
+    def test_seed_of_2_to_32_is_a_config_error(self, tmp_path, capsys, monkeypatch, route):
+        # numpy would key 2**32 + 5 by the words [5, 1]: the streams of another seed
+        seed = str(2**32 + 5)
+        monkeypatch.delenv("HYPCONTRACT_SEED", raising=False)
+        argv = ["verify", "--count", "16"]
+        if route == "flag":
+            argv += ["--seed", seed]
+        elif route == "config":
+            path = tmp_path / "seed.json"
+            path.write_text(f'{{"sample": {{"seed": {seed}}}, "cases": [{{"op": "abs_inequalities"}}]}}')
+            argv += ["--config", str(path)]
+        else:
+            monkeypatch.setenv("HYPCONTRACT_SEED", seed)
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert json.loads(err)["errors"] == ["sample: seed must be < 2**32"]
+
+    def test_largest_seed_runs(self, tmp_path, capsys):
+        jpath = tmp_path / "out.json"
+        rc = main(["verify", "--count", "16", "--seed", str(2**32 - 1), "--json-out", str(jpath)])
+        capsys.readouterr()
+        assert rc == 0
+        assert json.loads(jpath.read_text())["data"]["seed"] == 2**32 - 1
+
     def test_every_bad_flag_is_reported(self, capsys):
         # the built-in suite takes the config-file route, which lists every error
         rc = main(["verify", "--count", "0", "--workers", "0"])

@@ -6,6 +6,8 @@ import json
 import math
 import re
 import sys
+import threading
+import time
 import tracemalloc
 import weakref
 from collections import Counter
@@ -65,28 +67,87 @@ class TestSampleSpec:
         with pytest.raises(ValueError):
             SampleSpec(count=10, seed=-1)
 
+    def test_rejects_seed_of_2_to_32_and_above(self):
+        assert SampleSpec(count=10, seed=2**32 - 1).seed == 2**32 - 1
+        for seed in (2**32, 2**32 + 5, 2**64):
+            with pytest.raises(ValueError, match=re.escape("seed must be < 2**32")):
+                SampleSpec(count=10, seed=seed)
+
+    def test_a_seed_past_32_bits_would_alias_another_stream(self):
+        # numpy splits the seed into 32-bit words, so disk chunk 7 at seed
+        # 2**32 + 5 would be keyed as ball chunk 7 of dimension 1 at seed 5
+        aliased = np.random.default_rng([2**32 + 5, 7]).random(8)
+        assert aliased.tobytes() == np.random.default_rng([5, 1, 7]).random(8).tobytes()
+
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
             SampleSpec(count=10, scheme="sobol")
 
 
+def _reference_disk_chunk(spec, ci, n, last):
+    """Chunk ``ci`` of the disk-pair stream, drawn and formed on its own (the reference)."""
+    rng = np.random.default_rng([spec.seed, ci])
+    u = rng.random((4, n))
+    z = harness._radius(spec, u[0]) * np.exp(2j * np.pi * u[1])
+    w = harness._radius(spec, u[2]) * np.exp(2j * np.pi * u[3])
+    if last:
+        w[-1] = z[-1]
+    return z, w
+
+
+def _reference_ball_chunk(spec, dim, ci, n, last):
+    """Chunk ``ci`` of the ball-pair stream of ``dim``, drawn and formed on its own (the reference)."""
+    rng = np.random.default_rng([spec.seed, dim, ci])
+    g = rng.standard_normal((2, n, dim, 2))
+    u = rng.random((2, n))
+    vec = g.view(complex)[..., 0]
+    norms = np.maximum(ball.norm(vec), 1e-300)
+    r = harness._radius(spec, u, ball_dim=dim)
+    g *= (1.0 / norms)[..., np.newaxis, np.newaxis]
+    g *= r[..., np.newaxis, np.newaxis]
+    z, w = vec[0], vec[1]
+    if last:
+        w[-1] = z[-1]
+    return z, w
+
+
+def _reference_rows(chunk, spec, a, b, *dim, degenerate=True):
+    """The rows [a, b) from the reference chunks; with ``degenerate``, the stream's last pair is."""
+    drawn = []
+    for ci in range(a // CHUNK_SIZE, -(-b // CHUNK_SIZE)):
+        n = min(CHUNK_SIZE, spec.count - ci * CHUNK_SIZE)
+        drawn.append(chunk(spec, *dim, ci, n, degenerate and (ci + 1) * CHUNK_SIZE >= spec.count))
+    return tuple(np.concatenate(part) for part in zip(*drawn))
+
+
 class TestSampling:
     def test_chunk_content_depends_only_on_seed_and_index(self):
         spec_a = SampleSpec(count=10_000, seed=5)
-        spec_b = SampleSpec(count=99, seed=5)
-        za, wa = disk_pair_chunk(spec_a, 0, 64, False)
-        zb, wb = disk_pair_chunk(spec_b, 0, 64, False)
+        spec_b = SampleSpec(count=2 * CHUNK_SIZE + 99, seed=5)
+        za, wa = disk_pair_chunk(spec_a, CHUNK_SIZE, 2 * CHUNK_SIZE)
+        zb, wb = disk_pair_chunk(spec_b, CHUNK_SIZE, 2 * CHUNK_SIZE)
         np.testing.assert_array_equal(za, zb)
         np.testing.assert_array_equal(wa, wb)
+        # the chunk's rows of a longer read are the same
+        z3, w3 = disk_pair_chunk(spec_a, 0, 3 * CHUNK_SIZE)
+        np.testing.assert_array_equal(z3[CHUNK_SIZE : 2 * CHUNK_SIZE], za)
+        np.testing.assert_array_equal(w3[CHUNK_SIZE : 2 * CHUNK_SIZE], wa)
 
     def test_final_pair_is_degenerate(self):
-        z, w = disk_pair_chunk(SampleSpec(count=100), 0, 100, True)
+        spec = SampleSpec(count=100)
+        z, w, _ = harness._disk_stream(spec, 1)(0, 100)
         assert z[-1] == w[-1]
         assert np.all(z[:-1] != w[:-1])
+        z, w, _ = harness._ball_stream(spec, 2)(0, 100)
+        assert (z[-1] == w[-1]).all()
+        assert np.all((z[:-1] != w[:-1]).any(axis=-1))
+        # the draws themselves have none: it is the stream's
+        z, w = disk_pair_chunk(spec, 0, 100)
+        assert np.all(z != w)
 
     def test_radius_cap_respected(self):
         for scheme in ("uniform_disk", "boundary_biased"):
-            z, w = disk_pair_chunk(SampleSpec(count=500, scheme=scheme, radius_cap=0.9), 0, 500, False)
+            z, w = disk_pair_chunk(SampleSpec(count=500, scheme=scheme, radius_cap=0.9), 0, 500)
             assert max(np.max(np.abs(z)), np.max(np.abs(w))) <= 0.9 + 1e-15
 
     def test_polar_grid_layout(self):
@@ -98,7 +159,7 @@ class TestSampling:
     @pytest.mark.parametrize("scheme", ["uniform_disk", "boundary_biased"])
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_ball_draw_has_the_bits_of_the_complex_expression(self, scheme, dim):
-        def complex_draw(spec, dim, ci, n, last):  # the reference, in complex arithmetic
+        def complex_draw(spec, dim, ci, n):  # the reference, in complex arithmetic
             rng = np.random.default_rng([spec.seed, dim, ci])
             g = rng.standard_normal((2, n, dim, 2))
             u = rng.random((2, n))
@@ -106,18 +167,153 @@ class TestSampling:
             norms = np.maximum(ball.norm(vec), 1e-300)
             r = harness._radius(spec, u, ball_dim=dim)
             pts = vec / norms[..., np.newaxis] * r[..., np.newaxis]
-            z, w = pts[0], pts[1]
-            if last:
-                w[-1] = z[-1]
-            return z, w
+            return pts[0], pts[1]
 
         for ci in range(40):
             spec = SampleSpec(count=40 * CHUNK_SIZE - 3, seed=ci % 5, scheme=scheme)
             n = CHUNK_SIZE - 3 if ci == 39 else CHUNK_SIZE
-            args = (spec, dim, ci, n, ci == 39)
-            for new, old in zip(harness.ball_pair_chunk(*args), complex_draw(*args)):
+            a = ci * CHUNK_SIZE
+            drawn = harness.ball_pair_chunk(spec, dim, a, a + n)
+            for new, old in zip(drawn, complex_draw(spec, dim, ci, n)):
                 assert new.shape == old.shape == (n, dim)
                 assert new.tobytes() == old.tobytes()
+
+
+class TestBlockDraws:
+    """A read draws its chunks in one call, with the bits of the chunks drawn one at a time."""
+
+    # three full blocks and a partial one, whose last chunk is partial
+    COUNT = 3 * 16 * CHUNK_SIZE + 2 * CHUNK_SIZE + 77
+
+    def _reads(self, count):
+        block = harness.BLOCK_CHUNKS * CHUNK_SIZE
+        bounds = [(a, min(a + block, count)) for a in range(0, count, block)]
+        # a chunk alone, the stream's last chunk alone, and the whole stream in one read
+        last = (count - 1) // CHUNK_SIZE * CHUNK_SIZE
+        return bounds + [(CHUNK_SIZE, 2 * CHUNK_SIZE), (last, count), (0, count)]
+
+    @pytest.mark.parametrize("scheme", harness.SCHEMES)
+    def test_disk(self, scheme):
+        spec = SampleSpec(count=self.COUNT, seed=11, scheme=scheme)
+        for a, b in self._reads(spec.count):
+            got = disk_pair_chunk(spec, a, b)
+            want = _reference_rows(_reference_disk_chunk, spec, a, b, degenerate=False)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        # the stream's last pair, and only that one, is degenerate
+        z, w, _ = harness._disk_stream(spec, 2)(0, spec.count)
+        want = _reference_rows(_reference_disk_chunk, spec, 0, spec.count)
+        assert [z.tobytes(), w.tobytes()] == [x.tobytes() for x in want]
+        assert z[-1] == w[-1] and np.all(z[:-1] != w[:-1])
+
+    @pytest.mark.parametrize("scheme", harness.SCHEMES)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_ball(self, scheme, dim):
+        spec = SampleSpec(count=self.COUNT, seed=12, scheme=scheme)
+        stream = harness._ball_stream(spec, dim)
+        for a, b in self._reads(spec.count):
+            got = harness.ball_pair_chunk(spec, dim, a, b)
+            want = _reference_rows(_reference_ball_chunk, spec, a, b, dim, degenerate=False)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+            z, w, d = stream(a, b)  # the degenerate pair only where a read ends the stream
+            want = _reference_rows(_reference_ball_chunk, spec, a, b, dim)
+            assert [z.tobytes(), w.tobytes()] == [x.tobytes() for x in want]
+            assert d.tobytes() == ball.beta(*want).tobytes()
+            equal = (z == w).all(axis=-1)
+            assert equal.tolist() == [b == spec.count and i == b - a - 1 for i in range(b - a)]
+
+    @pytest.mark.parametrize("count", [100, 128, 5 * CHUNK_SIZE])
+    def test_proof_chain_keeps_its_pairs(self, monkeypatch, count):
+        # its 128 pairs are the first rows of chunk 0, with no degenerate pair
+        # even where they end the stream
+        spec = SampleSpec(count=count, seed=3)
+        case = InequalityCase(
+            id="proof_chain:strip_map:strip",
+            function=get("strip_map"),
+            target=strip_weight(),
+            tol_abs=1e-12,
+        )
+        got = verify_proof_chain(case, spec)
+        chunk = partial(_reference_rows, _reference_disk_chunk, degenerate=False)
+        monkeypatch.setattr(harness, "disk_pair_chunk", chunk)
+        want = verify_proof_chain(case, spec)
+        assert got.to_dict() == want.to_dict()
+        assert got.margins.tobytes() == want.margins.tobytes()
+        assert got.samples_used == min(count, 128)
+        z, w = chunk(spec, 0, min(count, CHUNK_SIZE))
+        assert np.all(z[:128] != w[:128])
+
+
+class TestMapChunks:
+    """The calling thread and ``workers - 1`` started threads evaluate the blocks."""
+
+    BLOCKS = 40
+
+    @pytest.fixture
+    def spec(self, monkeypatch):
+        monkeypatch.setattr(harness, "BLOCK_CHUNKS", 1)  # one chunk a block: 40 blocks
+        return SampleSpec(count=self.BLOCKS * CHUNK_SIZE)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_lower_failing_block_raises_and_no_block_starts_after(self, spec, workers):
+        # Block 3 fails after block 6 has failed (when another thread can
+        # reach block 6 meanwhile); the error raised is block 3's, as a
+        # serial loop would raise it.
+        lock = threading.Lock()
+        started, after = [], []  # blocks started; those started once a failure was raised
+        six_failed = threading.Event()
+
+        def one(a, b):
+            k = a // CHUNK_SIZE
+            with lock:
+                started.append(k)
+                if six_failed.is_set():
+                    after.append(k)
+            if k == 3:
+                if workers > 1:
+                    assert six_failed.wait(timeout=30)
+                raise ValueError("block 3")
+            if k == 6:
+                six_failed.set()
+                raise RuntimeError("block 6")
+
+        with pytest.raises(ValueError, match="block 3"):
+            harness._map_chunks(spec, one, workers)
+        if workers == 1:
+            assert started == [0, 1, 2, 3]
+        else:
+            assert sorted(started)[:7] == list(range(7))
+            # only a thread that had passed its check before block 6 raised
+            # starts one block more
+            assert len(after) <= workers - 1
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_blocks_run_on_the_caller_and_workers_minus_one_threads(self, spec, workers):
+        threads = []
+
+        def one(a, b):
+            threads.append(threading.get_ident())
+            time.sleep(0.002)  # lets every thread take blocks
+
+        harness._map_chunks(spec, one, workers)
+        assert len(threads) == self.BLOCKS
+        assert len(set(threads)) == workers
+        assert threading.get_ident() in threads
+
+    def test_one_worker_starts_no_thread(self, spec, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was created")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        rows = []
+        harness._map_chunks(spec, lambda a, b: rows.append((a, b)), 1)
+        assert rows == [(a, a + CHUNK_SIZE) for a in range(0, spec.count, CHUNK_SIZE)]
+
+    def test_more_workers_than_blocks(self):
+        # 2,051 samples are one block; the two threads beside the caller find none
+        serial = run_suite(default_config(count=2051, workers=1))
+        result = run_suite(default_config(count=2051, workers=3))
+        assert result.data_json() == serial.data_json()
+        assert result.margins_csv() == serial.margins_csv()
 
 
 class TestCaseIds:
@@ -705,6 +901,11 @@ class TestMarginsCsv:
         assert path.read_bytes() == suite_3000.margins_csv().encode()
 
 
+def _chunks_of(reads):
+    """The chunk index of every chunk that the reads ``(a, b)`` cover, read by read."""
+    return [ci for a, b in reads for ci in range(a // CHUNK_SIZE, -(-b // CHUNK_SIZE))]
+
+
 class TestSharedDiskStream:
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_each_chunk_drawn_once_per_suite(self, monkeypatch, workers):
@@ -715,12 +916,12 @@ class TestSharedDiskStream:
         drawn = []  # list.append is atomic; a Counter increment is not
         original = harness.disk_pair_chunk
 
-        def counting(spec, ci, n, last):
-            drawn.append(ci)
-            return original(spec, ci, n, last)
+        def counting(spec, a, b):
+            drawn.append((a, b))
+            return original(spec, a, b)
 
         monkeypatch.setattr(harness, "disk_pair_chunk", counting)
-        # one chunk per block, so the workers fill the shared stream and the
+        # one chunk per block, so the threads fill the shared stream and the
         # ball rows side by side
         monkeypatch.setattr(harness, "BLOCK_CHUNKS", 1)
         # frequent thread switches, so a chunk filled twice or half filled would show
@@ -732,8 +933,13 @@ class TestSharedDiskStream:
             sys.setswitchinterval(interval)
         n_proof_chain = sum(cs.op == "proof_chain" for cs in config.cases)
         assert n_proof_chain == 2
-        # every chunk once for the shared stream; chunk 0 again per proof-chain replay
-        assert Counter(drawn) == {0: 1 + n_proof_chain, 1: 1, 2: 1, 3: 1}
+        # every chunk once for the shared stream, one read a block; chunk 0
+        # again per proof-chain replay
+        assert Counter(_chunks_of(drawn)) == {0: 1 + n_proof_chain, 1: 1, 2: 1, 3: 1}
+        assert Counter(drawn) == {
+            (0, CHUNK_SIZE): 1 + n_proof_chain,
+            **{(a, a + CHUNK_SIZE): 1 for a in range(CHUNK_SIZE, 4 * CHUNK_SIZE, CHUNK_SIZE)},
+        }
         assert result.overall_pass
         assert result.data_json() == serial.data_json()
         assert result.margins_csv() == serial.margins_csv()
@@ -744,9 +950,9 @@ class TestSharedDiskStream:
         drawn = []
         original = harness.disk_pair_chunk
 
-        def counting(spec, ci, n, last):
-            drawn.append(ci)
-            return original(spec, ci, n, last)
+        def counting(spec, a, b):
+            drawn.append((a, b))
+            return original(spec, a, b)
 
         monkeypatch.setattr(harness, "disk_pair_chunk", counting)
         case = InequalityCase(id="schwarz_pick:power", function=get("power"))
@@ -754,7 +960,9 @@ class TestSharedDiskStream:
         first = verify_schwarz_pick(case, spec)
         second = verify_schwarz_pick(case, spec)
         assert harness._SHARED_STREAMS.get() is None
-        assert Counter(drawn) == {0: 2, 1: 2}  # no cache outlives a bare call
+        # no cache outlives a bare call: each draws its one block again
+        assert Counter(_chunks_of(drawn)) == {0: 2, 1: 2}
+        assert drawn == [(0, spec.count)] * 2
         np.testing.assert_array_equal(first.margins, second.margins)
 
     def test_released_after_its_last_read(self, monkeypatch):
@@ -763,12 +971,12 @@ class TestSharedDiskStream:
         seen = []
         original = harness.ball_pair_chunk
 
-        def spying(spec, dim, ci, n, last):
+        def spying(spec, dim, a, b):
             seen.append((dim, dict(harness._SHARED_STREAMS.get())))
-            return original(spec, dim, ci, n, last)
+            return original(spec, dim, a, b)
 
         monkeypatch.setattr(harness, "ball_pair_chunk", spying)
-        result = run_suite(default_config(count=512))  # one chunk per ball stream
+        result = run_suite(default_config(count=512))  # one read per ball stream
         assert result.overall_pass
         assert seen == [(1, {}), (2, {}), (3, {})]
 
@@ -796,13 +1004,13 @@ class TestSharedDiskStream:
         drawn, seen = [], []
         disk_original, ball_original = harness.disk_pair_chunk, harness.ball_pair_chunk
 
-        def counting(spec, ci, n, last):
-            drawn.append(ci)
-            return disk_original(spec, ci, n, last)
+        def counting(spec, a, b):
+            drawn.append((a, b))
+            return disk_original(spec, a, b)
 
-        def spying(spec, dim, ci, n, last):
+        def spying(spec, dim, a, b):
             seen.append((dim, dict(harness._SHARED_STREAMS.get())))
-            return ball_original(spec, dim, ci, n, last)
+            return ball_original(spec, dim, a, b)
 
         monkeypatch.setattr(harness, "disk_pair_chunk", counting)
         monkeypatch.setattr(harness, "ball_pair_chunk", spying)
@@ -811,7 +1019,7 @@ class TestSharedDiskStream:
         assert drawn == []  # the failed case draws nothing
         result = run_suite(config)
         assert [r.status for r in result.reports[:2]] == ["hypothesis-not-met", "pass"]
-        assert drawn == [0]
+        assert drawn == [(0, 512)]
         assert seen == [(1, {}), (2, {}), (3, {})]
 
     def test_released_after_the_last_row_that_reads_it(self, monkeypatch):
@@ -832,24 +1040,25 @@ class TestSharedDiskStream:
         disk_original, ball_original = harness.disk_pair_chunk, harness.ball_pair_chunk
         stream_original = harness._disk_stream
 
-        def counting(spec, ci, n, last):
-            drawn.append(ci)
-            return disk_original(spec, ci, n, last)
+        def counting(spec, a, b):
+            drawn.append((a, b))
+            return disk_original(spec, a, b)
 
         def capturing(*args, **kwargs):
             # the pool threads do not see the context variable; its dict is shared
             shared.append(harness._SHARED_STREAMS.get())
             return stream_original(*args, **kwargs)
 
-        def spying(spec, dim, ci, n, last):
+        def spying(spec, dim, a, b):
             seen.append((dim, frozenset(shared[0])))
-            return ball_original(spec, dim, ci, n, last)
+            return ball_original(spec, dim, a, b)
 
         monkeypatch.setattr(harness, "disk_pair_chunk", counting)
         monkeypatch.setattr(harness, "_disk_stream", capturing)
         monkeypatch.setattr(harness, "ball_pair_chunk", spying)
         result = run_suite(config)
-        assert Counter(drawn) == {0: 1, 1: 1, 2: 1, 3: 1}
+        assert Counter(_chunks_of(drawn)) == {0: 1, 1: 1, 2: 1, 3: 1}
+        assert drawn == [(0, spec.count)]  # one block
         assert len(shared) == 3 and all(d is shared[0] for d in shared)
         assert set(seen) == {(1, frozenset([spec])), (2, frozenset([spec])), (3, frozenset([spec]))}
         assert shared[0] == {}
@@ -884,10 +1093,9 @@ class TestSharedDiskStream:
         z, w, d = stream(0, spec.count)
         assert d.tobytes() == sigma(z, w).tobytes()
         zb, wb, db = stream(block, 2 * block)
-        chunks = range(harness.BLOCK_CHUNKS, 2 * harness.BLOCK_CHUNKS)
-        draws = [disk_pair_chunk(spec, ci, CHUNK_SIZE, False) for ci in chunks]
-        assert zb.tobytes() == np.concatenate([p[0] for p in draws]).tobytes()
-        assert wb.tobytes() == np.concatenate([p[1] for p in draws]).tobytes()
+        draws = _reference_rows(_reference_disk_chunk, spec, block, 2 * block)
+        assert zb.tobytes() == draws[0].tobytes()
+        assert wb.tobytes() == draws[1].tobytes()
         assert db.tobytes() == sigma(zb, wb).tobytes() == d[block : 2 * block].tobytes()
 
         formed = []  # the row count of every sigma call
@@ -922,10 +1130,10 @@ class TestSharedDiskStream:
         # disk is refused once, at the fill.
         original = harness.disk_pair_chunk
 
-        def outside(spec, ci, n, last):
-            z, w = original(spec, ci, n, last)
-            if ci == 1:
-                w[3] = 1.0
+        def outside(spec, a, b):
+            z, w = original(spec, a, b)
+            if a <= CHUNK_SIZE + 3 < b:  # row 3 of chunk 1
+                w[CHUNK_SIZE + 3 - a] = 1.0
             return z, w
 
         monkeypatch.setattr(harness, "disk_pair_chunk", outside)
@@ -973,7 +1181,7 @@ def _one_block(pair_chunk, *dim):
     """The pairs of one full block, drawn chunk by chunk, and its chunk bounds."""
     n = harness.BLOCK_CHUNKS * CHUNK_SIZE
     spec = SampleSpec(count=n + 1, seed=63)
-    z, w = harness._draw_block(spec, 0, n, partial(pair_chunk, spec, *dim))
+    z, w = pair_chunk(spec, *dim, 0, n)
     assert z.nbytes >= ELISION_BYTES
     bounds = [(a, a + CHUNK_SIZE) for a in range(0, n, CHUNK_SIZE)]
     return z, w, bounds
@@ -1058,10 +1266,9 @@ class TestBallViolationRecords:
         targets = [0, harness.BLOCK_CHUNKS * CHUNK_SIZE - 1, count - 3, count - 1]
 
         def pair(i):
-            ci = i // CHUNK_SIZE
-            n = min(CHUNK_SIZE, count - ci * CHUNK_SIZE)
-            z, w = harness.ball_pair_chunk(spec, dim, ci, n, (ci + 1) * CHUNK_SIZE >= count)
-            return z[i % CHUNK_SIZE], w[i % CHUNK_SIZE]
+            a = i // CHUNK_SIZE * CHUNK_SIZE
+            z, w = _reference_rows(_reference_ball_chunk, spec, a, min(a + CHUNK_SIZE, count), dim)
+            return z[i - a], w[i - a]
 
         target_z = np.array([pair(i)[0] for i in targets])
         original = ball.beta
