@@ -152,7 +152,9 @@ def _load_config(args) -> SuiteConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError([f"cannot read config: {exc}"])
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"config is not UTF-8: {exc}"])
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ConfigError([f"config is not valid JSON: {exc}"])
     return _config_from_dict(raw, args)
 
@@ -351,7 +353,10 @@ def cmd_report(args) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except UnicodeDecodeError as exc:
+        sys.stderr.write(f"error: {args.path} is not UTF-8: {exc}\n")
+        return 2
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
         sys.stderr.write(f"error: {exc}\n")
         return 2
     try:

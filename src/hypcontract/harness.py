@@ -3,16 +3,17 @@
 ``OPS`` is the one op table: what each op needs of its catalog function, the
 case defaults it carries and whether it reads the disk-pair stream.
 ``validate_config`` and ``run_suite`` read it.  ``run_suite`` plans one row
-``(case, check, reads_disk_stream)`` per report and calls
-``check(case, spec, workers)``: the checker ``verify_<op>`` of a case, or, for
-``abs_inequalities``, one row of ``_abs_cases`` per distance.  Every sampled
-pair inequality goes through one driver, ``_verify_pairs``: the four pair ops
-(``re_contraction``, ``modulus_contraction``, ``schwarz_pick``,
-``kv_factor``) and the ``abs_inequalities`` rows, two on the disk-pair stream
-and one on the ball-pair stream of each dimension.  A stream ``stream(a, b)
--> (z, w, d)`` gives the pairs of rows [a, b), on chunk bounds, and their
-distance on the manifold; each case supplies only its ``sides(z, w, d) ->
-(lhs, rhs)``.
+``(case, check)`` per report and calls ``check(case, spec, workers)``: the
+checker ``verify_<op>`` of a case, or, for ``abs_inequalities``, one row of
+``_abs_cases`` per distance.  Every sampled pair inequality goes through one
+driver, ``_verify_pairs``: the four pair ops (``re_contraction``,
+``modulus_contraction``, ``schwarz_pick``, ``kv_factor``) and the
+``abs_inequalities`` rows, two on the disk-pair stream and one on the
+ball-pair stream of each dimension.  Every stream comes from one constructor,
+``_stream(spec, pairs, kernel)``: ``stream(a, b) -> (z, w, d)`` gives the
+pairs ``pairs(a, b)`` of rows [a, b), on chunk bounds, and their distance
+``d = kernel(z, w)`` on the manifold (None with no kernel); each case
+supplies only its ``sides(z, w, d) -> (lhs, rhs)``.
 
 Pairs come from seeded substreams: one PCG64 stream per fixed-size chunk of
 1024 samples, keyed by seed, ball dimension and chunk index.  The chunk keys
@@ -25,15 +26,15 @@ more, and each block reads its rows of the stream in one draw, evaluates the
 catalog map and the distance kernels once on all of them, and writes its
 rows of full-length arrays in place.  Neither chunk nor block boundaries
 depend on the worker count, so a suite is bitwise reproducible at any
-parallelism level.  Both streams hold no distance: each read forms ``d`` on
-its own rows.  Within one ``run_suite`` call the disk-pair stream of a
-``SampleSpec`` is drawn once, by the first row that reads it: full-length
-``z`` and ``w`` are filled and checked in one pass and shared, and
-``run_suite`` releases them once the last row that reads them has made its
-report.  A case whose curvature gate fails reads nothing.  The reads form
-``sigma`` without checking the pairs again, and a read whose sides take no
-distance forms none.  A ball-pair stream draws the rows of each read and
-holds nothing.
+parallelism level.  No stream holds a distance: each read forms ``d`` on
+its own rows.  A stream draws the rows of each read and holds nothing,
+except the disk-pair stream within one ``run_suite`` call: the plan rows
+that read it share one ``_held`` draw, full-length ``z`` and ``w``
+(allocated by the first read) whose chunks the first reading row draws and
+checks in its own pass, and they are freed once the last of those rows has
+made its report.  A case whose
+curvature gate fails reads nothing.  A disk-pair read forms ``sigma``
+without checking the pairs again, since they were checked where drawn.
 
 A sampled case holds one full-length array, its margins (margin = rhs - lhs):
 each block reduces its two sides to their difference in place.  The sides of
@@ -75,7 +76,6 @@ import json
 import math
 import threading
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Iterator
@@ -232,7 +232,7 @@ def disk_pair_chunk(spec: SampleSpec, a: int, b: int):
     Each chunk ``ci`` draws the variates of one ``(4, n)`` draw of its PCG64
     stream, keyed ``[seed, ci]``, straight into the rows of the block's
     arrays, one variate after another; radius and angle are then formed once
-    for all rows.  ``_disk_stream`` makes its last pair degenerate.
+    for all rows.  ``_stream`` makes its last pair degenerate.
     """
     u = np.empty((4, b - a))
     for ci, lo, hi in _chunk_rows(a, b):
@@ -306,65 +306,67 @@ def _map_chunks(spec: SampleSpec, one: Callable, workers: int) -> None:
         raise failed[min(failed)]
 
 
-# SampleSpec -> its drawn disk-pair stream, while a run_suite call is in
-# progress, else None.
-_SHARED_STREAMS: ContextVar[dict | None] = ContextVar("_SHARED_STREAMS", default=None)
+def _stream(spec: SampleSpec, pairs: Callable, kernel: Callable | None) -> Callable:
+    """The pair stream ``stream(a, b) -> (z, w, d)`` of the rows [a, b), on chunk bounds.
 
-
-def _disk_stream(spec: SampleSpec, workers: int, distance: bool = True) -> Callable:
-    """The disk-pair stream of ``spec``: rows of full-length ``z`` and ``w``, ``d = sigma(z, w)``.
-
-    One ``_map_chunks`` pass fills ``z`` and ``w`` in place, each block
-    drawing its rows in one ``disk_pair_chunk`` call and checking them; the
-    last pair is then made degenerate.  A read slices them and forms
-    ``sigma`` on its own rows, without checking them again, as a ball-pair
-    read forms ``beta``; with ``distance`` false, for sides that ignore
-    ``d``, it gives ``d = None``.  Inside ``run_suite`` the first read of a
-    spec draws the stream and shares it, until ``run_suite`` releases it;
-    any other call draws its own.
-    """
-    shared = _SHARED_STREAMS.get()
-    pairs = shared.get(spec) if shared is not None else None
-    if pairs is None:
-        z, w = np.empty(spec.count, dtype=complex), np.empty(spec.count, dtype=complex)
-
-        def one(a, b):
-            # looked up on the module, as rho looks them up, so a wrapper set there sees them
-            z[a:b], w[a:b] = disk_pair_chunk(spec, a, b)
-            disk.check_disk_point(z[a:b])
-            disk.check_disk_point(w[a:b])
-
-        _map_chunks(spec, one, workers)
-        w[-1] = z[-1]
-
-        def pairs(a, b):
-            return z[a:b], w[a:b]
-
-        if shared is not None:
-            shared[spec] = pairs
-
-    def stream(a, b):
-        zb, wb = pairs(a, b)
-        if not distance:
-            return zb, wb, None
-        return zb, wb, sigma(zb, wb, checked=True)
-
-    return stream
-
-
-def _ball_stream(spec: SampleSpec, dim: int) -> Callable:
-    """The ball-pair stream of dimension ``dim``: a read draws its rows in one call, ``d = beta(z, w)``.
-
-    A read that ends the stream makes its last pair degenerate.
+    ``pairs(a, b) -> (z, w)`` gives the rows.  The read that ends the stream
+    makes its last pair degenerate, the only place that does.  ``d =
+    kernel(z, w)``, the pairs' distance on the manifold, or None with no
+    kernel, for sides that take none.
     """
 
     def stream(a, b):
-        z, w = ball_pair_chunk(spec, dim, a, b)
+        z, w = pairs(a, b)
         if b == spec.count:
             w[-1] = z[-1]
-        return z, w, ball.beta(z, w)
+        return z, w, kernel(z, w) if kernel else None
 
     return stream
+
+
+def _disk_pairs(spec: SampleSpec, a: int, b: int):
+    """The disk-pair draws of rows [a, b), checked, so ``_sigma`` checks none.
+
+    ``partial(_disk_pairs, spec)`` is the ``pairs`` of a disk-pair ``_stream``.
+    """
+    # looked up on the module, as rho looks them up, so a wrapper set there sees them
+    z, w = disk_pair_chunk(spec, a, b)
+    disk.check_disk_point(z)
+    disk.check_disk_point(w)
+    return z, w
+
+
+def _held(spec: SampleSpec, pairs: Callable) -> Callable:
+    """``pairs`` held in full-length ``z`` and ``w``, each chunk drawn by the first read of it.
+
+    The first read allocates them, so a suite in which nothing reads (no
+    row, or only rows whose gate fails) allocates nothing.  A read draws its
+    rows through ``pairs`` unless all of its chunks are drawn, and gives
+    slices.  The reads of one ``_map_chunks`` pass cover disjoint chunks, so
+    the first reading row draws each chunk once, in its own pass.
+    """
+    lock, held, drawn = threading.Lock(), [], set()  # drawn: the indices of the drawn chunks
+
+    def read(a, b):
+        with lock:  # whichever thread reads first allocates
+            # Two arrays, not one of twice the size: freeing a larger block
+            # raises glibc's mmap and trim thresholds, and a 100k verify then
+            # peaked 0.2 MB higher.
+            if not held:
+                held.extend((np.empty(spec.count, complex), np.empty(spec.count, complex)))
+        z, w = held
+        chunks = range(a // CHUNK_SIZE, -(-b // CHUNK_SIZE))
+        if not drawn.issuperset(chunks):
+            z[a:b], w[a:b] = pairs(a, b)
+            drawn.update(chunks)  # atomic under the GIL, as list.append is
+        return z[a:b], w[a:b]
+
+    return read
+
+
+def _sigma(z, w):
+    """``sigma`` of pairs checked where they were drawn, looked up on the module at call time."""
+    return sigma(z, w, checked=True)
 
 
 def _rows_of(*arrays) -> Callable:
@@ -460,23 +462,23 @@ def _verify_pairs(
     sides: Callable,
     stream: Callable | None = None,
     on_block: Callable | None = None,
-    distance: bool = True,
 ) -> VerificationReport:
     """lhs <= rhs over a pair stream, for ``sides(z, w, d) -> (lhs, rhs)``.
 
-    ``stream(a, b) -> (z, w, d)`` gives the pairs of rows [a, b), on chunk
-    bounds, and their distance ``d``.  It defaults to the disk-pair stream
-    of ``spec`` (``d = sigma(z, w)``, or None with ``distance`` false).
-    Each block writes only its rows of the margins.
-    The violation candidates and their pairs take one path on
-    every stream, ``rows_at``: each chunk that holds one is read again
-    through the stream on its own, and the picked pairs go through the same
-    ``sides``, whose kernels are elementwise, so they give the bits of the
-    block.  If given, ``on_block(a, z, w, lhs, d)`` sees the pairs, left side
-    and distance of each block in that pass, ``a`` the block's first row.
+    ``stream(a, b) -> (z, w, d)`` (``_stream``) gives the pairs of rows
+    [a, b), on chunk bounds, and their distance ``d``.  It defaults to the
+    disk-pair stream of ``spec`` drawn on every read (``d = sigma(z, w)``);
+    a suite row passes the stream of its held draws.  Each block writes
+    only its rows of the margins.  The violation candidates and their pairs
+    take one path on every stream, ``rows_at``: each chunk that holds one is
+    read again through the stream on its own, and its picked pairs (and
+    distances, if the stream forms any) go through the same ``sides``, whose
+    kernels are elementwise, so they give the bits of the block.  If given,
+    ``on_block(a, z, w, lhs, d)`` sees the pairs, left side and distance of
+    each block in that pass, ``a`` the block's first row.
     """
     t0 = time.perf_counter()
-    stream = stream or _disk_stream(spec, workers, distance=distance)
+    stream = stream or _stream(spec, partial(_disk_pairs, spec), _sigma)
     margins = np.empty(spec.count)
 
     def one(a, b):
@@ -490,11 +492,10 @@ def _verify_pairs(
         picked, chunk_of = [], rows // CHUNK_SIZE
         for ci in sorted(set(chunk_of.tolist())):  # np.unique would import numpy.ma
             a = ci * CHUNK_SIZE
-            z, w, d = stream(a, min(a + CHUNK_SIZE, spec.count))
             k = rows[chunk_of == ci] - a
-            picked.append((z[k], w[k], d[k]))
-        z, w, d = (np.concatenate(part) for part in zip(*picked))
-        return (z, w, *sides(z, w, d))
+            z, w, d = (x if x is None else x[k] for x in stream(a, min(a + CHUNK_SIZE, spec.count)))
+            picked.append((z, w, *sides(z, w, d)))
+        return tuple(np.concatenate(part) for part in zip(*picked))
 
     _map_chunks(spec, one, workers)
     return _finalize(case, spec.seed, margins, rows_at, t0)
@@ -507,11 +508,12 @@ def _bounded_by_sigma(case: InequalityCase, lhs_of: Callable) -> Callable:
 
 
 def verify_re_contraction(
-    case: InequalityCase, spec: SampleSpec, workers: int = 1
+    case: InequalityCase, spec: SampleSpec, workers: int = 1, stream: Callable | None = None
 ) -> VerificationReport:
     """d_w(Re f(z), Re f(w)) <= sigma(z, w), gated on curv_w <= -1."""
     sides = _bounded_by_sigma(case, _re_lhs(case.target))
-    return _gate(case, spec.seed, time.perf_counter()) or _verify_pairs(case, spec, workers, sides)
+    failed = _gate(case, spec.seed, time.perf_counter())
+    return failed or _verify_pairs(case, spec, workers, sides, stream)
 
 
 def _re_lhs(weight: Weight) -> Callable:
@@ -560,10 +562,10 @@ def verify_pointwise_gradient(
 
 
 def verify_modulus_contraction(
-    case: InequalityCase, spec: SampleSpec, workers: int = 1
+    case: InequalityCase, spec: SampleSpec, workers: int = 1, stream: Callable | None = None
 ) -> VerificationReport:
     """sigma(|f(z)|, |f(w)|) <= sigma(z, w) for disk-codomain entries."""
-    return _verify_pairs(case, spec, workers, _bounded_by_sigma(case, _modulus_lhs))
+    return _verify_pairs(case, spec, workers, _bounded_by_sigma(case, _modulus_lhs), stream)
 
 
 def _modulus_lhs(fz, fw):
@@ -572,10 +574,10 @@ def _modulus_lhs(fz, fw):
 
 
 def verify_schwarz_pick(
-    case: InequalityCase, spec: SampleSpec, workers: int = 1
+    case: InequalityCase, spec: SampleSpec, workers: int = 1, stream: Callable | None = None
 ) -> VerificationReport:
     """sigma(f(z), f(w)) <= sigma(z, w) for disk-codomain entries."""
-    return _verify_pairs(case, spec, workers, _bounded_by_sigma(case, sigma))
+    return _verify_pairs(case, spec, workers, _bounded_by_sigma(case, sigma), stream)
 
 
 def verify_pavlovic(
@@ -604,7 +606,7 @@ def verify_pavlovic(
 
 
 def verify_kv_factor(
-    case: InequalityCase, spec: SampleSpec, workers: int = 1
+    case: InequalityCase, spec: SampleSpec, workers: int = 1, stream: Callable | None = None
 ) -> VerificationReport:
     """sigma(Re f(z), Re f(w)) <= factor * sigma(z, w) for strip-valued Re f.
 
@@ -624,7 +626,7 @@ def verify_kv_factor(
         sups[a] = ratio[k], (z[k], w[k])
 
     sides = _bounded_by_sigma(case, _re_lhs(disk_diameter_weight()))
-    report = _verify_pairs(case, spec, workers, sides, on_block=block_sup)
+    report = _verify_pairs(case, spec, workers, sides, stream, on_block=block_sup)
     ratios, pairs = zip(*(sups[a] for a in sorted(sups)))
     j = int(np.argmax(ratios))
     extras = {
@@ -644,34 +646,40 @@ def verify_abs_inequalities(
     the previous one has been taken, so a caller that drops each report's
     margins holds those of one report at a time.
     """
-    for case, check, _ in _abs_cases(spec, dims):
+    for case, check in _abs_cases(spec, dims, partial(_disk_pairs, spec)):
         yield check(case, spec, workers)
 
 
-def _abs_cases(spec: SampleSpec, dims: tuple) -> list:
-    """The rows ``(case, check, reads_disk_stream)`` of the ``abs_inequalities`` reports.
+def _abs_cases(spec: SampleSpec, dims: tuple, disk_pairs: Callable) -> list:
+    """The rows ``(case, check)`` of the ``abs_inequalities`` reports.
 
     On the disk-pair stream, rho(|z|, |w|) <= rho(z, w) and sigma(|z|, |w|) <=
     sigma(z, w); on the ball-pair stream of each dimension in ``dims``,
     beta(|z|, |w|) <= beta(z, w), with |z| the point (|z|,) of the slice B^1.
-    ``check(case, spec, workers)`` makes a row's report, as a ``verify_*``
-    checker does.
+    The disk rows read ``disk_pairs`` (``_disk_pairs`` or its ``_held``
+    draws); a ball row draws its rows on every read.  ``check(case, spec,
+    workers)`` makes a row's report, as a ``verify_*`` checker does.
     """
 
     def beta_sides(z, w, b):
         return ball.beta(ball.embed_modulus(z), ball.embed_modulus(w)), b
 
-    table = [  # case id suffix, stream (None: the disk-pair stream), sides
-        ("rho_disk", None, lambda z, w, s: (rho(np.abs(z), np.abs(w)), rho(z, w))),
-        ("sigma_disk", None, lambda z, w, s: (_modulus_lhs(z, w), s)),
-    ] + [(f"beta_ball_n{dim}", _ball_stream(spec, dim), beta_sides) for dim in dims]
-    rows = []
-    for name, stream, sides in table:
+    # the ball draw and beta are looked up on the module at call time, so a wrapper set there
+    # sees them
+    def ball_pairs(dim):
+        return lambda a, b: ball_pair_chunk(spec, dim, a, b)
+
+    def beta(z, w):
+        return ball.beta(z, w)
+
+    def row(name, pairs, kernel, sides):
         case = InequalityCase(id=f"abs_{name}", tol_abs=1e-12, tol_rel=0.0)
-        # rho_disk's sides read no distance, so its reads form none
-        check = partial(_verify_pairs, sides=sides, stream=stream, distance=name != "rho_disk")
-        rows.append((case, check, stream is None))
-    return rows
+        return case, partial(_verify_pairs, sides=sides, stream=_stream(spec, pairs, kernel))
+
+    return [  # rho_disk's sides take no distance, so its reads form none
+        row("rho_disk", disk_pairs, None, lambda z, w, _: (rho(np.abs(z), np.abs(w)), rho(z, w))),
+        row("sigma_disk", disk_pairs, _sigma, lambda z, w, d: (_modulus_lhs(z, w), d)),
+    ] + [row(f"beta_ball_n{dim}", ball_pairs(dim), beta, beta_sides) for dim in dims]
 
 
 def verify_proof_chain(
@@ -735,12 +743,12 @@ def verify_proof_chain(
 
 
 # op -> (what the op needs of its catalog function, InequalityCase defaults,
-# whether it reads the disk-pair stream).  Needs: "weight", a weight whose
-# domain holds the Re-image; "disk", a disk codomain; "strip", the Re-image
-# (-1, 1); None, no function or weight at all.  A ``weight`` is accepted only
-# by "weight" ops, a ``factor`` only by ops whose defaults carry one.  The
-# function-free op is expanded by ``_abs_cases``, whose rows say which of its
-# reports read the stream.
+# whether it reads the disk-pair stream, which its checker then takes as
+# ``stream``).  Needs: "weight", a weight whose domain holds the Re-image;
+# "disk", a disk codomain; "strip", the Re-image (-1, 1); None, no function
+# or weight at all.  A ``weight`` is accepted only by "weight" ops, a
+# ``factor`` only by ops whose defaults carry one.  The function-free op is
+# expanded by ``_abs_cases``, whose two disk rows read the stream.
 OPS = {
     "re_contraction": ("weight", {}, True),
     "pointwise_gradient": ("weight", {}, False),
@@ -1040,11 +1048,15 @@ def run_suite(
 ) -> SuiteResult:
     """Run every configured case; deterministic for a fixed config and seed.
 
-    The suite is planned first, one row ``(case, check, reads_disk_stream)``
-    per report: one per case, and the ``_abs_cases`` rows for
-    ``abs_inequalities``.  The rows share one disk-pair stream, drawn by the
-    first row that reads it and released as soon as the last such row has
-    made its report, or on return.  Each report is handed over as soon as
+    The suite is planned first, one row ``(case, check)`` per report: one
+    per case, and the ``_abs_cases`` rows for ``abs_inequalities``.  The
+    rows that read the disk-pair stream share one ``_held`` draw of it,
+    allocated by the first read and drawn and checked by the first of them
+    in its own pass: a
+    ``verify_*`` row holds it as ``partial(verify_<op>, stream=...)``, an
+    abs row in its stream, and nothing else holds it.  Each row is popped
+    before it runs, so the draws are freed as soon as the last row that
+    reads them has made its report.  Each report is handed over as soon as
     it is made, before the next one is made: with
     ``on_margins``, its per-sample margins go to ``on_margins(case_id,
     margins)`` in report order (a report without margins is skipped), such
@@ -1065,25 +1077,24 @@ def run_suite(
             on_margins(report.case_id, report.margins)
         return report if keep_margins else replace(report, margins=None)
 
+    pairs = _held(spec, partial(_disk_pairs, spec))
+    stream = _stream(spec, pairs, _sigma)
     plan = []
     for cs in config.cases:
-        if OPS[cs.op][0] is None:  # the function-free family: one row per distance
-            plan += _abs_cases(spec, config.ball_dims)
+        needs, _, reads = OPS[cs.op]
+        if needs is None:  # the function-free family: one row per distance
+            plan += _abs_cases(spec, config.ball_dims, pairs)
         else:
             # Looked up on the module, so a wrapper set on the module attribute is used.
-            plan.append((_build_case(cs), globals()[f"verify_{cs.op}"], OPS[cs.op][2]))
-    last_read = max((i for i, row in enumerate(plan) if row[2]), default=-1)
-    shared = {}
-    streams = _SHARED_STREAMS.set(shared)
-    try:
-        for i, (case, check, _) in enumerate(plan):
-            report = check(case, spec, config.workers)
-            if i == last_read:  # released before the report is handed over
-                shared.clear()
-            reports.append(hand_over(report))
-            del report  # it may hold margins that hand_over dropped
-    finally:
-        _SHARED_STREAMS.reset(streams)
+            check = globals()[f"verify_{cs.op}"]
+            plan.append((_build_case(cs), partial(check, stream=stream) if reads else check))
+    del pairs, stream  # the rows alone hold the draws
+    while plan:
+        case, check = plan.pop(0)
+        report = check(case, spec, config.workers)
+        del check  # the last row that reads the held draws frees them, before the hand-over
+        reports.append(hand_over(report))
+        del report  # it may hold margins that hand_over dropped
     overall = all(r.status == "pass" for r in reports)
     return SuiteResult(
         overall_pass=overall,

@@ -1,5 +1,6 @@
 """Mobius geometry of the complex unit ball and the Bergman form."""
 
+import functools
 import math
 
 import numpy as np
@@ -191,7 +192,8 @@ def test_slice_beta_has_the_bytes_of_the_full_ball_layout(dim):
     # one 16-chunk block of the verify stream, ending in its degenerate pair
     n = harness.BLOCK_CHUNKS * harness.CHUNK_SIZE
     spec = harness.SampleSpec(count=n, seed=63)
-    z, w, _ = harness._ball_stream(spec, dim)(0, n)
+    pairs = functools.partial(harness.ball_pair_chunk, spec, dim)
+    z, w, _ = harness._stream(spec, pairs, None)(0, n)
     got = beta(embed_modulus(z), embed_modulus(w))
     want = beta(_full_ball_embed_modulus(z), _full_ball_embed_modulus(w))
     assert got.tobytes() == want.tobytes()

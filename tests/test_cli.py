@@ -89,6 +89,43 @@ class TestVerify:
         assert rc == 2
         assert any("not valid JSON" in e for e in json.loads(err)["errors"])
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"cases": [{"op": "abs_inequalities", "note": "\xe9"}]}')
+        rc = main(["verify", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert json.loads(captured.err)["errors"] == [
+            "config is not UTF-8: 'utf-8' codec can't decode byte 0xe9 in position 47: "
+            "invalid continuation byte"
+        ]
+        assert captured.out == ""
+
+    def test_config_nested_too_deeply(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"cases": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        rc = main(["verify", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        [error] = json.loads(captured.err)["errors"]
+        assert error.startswith("config is not valid JSON: maximum recursion depth exceeded")
+        assert captured.out == ""
+
+    def test_grid_cases_at_a_count_no_stream_could_hold(self, tmp_path, capsys):
+        # No row reads the disk-pair stream, so its 32 B a sample are never
+        # allocated, and the grid cases run as at any count.
+        path = tmp_path / "grid.json"
+        cases = [
+            {"op": "pointwise_gradient", "function": "strip_map", "weight": "strip"},
+            {"op": "pavlovic", "function": "blaschke_product"},
+        ]
+        path.write_text(json.dumps({"cases": cases}))
+        rc = main(["verify", "--config", str(path), "--count", str(10**15)])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.out.count("PASS ") == 2
+        assert captured.err == ""
+
     def test_all_config_errors_listed(self, tmp_path, capsys):
         cfg = {
             "sample": {"count": 16},
@@ -601,6 +638,28 @@ class TestReport:
         rc = main(["report", str(tmp_path / "gone.json")])
         capsys.readouterr()
         assert rc == 2
+
+    def test_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"overall_pass": true, "cases": [], "note": "\xe9"}')
+        rc = main(["report", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == (
+            f"error: {path} is not UTF-8: 'utf-8' codec can't decode byte 0xe9 in position 45: "
+            "invalid continuation byte\n"
+        )
+        assert captured.out == ""
+
+    def test_nested_too_deeply_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"overall_pass": true, "cases": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        rc = main(["report", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: maximum recursion depth exceeded")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "payload",

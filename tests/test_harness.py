@@ -120,6 +120,22 @@ def _reference_rows(chunk, spec, a, b, *dim, degenerate=True):
     return tuple(np.concatenate(part) for part in zip(*drawn))
 
 
+def _disk_stream(spec):
+    """The disk-pair stream of a bare ``verify_*`` call, drawn on every read."""
+    return harness._stream(spec, partial(harness._disk_pairs, spec), harness._sigma)
+
+
+def _held_disk_stream(spec):
+    """The disk-pair stream of a suite row: its draws held, each chunk drawn by its first read."""
+    pairs = harness._held(spec, partial(harness._disk_pairs, spec))
+    return harness._stream(spec, pairs, harness._sigma)
+
+
+def _ball_stream(spec, dim):
+    """The ball-pair stream of dimension ``dim``, as an ``abs_beta_ball`` row reads it."""
+    return harness._stream(spec, partial(harness.ball_pair_chunk, spec, dim), ball.beta)
+
+
 class TestSampling:
     def test_chunk_content_depends_only_on_seed_and_index(self):
         spec_a = SampleSpec(count=10_000, seed=5)
@@ -135,10 +151,11 @@ class TestSampling:
 
     def test_final_pair_is_degenerate(self):
         spec = SampleSpec(count=100)
-        z, w, _ = harness._disk_stream(spec, 1)(0, 100)
-        assert z[-1] == w[-1]
-        assert np.all(z[:-1] != w[:-1])
-        z, w, _ = harness._ball_stream(spec, 2)(0, 100)
+        for stream in (_disk_stream(spec), _held_disk_stream(spec)):
+            z, w, _ = stream(0, 100)
+            assert z[-1] == w[-1]
+            assert np.all(z[:-1] != w[:-1])
+        z, w, _ = _ball_stream(spec, 2)(0, 100)
         assert (z[-1] == w[-1]).all()
         assert np.all((z[:-1] != w[:-1]).any(axis=-1))
         # the draws themselves have none: it is the stream's
@@ -199,17 +216,19 @@ class TestBlockDraws:
             got = disk_pair_chunk(spec, a, b)
             want = _reference_rows(_reference_disk_chunk, spec, a, b, degenerate=False)
             assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
-        # the stream's last pair, and only that one, is degenerate
-        z, w, _ = harness._disk_stream(spec, 2)(0, spec.count)
+        # the stream's last pair, and only that one, is degenerate, drawn on
+        # every read or held
         want = _reference_rows(_reference_disk_chunk, spec, 0, spec.count)
-        assert [z.tobytes(), w.tobytes()] == [x.tobytes() for x in want]
-        assert z[-1] == w[-1] and np.all(z[:-1] != w[:-1])
+        for stream in (_disk_stream(spec), _held_disk_stream(spec)):
+            z, w, _ = stream(0, spec.count)
+            assert [z.tobytes(), w.tobytes()] == [x.tobytes() for x in want]
+            assert z[-1] == w[-1] and np.all(z[:-1] != w[:-1])
 
     @pytest.mark.parametrize("scheme", harness.SCHEMES)
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_ball(self, scheme, dim):
         spec = SampleSpec(count=self.COUNT, seed=12, scheme=scheme)
-        stream = harness._ball_stream(spec, dim)
+        stream = _ball_stream(spec, dim)
         for a, b in self._reads(spec.count):
             got = harness.ball_pair_chunk(spec, dim, a, b)
             want = _reference_rows(_reference_ball_chunk, spec, a, b, dim, degenerate=False)
@@ -541,7 +560,7 @@ class TestBlockReduction:
     def test_kv_sup_ratio_is_the_full_array_argmax(self, monkeypatch, workers, lhs_kind):
         spec = SampleSpec(count=BLOCKS_COUNT, seed=3, scheme="boundary_biased")
         f = get("strip_map")
-        z, w, s = harness._disk_stream(spec, 1)(0, spec.count)
+        z, w, s = _disk_stream(spec)(0, spec.count)
         block = harness.BLOCK_CHUNKS * CHUNK_SIZE
         # NaN only at rows of the second and fourth block: the first NaN wins
         nan_at = f.eval(z[[block + 77, 3 * block + 5]])
@@ -906,6 +925,24 @@ def _chunks_of(reads):
     return [ci for a, b in reads for ci in range(a // CHUNK_SIZE, -(-b // CHUNK_SIZE))]
 
 
+def _held_draws(monkeypatch):
+    """Weak references to the ``_held`` draws made from now on, one per ``run_suite`` call.
+
+    Only the reads (and the streams and plan rows that keep them) hold the
+    draws, so a dead reference means that the draws are freed.
+    """
+    refs = []
+    original = harness._held
+
+    def recording(spec, pairs):
+        read = original(spec, pairs)
+        refs.append(weakref.ref(read))
+        return read
+
+    monkeypatch.setattr(harness, "_held", recording)
+    return refs
+
+
 class TestSharedDiskStream:
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_each_chunk_drawn_once_per_suite(self, monkeypatch, workers):
@@ -945,8 +982,9 @@ class TestSharedDiskStream:
         assert result.margins_csv() == serial.margins_csv()
 
     def test_released_after_the_suite_and_never_set_by_a_bare_call(self, monkeypatch):
+        held = _held_draws(monkeypatch)
         run_suite(default_config(count=512))
-        assert harness._SHARED_STREAMS.get() is None
+        assert len(held) == 1 and held[0]() is None
         drawn = []
         original = harness.disk_pair_chunk
 
@@ -959,7 +997,7 @@ class TestSharedDiskStream:
         spec = SampleSpec(count=2 * CHUNK_SIZE)
         first = verify_schwarz_pick(case, spec)
         second = verify_schwarz_pick(case, spec)
-        assert harness._SHARED_STREAMS.get() is None
+        assert len(held) == 1  # a bare call holds no draws
         # no cache outlives a bare call: each draws its one block again
         assert Counter(_chunks_of(drawn)) == {0: 2, 1: 2}
         assert drawn == [(0, spec.count)] * 2
@@ -968,26 +1006,37 @@ class TestSharedDiskStream:
     def test_released_after_its_last_read(self, monkeypatch):
         # the default suite ends with abs_inequalities: its disk pair reads the
         # stream last, and the ball reports after them find it gone
+        held = _held_draws(monkeypatch)
         seen = []
         original = harness.ball_pair_chunk
 
         def spying(spec, dim, a, b):
-            seen.append((dim, dict(harness._SHARED_STREAMS.get())))
+            seen.append((dim, [ref() is None for ref in held]))
             return original(spec, dim, a, b)
 
         monkeypatch.setattr(harness, "ball_pair_chunk", spying)
-        result = run_suite(default_config(count=512))  # one read per ball stream
+        handed = {}  # abs disk report -> whether the draws were freed when it was handed over
+
+        def on_margins(case_id, margins):
+            if case_id in ("abs_rho_disk", "abs_sigma_disk"):
+                handed[case_id] = held[0]() is None
+
+        # one read per ball stream
+        result = run_suite(default_config(count=512), on_margins=on_margins)
         assert result.overall_pass
-        assert seen == [(1, {}), (2, {}), (3, {})]
+        assert seen == [(1, [True]), (2, [True]), (3, [True])]
+        # freed after the last reading row has made its report, before it is handed over
+        assert handed == {"abs_rho_disk": False, "abs_sigma_disk": True}
 
     def test_released_when_a_case_raises(self, monkeypatch):
         def broken(case, spec, workers):
             raise RuntimeError("boom")
 
+        held = _held_draws(monkeypatch)
         monkeypatch.setattr(harness, "verify_pavlovic", broken)
         with pytest.raises(RuntimeError):
             run_suite(default_config(count=256))
-        assert harness._SHARED_STREAMS.get() is None
+        assert len(held) == 1 and held[0]() is None
 
     def test_a_failed_gate_draws_nothing(self, monkeypatch):
         # The re_contraction case fails its curvature gate (2/(1-t^2) has
@@ -1009,18 +1058,31 @@ class TestSharedDiskStream:
             return disk_original(spec, a, b)
 
         def spying(spec, dim, a, b):
-            seen.append((dim, dict(harness._SHARED_STREAMS.get())))
+            seen.append((dim, [ref() is None for ref in held]))
             return ball_original(spec, dim, a, b)
 
         monkeypatch.setattr(harness, "disk_pair_chunk", counting)
         monkeypatch.setattr(harness, "ball_pair_chunk", spying)
+        held = _held_draws(monkeypatch)
         alone = run_suite(replace(config, cases=config.cases[:1]))
         assert alone.reports[0].status == "hypothesis-not-met"
         assert drawn == []  # the failed case draws nothing
+        assert len(held) == 1 and held[0]() is None
+        held.clear()
         result = run_suite(config)
         assert [r.status for r in result.reports[:2]] == ["hypothesis-not-met", "pass"]
         assert drawn == [(0, 512)]
-        assert seen == [(1, {}), (2, {}), (3, {})]
+        assert seen == [(1, [True]), (2, [True]), (3, [True])]
+
+    def test_a_failed_gate_allocates_nothing(self):
+        # The held draws are allocated by the first read, so a suite whose
+        # only reading row fails its gate never asks for its 32 B a sample.
+        config = SuiteConfig(
+            sample=SampleSpec(count=10**15),
+            cases=(CaseSpec(op="re_contraction", function="strip_map", weight="disk_diameter"),),
+        )
+        result = run_suite(config)
+        assert [r.status for r in result.reports] == ["hypothesis-not-met"]
 
     def test_released_after_the_last_row_that_reads_it(self, monkeypatch):
         # A failed gate first, the abs reports next, a disk case last: the
@@ -1036,33 +1098,35 @@ class TestSharedDiskStream:
             ),
             workers=2,
         )
-        drawn, shared, seen = [], [], []
+        drawn, on_held, seen = [], [], []
         disk_original, ball_original = harness.disk_pair_chunk, harness.ball_pair_chunk
-        stream_original = harness._disk_stream
+        stream_original = harness._stream
+        held = _held_draws(monkeypatch)
 
         def counting(spec, a, b):
             drawn.append((a, b))
             return disk_original(spec, a, b)
 
-        def capturing(*args, **kwargs):
-            # the pool threads do not see the context variable; its dict is shared
-            shared.append(harness._SHARED_STREAMS.get())
-            return stream_original(*args, **kwargs)
+        def capturing(spec, pairs, kernel):
+            # whether this stream reads the suite's held draws
+            on_held.append(len(held) == 1 and pairs is held[0]())
+            return stream_original(spec, pairs, kernel)
 
         def spying(spec, dim, a, b):
-            seen.append((dim, frozenset(shared[0])))
+            seen.append((dim, held[0]() is not None))
             return ball_original(spec, dim, a, b)
 
         monkeypatch.setattr(harness, "disk_pair_chunk", counting)
-        monkeypatch.setattr(harness, "_disk_stream", capturing)
+        monkeypatch.setattr(harness, "_stream", capturing)
         monkeypatch.setattr(harness, "ball_pair_chunk", spying)
         result = run_suite(config)
         assert Counter(_chunks_of(drawn)) == {0: 1, 1: 1, 2: 1, 3: 1}
         assert drawn == [(0, spec.count)]  # one block
-        assert len(shared) == 3 and all(d is shared[0] for d in shared)
-        assert set(seen) == {(1, frozenset([spec])), (2, frozenset([spec])), (3, frozenset([spec]))}
-        assert shared[0] == {}
-        assert harness._SHARED_STREAMS.get() is None
+        # one held draw, read by the streams of schwarz_pick, abs_rho_disk and
+        # abs_sigma_disk; the three ball streams draw their own
+        assert len(held) == 1 and on_held.count(True) == 3 and len(on_held) == 6
+        assert set(seen) == {(1, True), (2, True), (3, True)}
+        assert held[0]() is None
         monkeypatch.undo()
         gated = InequalityCase(
             id="re_contraction:strip_map:disk_diameter",
@@ -1089,7 +1153,7 @@ class TestSharedDiskStream:
         # pass, a single chunk when rows_at reads a candidate's chunk again.
         spec = SampleSpec(count=BLOCKS_COUNT, seed=9)
         block = harness.BLOCK_CHUNKS * CHUNK_SIZE
-        stream = harness._disk_stream(spec, 2)
+        stream = _held_disk_stream(spec)
         z, w, d = stream(0, spec.count)
         assert d.tobytes() == sigma(z, w).tobytes()
         zb, wb, db = stream(block, 2 * block)
@@ -1101,7 +1165,7 @@ class TestSharedDiskStream:
         formed = []  # the row count of every sigma call
 
         def counting_sigma(a, b, checked=False):
-            assert checked  # the fill checked the pairs
+            assert checked  # the pairs were checked where drawn
             formed.append(len(a))
             return sigma(a, b)
 
@@ -1120,14 +1184,16 @@ class TestSharedDiskStream:
             CHUNK_SIZE, CHUNK_SIZE, spec.count % CHUNK_SIZE
         ]
         assert [v["index"] for v in report.violations] == picks
-        zr, wr, dr = sided[-1]  # the candidates, picked from their re-read chunks
+        # the candidates, picked from their re-read chunks, one chunk at a time
+        zr, wr, dr = (np.concatenate(part) for part in zip(*sided[-3:]))
         assert zr.tobytes() == z[picks].tobytes()
         assert dr.tobytes() == d[picks].tobytes() == sigma(zr, wr).tobytes()
         assert [v["rhs"] for v in report.violations] == d[picks].tolist()
 
     def test_the_fill_checks_the_draws(self, monkeypatch):
         # The reads form sigma unchecked, so a draw outside the admissible
-        # disk is refused once, at the fill.
+        # disk is refused where it is drawn: at the first read that covers
+        # it when the draws are held, and at every read otherwise.
         original = harness.disk_pair_chunk
 
         def outside(spec, a, b):
@@ -1137,8 +1203,18 @@ class TestSharedDiskStream:
             return z, w
 
         monkeypatch.setattr(harness, "disk_pair_chunk", outside)
+        spec = SampleSpec(count=3 * CHUNK_SIZE)
+        held = _held_disk_stream(spec)
+        held(0, CHUNK_SIZE)  # chunk 0 alone is admissible
+        for read in (held, _disk_stream(spec)):
+            with pytest.raises(ValueError, match="outside the admissible disk"):
+                read(0, spec.count)
+        case = InequalityCase(id="schwarz_pick:power", function=get("power"))
         with pytest.raises(ValueError, match="outside the admissible disk"):
-            harness._disk_stream(SampleSpec(count=3 * CHUNK_SIZE), 2)
+            verify_schwarz_pick(case, spec, workers=2)
+        config = SuiteConfig(sample=spec, cases=(CaseSpec(op="schwarz_pick", function="power"),))
+        with pytest.raises(ValueError, match="outside the admissible disk"):
+            run_suite(replace(config, workers=2))
 
     def test_a_read_forms_no_distance_for_sides_that_take_none(self, monkeypatch):
         # abs_rho_disk's sides ignore d: of the two disk reads of
@@ -1156,6 +1232,32 @@ class TestSharedDiskStream:
         assert [r.to_dict() for r in reports] == expected
         block = harness.BLOCK_CHUNKS * CHUNK_SIZE
         assert formed == [block] * 3 + [spec.count - 3 * block]
+
+    def test_violations_of_sides_that_take_no_distance_are_recorded(self, monkeypatch):
+        # abs_rho_disk's reads give d = None; its violation records read their
+        # chunks again and form the sides there, with no distance to pick.
+        spec = SampleSpec(count=BLOCKS_COUNT, seed=4)
+        z, w, _ = _disk_stream(spec)(0, spec.count)
+        targets = [3, harness.BLOCK_CHUNKS * CHUNK_SIZE + 5, spec.count - 1]
+        original = harness.rho
+
+        def forced(a, b, checked=False):
+            out = original(a, b, checked)
+            if np.iscomplexobj(a):  # rho(z, w), the right side, reads -1 at the targets
+                out[np.isin(a, z[targets])] = -1.0
+            return out
+
+        monkeypatch.setattr(harness, "rho", forced)
+        report = next(verify_abs_inequalities(spec, dims=(), workers=2))
+        assert report.case_id == "abs_rho_disk"
+        assert report.status == "violated"
+        assert [v["index"] for v in report.violations] == targets
+        for v in report.violations:
+            assert v["z"] == harness._serialize_point(z[v["index"]])
+            assert v["w"] == harness._serialize_point(w[v["index"]])
+            assert v["rhs"] == -1.0
+            assert (v["rhs"] - v["lhs"]).hex() == v["margin"].hex()
+            assert report.margins[v["index"]] == v["margin"]
 
     def test_shared_stream_matches_private_draws(self):
         # a suite case reads the shared stream; a bare call draws its own
@@ -1352,6 +1454,26 @@ class TestKeepMargins:
             tracemalloc.stop()
         assert result.overall_pass
         assert peak <= (32 + 8) * count + slack
+
+    def test_a_bare_call_holds_its_margins_and_blocks(self):
+        # A bare verify_* call draws the disk pairs on every read, so it holds
+        # its margins (8 B per sample) and the blocks in flight, and no
+        # stream.  Measured at 2**19 samples and 2 workers: peaks of 7.6 to
+        # 8.7 MB (6.2 to 6.4 MB at 1 worker), 3.3 to 4.3 MiB above the
+        # margins.  A call that drew and held the stream first peaked at 23.2
+        # to 24.4 MB, so the slack of 8 MiB puts the bound, 12.6 MB, about
+        # halfway between the two.
+        count = 2**19
+        slack = 8 * 2**20
+        case = InequalityCase(id="schwarz_pick:blaschke_product", function=get("blaschke_product"))
+        tracemalloc.start()
+        try:
+            report = verify_schwarz_pick(case, SampleSpec(count=count), workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.status == "pass"
+        assert peak <= 8 * count + slack
 
     def test_streamed_csv_holds_one_case(self, tmp_path, capsys):
         # verify --csv-out hands each report's margins to the CSV as the
