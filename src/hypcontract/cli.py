@@ -207,11 +207,13 @@ def cmd_verify(args) -> int:
     # The CSV is written during the run, a case at a time.  It is opened, and
     # an existing file truncated, only when its first column arrives.
     csv = None
+    if args.csv_out:
+        from . import reprs  # only a CSV needs it; ``verify`` without one never loads it
 
     def add_margins(case_id, margins):
         nonlocal csv
         if csv is None:
-            csv = harness.MarginsCsv(files.enter_context(open(args.csv_out, "wb")))
+            csv = reprs.MarginsCsv(files.enter_context(open(args.csv_out, "wb")))
         csv.add(case_id, margins)
 
     try:
@@ -223,7 +225,7 @@ def cmd_verify(args) -> int:
                 config, keep_margins=False, on_margins=add_margins if args.csv_out else None
             )
             if args.csv_out and csv is None:  # no report has margins: the header alone
-                harness.MarginsCsv(files.enter_context(open(args.csv_out, "wb")))
+                reprs.MarginsCsv(files.enter_context(open(args.csv_out, "wb")))
     except MemoryError as exc:  # a --count whose streams cannot be allocated
         return fail(f"not enough memory for the suite: {exc}")
     except OSError as exc:  # the suite itself does no I/O

@@ -53,10 +53,12 @@ a kernel on the block path binds the right-hand temporary of a complex
 product to a name first (the sites say so), and the tests compare the draws
 and every kernel on one block against its chunks.
 Reports carry margin statistics.  Only the margins CSV reads the per-sample
-margins: ``run_suite`` hands each report over as soon as its row has made
-it, its margins to a ``MarginsCsv`` if asked to, and drops them there unless
-asked to keep them, so a run that streams the CSV holds the margins of one
-report and one CSV block at a time.
+margins, and ``reprs`` owns its rows: their layout, formatting and writing
+(``reprs.MarginsCsv``).  ``run_suite`` hands each report over as soon as its
+row has made it, its margins to ``on_margins`` (such as
+``reprs.MarginsCsv.add``) if asked to, and drops them there unless asked to
+keep them, so a run that streams the CSV holds the margins of one report and
+one CSV block at a time.
 
 A sampled pair with margin below -(tol_abs + tol_rel*|rhs|) is a violation;
 the hypotheses are theorems, so violations indicate implementation bugs.  The
@@ -102,8 +104,6 @@ CHUNK_SIZE = 1024
 # a few microseconds, so per-chunk work spends the run trading the GIL; blocks
 # of 16 amortize it.
 BLOCK_CHUNKS = 16
-CSV_BLOCK_ROWS = 16_384
-_TEN8 = np.uint64(10**8)  # a row number's digits go eight to a word
 MAX_WORKERS = 64
 # The layout version of the ``data`` payload, the only one a config may name.
 SCHEMA_VERSION = 1
@@ -897,71 +897,6 @@ def _build_case(cs: CaseSpec) -> InequalityCase:
     )
 
 
-def _row_numbers(field: np.ndarray, first: int) -> None:
-    """Write ``first + r`` into row r of the ``uint8`` view ``field``, right-aligned behind NULs.
-
-    ``field`` holds ``(n, width)`` bytes, wide enough for ``first + n - 1``;
-    its rows need not be contiguous.  Eight digits go to a word through
-    ``reprs._ascii8``, so any row number of a ``SampleSpec`` takes three.
-    """
-    from . import reprs
-
-    n, width = field.shape
-    words = -(-width // 8)
-    rest = np.arange(first, first + n, dtype=np.uint64)
-    digits = np.empty((n, words), dtype="<u8")
-    for k in reversed(range(words)):
-        high = rest // _TEN8
-        digits[:, k] = reprs._ascii8(rest - high * _TEN8)
-        rest = high
-    field[:] = digits.view(np.uint8)[:, 8 * words - width :]
-    for p in range(1, width):  # rows below 10**p have no digit p: a prefix of the block
-        field[: max(10**p - first, 0), width - 1 - p] = 0
-
-
-class MarginsCsv:
-    """The per-sample margins CSV, written to the binary file ``fh`` one case at a time.
-
-    The header line is written at once; ``add(case_id, margins)`` writes a
-    case's rows ``case_id,i,repr(margins[i])`` ``CSV_BLOCK_ROWS`` at a time
-    and keeps nothing of them, so a caller can drop each case's margins as
-    soon as they are written.  No value costs a Python call.  A case's rows
-    are laid out side by side in one ``bytearray``, one block long:
-    ``case_id,`` then the right-aligned row number and ``,``, then the
-    margin's bytes and ``\\n``, each field NUL-padded.  Each block formats
-    its row numbers and margins (``reprs.repr_matrix``) straight into that
-    buffer, which is written without its NULs.  What a writer holds does
-    not grow with the count: the buffer and one block's temporaries.
-    """
-
-    def __init__(self, fh):
-        self.fh = fh
-        fh.write(b"case_id,sample_index,margin\n")
-
-    def add(self, case_id: str, margins) -> None:
-        """Write the rows of one case's margins."""
-        from . import reprs  # only a CSV needs it; ``verify`` without one never loads it
-
-        m = np.asarray(margins, dtype=float)
-        if not len(m):
-            return
-        head = f"{case_id},".encode()
-        index = slice(len(head), len(head) + len(str(len(m) - 1)))
-        value = slice(index.stop + 1, index.stop + 1 + reprs.WIDTH)
-        buf = bytearray(min(len(m), CSV_BLOCK_ROWS) * (value.stop + 1))
-        rows = np.frombuffer(buf, dtype=np.uint8).reshape(-1, value.stop + 1)
-        # the head, the comma after the row number and the newline, once per case
-        rows[:, : len(head)] = np.frombuffer(head, dtype=np.uint8)
-        rows[:, index.stop] = ord(",")
-        rows[:, -1] = ord("\n")
-        for a in range(0, len(m), CSV_BLOCK_ROWS):
-            block = rows[: len(m) - a]
-            _row_numbers(block[:, index], a)
-            reprs.repr_matrix(m[a : a + len(block)], out=block[:, value])
-            rows[len(block) :] = 0  # a short last block: the rows past it are NULs alone
-            self.fh.write(buf.translate(None, b"\0"))
-
-
 @dataclass(frozen=True)
 class SuiteResult:
     overall_pass: bool
@@ -996,10 +931,12 @@ class SuiteResult:
     def write_margins_csv(self, fh) -> None:
         """Write the margins CSV of the reports that kept their margins to the binary file ``fh``.
 
-        One ``MarginsCsv`` takes the columns in report order, as ``run_suite``
-        hands them to a streamed one.
+        One ``reprs.MarginsCsv`` takes the columns in report order, as
+        ``run_suite`` hands them to a streamed one.
         """
-        csv = MarginsCsv(fh)
+        from . import reprs  # only a CSV needs it; ``verify`` without one never loads it
+
+        csv = reprs.MarginsCsv(fh)
         for r in self.reports:
             if r.margins is not None:
                 csv.add(r.case_id, r.margins)
@@ -1060,7 +997,7 @@ def run_suite(
     it is made, before the next one is made: with
     ``on_margins``, its per-sample margins go to ``on_margins(case_id,
     margins)`` in report order (a report without margins is skipped), such
-    as ``MarginsCsv(fh).add``; an exception it raises ends the run.  With
+    as ``reprs.MarginsCsv(fh).add``; an exception it raises ends the run.  With
     ``keep_margins`` false the report then drops its margins, so the run
     holds those of one report at a time; only the margins CSV reads them.
     """

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypcontract
-from hypcontract import cli, harness
+from hypcontract import cli, harness, reprs
 from hypcontract.cli import main, parse_point
 from hypcontract.weights import QuadratureError
 
@@ -361,7 +361,7 @@ class TestVerify:
                 raise OSError(28, "No space left on device")
             written.append(case_id)
 
-        monkeypatch.setattr(harness.MarginsCsv, "add", full)
+        monkeypatch.setattr(reprs.MarginsCsv, "add", full)
         old, new = tmp_path / "old.json", tmp_path / "new.csv"
         old.write_text("old")
         rc = main(["verify", "--count", "64", "--json-out", str(old), "--csv-out", str(new)])

@@ -12,12 +12,12 @@ import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
 
-from hypcontract import ball, harness
+from hypcontract import ball, harness, reprs
 from hypcontract.catalog import catalog, get
 from hypcontract.cli import main
 from hypcontract.disk import rho, sigma
@@ -526,6 +526,90 @@ class TestPavlovic:
         assert rep.min_margin >= -1e-9
 
 
+THEOREM_2_MAPS = ("identity", "constant", "blaschke", "blaschke_product", "power", "scaled_exp")
+RADIUS_CAP = SampleSpec(count=1).radius_cap
+
+
+def _dilation(f, z):
+    """|f'(z)| (1 - |z|^2) / (1 - |f(z)|^2): the ratio of the two sides ``verify_pavlovic`` forms."""
+    return np.abs(f.deriv(z)) * (1.0 - np.abs(z) ** 2) / (1.0 - np.abs(f.eval(z)) ** 2)
+
+
+@cache
+def _sup_dilation(name):
+    """The sup of ``_dilation`` over the capped disk: a 2001 x 721 polar grid, refined from its argmax.
+
+    The refinement's radius is bounded by the cap, so it stays in the disk
+    the pairs are drawn from.
+    """
+    from scipy import optimize
+
+    f = get(name)
+    r = np.linspace(0.0, RADIUS_CAP, 2001)
+    theta = np.linspace(0.0, 2.0 * math.pi, 721, endpoint=False)
+    best, start = -math.inf, None
+    for a in range(0, len(r), 250):  # 250 radii at a time bound the temporaries
+        d = _dilation(f, r[a : a + 250, np.newaxis] * np.exp(1j * theta))
+        i, j = np.unravel_index(np.argmax(d), d.shape)
+        if d[i, j] > best:
+            best, start = float(d[i, j]), (r[a + i], theta[j])
+    refined = optimize.minimize(
+        lambda p: -float(_dilation(f, p[0] * np.exp(1j * p[1]))),
+        start,
+        method="L-BFGS-B",
+        bounds=[(0.0, RADIUS_CAP), (None, None)],
+    )
+    assert 0.0 <= refined.x[0] <= RADIUS_CAP
+    return max(best, -refined.fun)
+
+
+class TestTheorem2Oracle:
+    """The pair ratios sigma(f z, f w)/sigma(z, w) and their modulus form stay below the grid's dilation.
+
+    sigma-geodesics between points of the capped disk stay in it, so the
+    Lipschitz constant of f there is the sup of its pointwise dilation.  The
+    pairs read f through ``eval`` and ``sigma``, the dilation through
+    ``deriv``: a kernel error on either side shows here even for maps whose
+    ratios stay far below 1, where ``lhs <= rhs`` hides it.
+    """
+
+    @pytest.mark.parametrize("name", THEOREM_2_MAPS)
+    @pytest.mark.parametrize("op", ["schwarz_pick", "modulus_contraction"])
+    def test_pair_sup_ratio_is_at_most_the_sup_dilation(self, op, name, monkeypatch):
+        ratios = []
+        driver = harness._verify_pairs
+
+        def with_ratios(case, spec, workers, sides, stream=None, on_block=None):
+            def ratio(a, z, w, lhs, d):
+                apart = d > 0  # the degenerate last pair has no ratio
+                ratios.append(np.max(lhs[apart] / d[apart], initial=0.0))
+
+            return driver(case, spec, workers, sides, stream, ratio)
+
+        monkeypatch.setattr(harness, "_verify_pairs", with_ratios)
+        case = InequalityCase(id=f"{op}:{name}", function=get(name))
+        bound = _sup_dilation(name) * (1 + 1e-12)
+        for seed in (0, 63, 101):
+            ratios.clear()
+            rep = getattr(harness, f"verify_{op}")(case, SampleSpec(count=20_000, seed=seed))
+            assert rep.status == "pass" and len(ratios) == 2  # 20,000 samples: two blocks
+            assert max(ratios) <= bound, (seed, max(ratios), bound)
+
+    @pytest.mark.parametrize(
+        "name, sup",
+        [
+            ("identity", 1.0),
+            ("constant", 0.0),
+            ("blaschke", 1.0),
+            ("blaschke_product", 0.999928),
+            ("power", 0.593567),
+            ("scaled_exp", 0.301656),
+        ],
+    )
+    def test_sup_dilation(self, name, sup):
+        assert _sup_dilation(name) == pytest.approx(sup, abs=1e-6)
+
+
 class TestKvFactor:
     def test_four_over_pi_passes(self):
         case = InequalityCase(id="kv_factor:strip_map", function=get("strip_map"), factor=KV_FACTOR)
@@ -813,16 +897,16 @@ def suite_3000():
 
 
 class TestMarginsCsv:
-    @pytest.mark.parametrize("block_rows", [7, harness.CSV_BLOCK_ROWS])
+    @pytest.mark.parametrize("block_rows", [7, reprs.CSV_BLOCK_ROWS])
     def test_bytes_of_the_per_row_formula(self, crafted_result, monkeypatch, block_rows):
-        monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(reprs, "CSV_BLOCK_ROWS", block_rows)
         text = crafted_result.margins_csv()
         assert text == _per_row_csv(crafted_result)
         assert "negative_zeros,0,-0.0\n" in text and "zeros,0,0.0\n" in text
         assert "a,5,5e-324\n" in text and "a_last,8,1.2345678901234568e+17\n" in text
 
     def test_index_digits_grow_with_the_columns(self, crafted_result, monkeypatch):
-        monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", 7)
+        monkeypatch.setattr(reprs, "CSV_BLOCK_ROWS", 7)
         reports = sorted(
             crafted_result.reports, key=lambda r: 0 if r.margins is None else len(r.margins)
         )
@@ -836,7 +920,7 @@ class TestMarginsCsv:
         rows = np.zeros((count, width + 1), dtype=np.uint8)
         rows[:, -1] = ord(",")
         for a in range(0, count, 1000):
-            harness._row_numbers(rows[a : a + 1000, :-1], a)
+            reprs._row_numbers(rows[a : a + 1000, :-1], a)
         text = rows.tobytes().translate(None, b"\0").decode()
         assert text == "".join(f"{i}," for i in range(count))
 
@@ -845,8 +929,8 @@ class TestMarginsCsv:
         [
             (0, 1),
             (9, 2),  # 9 and 10
-            (harness.CSV_BLOCK_ROWS - 1, 2),  # the last row of a block and the first of the next
-            (6 * harness.CSV_BLOCK_ROWS, harness.CSV_BLOCK_ROWS),  # 99,999 and 100,000 inside a block
+            (reprs.CSV_BLOCK_ROWS - 1, 2),  # the last row of a block and the first of the next
+            (6 * reprs.CSV_BLOCK_ROWS, reprs.CSV_BLOCK_ROWS),  # 99,999 and 100,000 inside a block
             (10**8 - 2, 4),  # nine digits: two words
             (10**16 - 2, 4),  # seventeen digits: three words
             # the last rows of the longest stream a SampleSpec accepts
@@ -857,7 +941,7 @@ class TestMarginsCsv:
         width = len(str(first + n - 1))
         rows = np.full((n, width + 2), 0xFF, dtype=np.uint8)
         field = rows[:, 1:-1]  # rows that are not contiguous, as in the writer's buffer
-        harness._row_numbers(field, first)
+        reprs._row_numbers(field, first)
         want = b"".join(str(i).encode().rjust(width, b"\0") for i in range(first, first + n))
         assert field.tobytes() == want
         assert (rows[:, 0] == 0xFF).all() and (rows[:, -1] == 0xFF).all()
@@ -876,15 +960,15 @@ class TestMarginsCsv:
 
         tracemalloc.start()
         try:
-            harness.MarginsCsv(Sink()).add("a_case", margins)
+            reprs.MarginsCsv(Sink()).add("a_case", margins)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(written) == 1 + -(-len(margins) // harness.CSV_BLOCK_ROWS)
+        assert len(written) == 1 + -(-len(margins) // reprs.CSV_BLOCK_ROWS)
         assert peak <= 3e6
 
     def test_file_holds_the_same_text(self, crafted_result, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", 7)
+        monkeypatch.setattr(reprs, "CSV_BLOCK_ROWS", 7)
         path = tmp_path / "margins.csv"
         with open(path, "wb") as fh:
             crafted_result.write_margins_csv(fh)
@@ -900,14 +984,14 @@ class TestMarginsCsv:
         assert cols["schwarz_pick:constant"] == cols["modulus_contraction:constant"]
         assert cols["abs_sigma_disk"] == cols["modulus_contraction:identity"]
         assert len(set(cols.values())) == len(cols) - 2
-        monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", 1000)  # blocks shorter than a column
+        monkeypatch.setattr(reprs, "CSV_BLOCK_ROWS", 1000)  # blocks shorter than a column
         # Lines, not one 1.5 MB string: a failure then names the first row that differs.
         text = suite_3000.margins_csv()
         assert text.split("\n") == _per_row_csv(suite_3000).split("\n")
         # The same bytes streamed a case at a time while the suite runs.
         buf = io.BytesIO()
         config = default_config(count=3000)
-        streamed = run_suite(config, keep_margins=False, on_margins=harness.MarginsCsv(buf).add)
+        streamed = run_suite(config, keep_margins=False, on_margins=reprs.MarginsCsv(buf).add)
         assert all(r.margins is None for r in streamed.reports)
         assert buf.getvalue().decode("ascii") == text
 
@@ -1497,7 +1581,7 @@ class TestKeepMargins:
     def test_csv_blocks_do_not_move_bytes(self, monkeypatch):
         result = run_suite(default_config(count=300))
         whole = result.margins_csv()
-        monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", 7)
+        monkeypatch.setattr(reprs, "CSV_BLOCK_ROWS", 7)
         assert result.margins_csv() == whole
 
 

@@ -22,12 +22,17 @@ def _expected(x):
     return np.array(texts, dtype=f"S{WIDTH}").view(np.uint8).reshape(-1, WIDTH), [len(t) for t in texts]
 
 
+def _lengths(mat):
+    """Each row's length: its count of non-NUL bytes, as no repr holds a NUL."""
+    return np.count_nonzero(mat, axis=1).tolist()
+
+
 def _assert_reprs(x):
-    mat, lengths = repr_matrix(x)
+    mat = repr_matrix(x)
     want, want_lengths = _expected(x)
     bad = np.flatnonzero((mat != want).any(axis=1))
     assert bad.size == 0, [(repr(float(x[i])), mat[i].tobytes()) for i in bad[:5]]
-    assert lengths.tolist() == want_lengths
+    assert _lengths(mat) == want_lengths
 
 
 def _parts(text):
@@ -71,9 +76,9 @@ class TestBytes:
         # The table alone, on the digits repr prints: on the fast path a
         # value printed as an integer ("123.0") never occurs.
         sign, out, n, decpt = (np.array(c) for c in zip(*map(_parts, map(repr, x.tolist()))))
-        mat, lengths = reprs._layout(sign, out.astype(np.uint64), n, decpt)
+        mat = reprs._layout(sign, out.astype(np.uint64), n, decpt)
         want, want_lengths = _expected(x)
-        assert np.array_equal(mat, want) and lengths.tolist() == want_lengths
+        assert np.array_equal(mat, want) and _lengths(mat) == want_lengths
 
     def test_signed_powers_of_two(self):
         x = np.array([s * 2.0**k for k in range(-1074, 1024) for s in (1.0, -1.0)])
@@ -108,8 +113,8 @@ class TestBytes:
         _assert_reprs(np.array(values))
 
     def test_empty(self):
-        mat, lengths = repr_matrix(np.array([]))
-        assert mat.shape == (0, WIDTH) and lengths.shape == (0,)
+        mat = repr_matrix(np.array([]))
+        assert mat.shape == (0, WIDTH) and _lengths(mat) == []
 
 
 EDGES = [
@@ -156,10 +161,10 @@ class TestFallback:
         monkeypatch.setattr(reprs, "FORMAT_ROWS", 3)
         x = np.array([v for v, _ in EDGES] * 2)
         rows = np.full((len(x), WIDTH + 5), 0xFF, dtype=np.uint8)
-        mat, lengths = repr_matrix(x, out=rows[:, 2:-3])
+        mat = repr_matrix(x, out=rows[:, 2:-3])
         assert mat.base is rows
         assert (rows[:, 2:-3] == _expected(x)[0]).all()
-        assert lengths.tolist() == _expected(x)[1]
+        assert _lengths(mat) == _expected(x)[1]
         assert (rows[:, :2] == 0xFF).all() and (rows[:, -3:] == 0xFF).all()
 
     def test_every_row_when_repr_is_not_short(self, monkeypatch):
