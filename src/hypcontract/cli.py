@@ -175,6 +175,32 @@ def _same_file(a: str, b: str) -> bool:
         return os.path.realpath(a) == os.path.realpath(b)
 
 
+# glibc's mallopt parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_block_heap() -> None:
+    """Let glibc's heap keep the block temporaries that a ``verify`` without ``--csv-out`` frees.
+
+    Such a run frees no full-length array, only block temporaries (1.6 MB
+    at most), and glibc maps and unmaps them, or trims them off its heap, on
+    every block: its mmap and trim thresholds start at 128 KiB and rise only
+    when a larger mapped chunk is freed, as in a run that holds full-length
+    margins.  Above 4 MiB an array still gets its own mapping, and up to 16
+    MiB of freed heap is kept for the next block.  Elsewhere than glibc
+    nothing is set.
+    """
+    import ctypes  # only this run needs it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
+
+
 def cmd_verify(args) -> int:
     try:
         config = _load_config(args)
@@ -209,6 +235,8 @@ def cmd_verify(args) -> int:
     csv = None
     if args.csv_out:
         from . import reprs  # only a CSV needs it; ``verify`` without one never loads it
+    else:
+        _keep_block_heap()
 
     def add_margins(case_id, margins):
         nonlocal csv

@@ -1,13 +1,16 @@
 """Deterministic sampled verification of the contraction inequalities.
 
 ``OPS`` is the one op table: what each op needs of its catalog function, the
-case defaults it carries and whether it reads the disk-pair stream.
-``validate_config`` and ``run_suite`` read it.  ``run_suite`` plans one row
-``(case, check)`` per report and calls ``check(case, spec, workers)``: the
-checker ``verify_<op>`` of a case, or, for ``abs_inequalities``, one row of
-``_abs_cases`` per distance.  Every sampled pair inequality goes through one
-driver, ``_verify_pairs``: the four pair ops (``re_contraction``,
-``modulus_contraction``, ``schwarz_pick``, ``kv_factor``) and the
+case defaults it carries and, for an op on the disk-pair stream, its left
+side.  ``validate_config`` and ``run_suite`` read it.  ``run_suite`` plans
+one row ``(case, check, pair)`` per report: the checker ``verify_<op>`` of a
+case, or, for ``abs_inequalities``, one row of ``_abs_cases`` per distance;
+``pair`` holds the sides of a row on the disk-pair stream.  With a margins
+consumer it calls each ``check(case, spec, workers)`` in turn; with none,
+the disk-pair rows share one pass.  Every sampled pair inequality goes
+through one function, ``_verify_rows``, which runs one or more rows over one
+pass of a stream: the four pair ops (``re_contraction``, ``modulus_contraction``,
+``schwarz_pick``, ``kv_factor``, whose sides ``_pair_row`` makes) and the
 ``abs_inequalities`` rows, two on the disk-pair stream and one on the
 ball-pair stream of each dimension.  Every stream comes from one constructor,
 ``_stream(spec, pairs, kernel)``: ``stream(a, b) -> (z, w, d)`` gives the
@@ -28,20 +31,26 @@ rows of full-length arrays in place.  Neither chunk nor block boundaries
 depend on the worker count, so a suite is bitwise reproducible at any
 parallelism level.  No stream holds a distance: each read forms ``d`` on
 its own rows.  A stream draws the rows of each read and holds nothing,
-except the disk-pair stream within one ``run_suite`` call: the plan rows
-that read it share one ``_held`` draw, full-length ``z`` and ``w``
-(allocated by the first read) whose chunks the first reading row draws and
-checks in its own pass, and they are freed once the last of those rows has
-made its report.  A case whose
-curvature gate fails reads nothing.  A disk-pair read forms ``sigma``
-without checking the pairs again, since they were checked where drawn.
+except the disk-pair stream within a ``run_suite`` call whose margins go to
+a consumer: there the plan rows that read it share one ``_held`` draw,
+full-length ``z`` and ``w`` (allocated by the first read) whose chunks the
+first reading row draws and checks in its own pass, and they are freed
+once the last of those rows has made its report.  A case whose curvature
+gate fails reads nothing.  A disk-pair read forms ``sigma`` without
+checking the pairs again, since they were checked where drawn.
 
-A sampled case holds one full-length array, its margins (margin = rhs - lhs):
-each block reduces its two sides to their difference in place.  The sides of
-the violation candidates are formed again: each chunk that holds one is read
-again through the stream, and its candidates go through the same ``sides``,
-so the bits agree.  ``kv_factor`` reduces its supremum ratio and that ratio's
-pair in the same pass, one slot per block.
+Each block reduces every row's two sides to their difference, the margins
+(margin = rhs - lhs), and reduces those to the report's statistics in the
+same pass (``blockstats``: the minimum, the mean with the bits of
+``np.mean``, and the violation candidates).  A sampled case holds a
+full-length array, its margins, only when something reads them: a bare
+``verify_*`` call, or a ``run_suite`` with ``keep_margins`` or
+``on_margins``.  A ``run_suite`` with neither holds none: its disk-pair
+rows share one pass, which draws each block once.  The sides of the
+violation candidates are formed again: each chunk that holds one is read
+again through the stream, and its candidates go through the same
+``sides``, so the bits agree.  ``kv_factor`` reduces its supremum ratio and
+that ratio's pair in the same pass, one slot per block.
 
 A block gives the bits its chunks would give one at a time only while every
 kernel is elementwise and blind to array size.  numpy breaks the second: a
@@ -85,7 +94,7 @@ from typing import Callable, Iterator
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from . import ball, disk
+from . import ball, blockstats, disk
 from .catalog import HoloFunction, catalog, get as catalog_get
 from .disk import BOUNDARY_GUARD, mobius, rho, sigma, sigma_real
 from .weights import (
@@ -173,7 +182,8 @@ class InequalityCase:
 class VerificationReport:
     """Margin statistics of one verified case.
 
-    ``margins`` keeps the raw per-sample values for CSV emission; ``to_dict``
+    ``margins`` keeps the raw per-sample values for CSV emission, where
+    something reads them (None elsewhere); ``to_dict``
     exposes only the summary (the JSON data payload must not depend on wall
     time or parallelism).
     """
@@ -374,41 +384,28 @@ def _rows_of(*arrays) -> Callable:
     return lambda rows: tuple(x[rows] for x in arrays)
 
 
-def _mean(margins: np.ndarray) -> float:
-    """``np.mean(margins)``, or, if its sum overflows on finite margins, their scaled mean.
-
-    The scaled mean divides by the largest magnitude first, so it stays
-    finite; the plain mean is kept wherever it is finite, so its bits hold.
-    """
-    mean = np.mean(margins)
-    if not np.isfinite(mean) and np.isfinite(margins).all():
-        scale = np.max(np.abs(margins))
-        mean = np.mean(margins / scale) * scale
-    return float(mean)
-
-
 def _finalize(
-    case: InequalityCase,
-    spec_seed: int,
-    margins: np.ndarray,
-    rows_at: Callable,
-    t0: float,
-    extras: dict | None = None,
+    case: InequalityCase, spec_seed: int, margins: np.ndarray | None, rows_at: Callable, t0: float,
+    extras: dict | None = None, stats: blockstats.Stats | None = None,
 ) -> VerificationReport:
-    """The report of ``margins`` (rhs - lhs per sample).
+    """The report of the margins (rhs - lhs per sample), read from their statistics.
 
-    ``rows_at(rows) -> (z, w, lhs, rhs)`` gives the pairs and both sides on a
-    sorted index array.  With tol_rel >= 0 a violation is also below
-    -tol_abs, so both sides and the relative tolerance are formed only on
-    those candidates: ``rows_at`` is called once, on them (never on none),
-    and must give the bits whose difference made their margins.
+    ``stats`` (``blockstats.Stats``) were reduced block by block in the
+    margins' pass, and ``margins`` are theirs (None unless kept); without
+    them, ``margins`` are reduced as one block.  ``rows_at(rows) -> (z, w, lhs, rhs)`` gives the
+    pairs and both sides on a sorted index array.  With tol_rel >= 0 a
+    violation is also below -tol_abs, so both sides and the relative
+    tolerance are formed only on those candidates: ``rows_at`` is called
+    once, on them (never on none), and must give the bits whose difference
+    made their margins.
     """
-    near = np.nonzero(margins < -case.tol_abs)[0]
+    stats = stats or blockstats.of(margins, case.tol_abs)
+    near, near_margins = stats.candidates()
     violations = []
     if len(near):
         z, w, lhs, rhs = rows_at(near)
         tol = case.tol_abs + case.tol_rel * np.abs(rhs)
-        for k in np.nonzero(margins[near] < -tol)[0]:
+        for k in np.nonzero(near_margins < -tol)[0]:
             violations.append(
                 {
                     "index": int(near[k]),
@@ -416,15 +413,15 @@ def _finalize(
                     "w": _serialize_point(w[k]),
                     "lhs": float(lhs[k]),
                     "rhs": float(rhs[k]),
-                    "margin": float(margins[near[k]]),
+                    "margin": float(near_margins[k]),
                 }
             )
     return VerificationReport(
         case_id=case.id,
         status="violated" if violations else "pass",
-        samples_used=len(margins),
-        min_margin=float(np.min(margins)),
-        mean_margin=_mean(margins),
+        samples_used=stats.count,
+        min_margin=stats.min(),
+        mean_margin=stats.mean(),
         violations=tuple(violations),
         seed=spec_seed,
         wall_time=time.perf_counter() - t0,
@@ -455,40 +452,54 @@ def _gate(case: InequalityCase, seed: int, t0: float) -> VerificationReport | No
     )
 
 
-def _verify_pairs(
-    case: InequalityCase,
-    spec: SampleSpec,
-    workers: int,
-    sides: Callable,
-    stream: Callable | None = None,
-    on_block: Callable | None = None,
-) -> VerificationReport:
-    """lhs <= rhs over a pair stream, for ``sides(z, w, d) -> (lhs, rhs)``.
+def _verify_pairs(case, spec, workers, sides, on_block=None, stream=None, keep=True):
+    """lhs <= rhs over a pair stream, for ``sides(z, w, d) -> (lhs, rhs)``: one row of ``_verify_rows``.
 
-    ``stream(a, b) -> (z, w, d)`` (``_stream``) gives the pairs of rows
-    [a, b), on chunk bounds, and their distance ``d``.  It defaults to the
-    disk-pair stream of ``spec`` drawn on every read (``d = sigma(z, w)``);
-    a suite row passes the stream of its held draws.  Each block writes
-    only its rows of the margins.  The violation candidates and their pairs
-    take one path on every stream, ``rows_at``: each chunk that holds one is
-    read again through the stream on its own, and its picked pairs (and
-    distances, if the stream forms any) go through the same ``sides``, whose
-    kernels are elementwise, so they give the bits of the block.  If given,
-    ``on_block(a, z, w, lhs, d)`` sees the pairs, left side and distance of
-    each block in that pass, ``a`` the block's first row.
+    ``stream`` defaults to the disk-pair stream of ``spec`` drawn on every
+    read (``d = sigma(z, w)``); a suite row passes its own.
+    """
+    stream = stream or _stream(spec, partial(_disk_pairs, spec), _sigma)
+    return _verify_rows(spec, workers, stream, [(case, sides, on_block)], keep)[0]
+
+
+def _verify_rows(spec: SampleSpec, workers: int, stream: Callable, rows: list, keep: bool) -> list:
+    """The reports of ``rows``, ``(case, sides, on_block)`` each, from one pass over ``stream``.
+
+    A row whose case carries a target weight first gates on it (``_gate``);
+    a failed gate is its report, and it reads nothing.  ``stream(a, b) ->
+    (z, w, d)`` (``_stream``) gives the pairs of rows [a, b), on chunk
+    bounds, and their distance ``d``.  Each block reads it once and runs
+    every row's ``sides`` on its pairs; each row reduces its block's margins
+    into its ``blockstats.Stats``, allocated before the pass, which with
+    ``keep`` also keeps them whole for the report.  A row without them whose
+    mean overflows on finite margins is run again with them, for its scaled
+    mean.  The violation candidates and
+    their pairs take one path on every stream, ``rows_at``: each chunk that
+    holds one is read again through the stream on its own, and its picked
+    pairs (and distances, if the stream forms any) go through the same
+    ``sides``, whose kernels are elementwise, so they give the bits of the
+    block.  If given, ``on_block(a, z, w, lhs, d)`` sees the pairs, left
+    side and distance of each block in that pass, ``a`` the block's first
+    row, and its ``extras()``, if it has them, go into the report.
     """
     t0 = time.perf_counter()
-    stream = stream or _stream(spec, partial(_disk_pairs, spec), _sigma)
-    margins = np.empty(spec.count)
+    gates = [case.target is not None and _gate(case, spec.seed, t0) for case, _, _ in rows]
+    rows = [row for row, failed in zip(rows, gates) if not failed]
+    if not rows:
+        return gates
+    layout = blockstats.layout(spec.count, BLOCK_CHUNKS * CHUNK_SIZE)
+    stats = [blockstats.Stats(layout, case.tol_abs, keep) for case, _, _ in rows]
 
     def one(a, b):
         z, w, d = stream(a, b)
-        lhs, rhs = sides(z, w, d)
-        margins[a:b] = rhs - lhs
-        if on_block:
-            on_block(a, z, w, lhs, d)
+        block = layout.block(a, b)
+        for (_, sides, on_block), st in zip(rows, stats):
+            lhs, rhs = sides(z, w, d)
+            st.add(block, rhs, lhs)
+            if on_block:
+                on_block(a, z, w, lhs, d)
 
-    def rows_at(rows):
+    def rows_at(sides, rows):
         picked, chunk_of = [], rows // CHUNK_SIZE
         for ci in sorted(set(chunk_of.tolist())):  # np.unique would import numpy.ma
             a = ci * CHUNK_SIZE
@@ -498,22 +509,21 @@ def _verify_pairs(
         return tuple(np.concatenate(part) for part in zip(*picked))
 
     _map_chunks(spec, one, workers)
-    return _finalize(case, spec.seed, margins, rows_at, t0)
-
-
-def _bounded_by_sigma(case: InequalityCase, lhs_of: Callable) -> Callable:
-    """The sides ``lhs_of(f(z), f(w))`` and ``case.factor * sigma(z, w)`` of a disk-pair op."""
-    f = case.function
-    return lambda z, w, s: (lhs_of(f.eval(z), f.eval(w)), case.factor * s)
+    made = []
+    for (case, sides, on_block), st in zip(rows, stats):
+        if st.margins is None and st.overflows:
+            made += _verify_rows(spec, workers, stream, [(case, sides, on_block)], True)
+        else:
+            extras = on_block.extras() if hasattr(on_block, "extras") else None
+            made.append(_finalize(case, spec.seed, st.margins, partial(rows_at, sides), t0, extras, st))
+    return [failed or made.pop(0) for failed in gates]
 
 
 def verify_re_contraction(
     case: InequalityCase, spec: SampleSpec, workers: int = 1, stream: Callable | None = None
 ) -> VerificationReport:
-    """d_w(Re f(z), Re f(w)) <= sigma(z, w), gated on curv_w <= -1."""
-    sides = _bounded_by_sigma(case, _re_lhs(case.target))
-    failed = _gate(case, spec.seed, time.perf_counter())
-    return failed or _verify_pairs(case, spec, workers, sides, stream)
+    """d_w(Re f(z), Re f(w)) <= sigma(z, w), gated on curv_w <= -1 (by ``_verify_rows``)."""
+    return _verify_pairs(case, spec, workers, *_pair_row("re_contraction", case), stream)
 
 
 def _re_lhs(weight: Weight) -> Callable:
@@ -565,7 +575,7 @@ def verify_modulus_contraction(
     case: InequalityCase, spec: SampleSpec, workers: int = 1, stream: Callable | None = None
 ) -> VerificationReport:
     """sigma(|f(z)|, |f(w)|) <= sigma(z, w) for disk-codomain entries."""
-    return _verify_pairs(case, spec, workers, _bounded_by_sigma(case, _modulus_lhs), stream)
+    return _verify_pairs(case, spec, workers, *_pair_row("modulus_contraction", case), stream)
 
 
 def _modulus_lhs(fz, fw):
@@ -577,7 +587,7 @@ def verify_schwarz_pick(
     case: InequalityCase, spec: SampleSpec, workers: int = 1, stream: Callable | None = None
 ) -> VerificationReport:
     """sigma(f(z), f(w)) <= sigma(z, w) for disk-codomain entries."""
-    return _verify_pairs(case, spec, workers, _bounded_by_sigma(case, sigma), stream)
+    return _verify_pairs(case, spec, workers, *_pair_row("schwarz_pick", case), stream)
 
 
 def verify_pavlovic(
@@ -612,11 +622,17 @@ def verify_kv_factor(
 
     The left side is the distance of the weight 2/(1-t^2) on (-1, 1), i.e.
     |2 atanh U(z) - 2 atanh U(w)| for U = Re f.  The empirical supremum of the
-    ratio lhs/sigma is recorded (pairs with sigma = 0 are excluded from it).
-    It is reduced in the margins' pass, with its pair: each block keeps its
-    largest ratio and that ratio's pair, and ``np.argmax`` over the blocks in
-    stream order picks the first largest (or first NaN), as it would over the
-    whole ratio.
+    ratio lhs/sigma is recorded (``_sup_ratio``).
+    """
+    return _verify_pairs(case, spec, workers, *_pair_row("kv_factor", case), stream)
+
+
+def _sup_ratio(factor: float) -> Callable:
+    """``kv_factor``'s ``on_block``: the sup of lhs/sigma and its pair, reduced in the margins' pass.
+
+    Pairs with sigma = 0 are excluded.  Each block keeps its largest ratio
+    and that ratio's pair, and ``np.argmax`` over the blocks in stream order
+    picks the first largest (or first NaN), as it would over the whole ratio.
     """
     sups = {}  # first row of a block -> (its sup ratio, the pair where it occurs)
 
@@ -625,16 +641,25 @@ def verify_kv_factor(
         k = int(np.argmax(ratio))
         sups[a] = ratio[k], (z[k], w[k])
 
-    sides = _bounded_by_sigma(case, _re_lhs(disk_diameter_weight()))
-    report = _verify_pairs(case, spec, workers, sides, stream, on_block=block_sup)
-    ratios, pairs = zip(*(sups[a] for a in sorted(sups)))
-    j = int(np.argmax(ratios))
-    extras = {
-        "factor": case.factor,
-        "sup_ratio": float(ratios[j]),
-        "sup_ratio_pair": [_serialize_point(x) for x in pairs[j]],
-    }
-    return replace(report, extras=extras)
+    def extras():
+        ratios, pairs = zip(*(sups[a] for a in sorted(sups)))
+        j = int(np.argmax(ratios))
+        pair = [_serialize_point(x) for x in pairs[j]]
+        return {"factor": factor, "sup_ratio": float(ratios[j]), "sup_ratio_pair": pair}
+
+    block_sup.extras = extras
+    return block_sup
+
+
+def _pair_row(op: str, case: InequalityCase) -> tuple:
+    """``(sides, on_block)`` of a disk-pair op's case: lhs_of(f(z), f(w)) <= factor * sigma(z, w).
+
+    ``lhs_of`` is the op's in ``OPS``; the checkers and ``run_suite``'s
+    shared pass both take a case's sides from here.
+    """
+    f, lhs_of = case.function, OPS[op][2](case)
+    sides = lambda z, w, s: (lhs_of(f.eval(z), f.eval(w)), case.factor * s)
+    return sides, _sup_ratio(case.factor) if op == "kv_factor" else None
 
 
 def verify_abs_inequalities(
@@ -646,19 +671,21 @@ def verify_abs_inequalities(
     the previous one has been taken, so a caller that drops each report's
     margins holds those of one report at a time.
     """
-    for case, check in _abs_cases(spec, dims, partial(_disk_pairs, spec)):
+    for case, check, _ in _abs_cases(spec, dims, partial(_disk_pairs, spec)):
         yield check(case, spec, workers)
 
 
-def _abs_cases(spec: SampleSpec, dims: tuple, disk_pairs: Callable) -> list:
-    """The rows ``(case, check)`` of the ``abs_inequalities`` reports.
+def _abs_cases(spec: SampleSpec, dims: tuple, disk_pairs: Callable, keep: bool = True) -> list:
+    """The plan rows ``(case, check, pair)`` of the ``abs_inequalities`` reports.
 
     On the disk-pair stream, rho(|z|, |w|) <= rho(z, w) and sigma(|z|, |w|) <=
     sigma(z, w); on the ball-pair stream of each dimension in ``dims``,
     beta(|z|, |w|) <= beta(z, w), with |z| the point (|z|,) of the slice B^1.
     The disk rows read ``disk_pairs`` (``_disk_pairs`` or its ``_held``
     draws); a ball row draws its rows on every read.  ``check(case, spec,
-    workers)`` makes a row's report, as a ``verify_*`` checker does.
+    workers)`` makes a row's report, as a ``verify_*`` checker does, with
+    its margins only if ``keep``; ``pair``, ``(sides, on_block)`` of a disk
+    row and None of a ball row, is what ``run_suite``'s shared pass runs.
     """
 
     def beta_sides(z, w, b):
@@ -674,7 +701,8 @@ def _abs_cases(spec: SampleSpec, dims: tuple, disk_pairs: Callable) -> list:
 
     def row(name, pairs, kernel, sides):
         case = InequalityCase(id=f"abs_{name}", tol_abs=1e-12, tol_rel=0.0)
-        return case, partial(_verify_pairs, sides=sides, stream=_stream(spec, pairs, kernel))
+        check = partial(_verify_pairs, sides=sides, stream=_stream(spec, pairs, kernel), keep=keep)
+        return case, check, (sides, None) if pairs is disk_pairs else None
 
     return [  # rho_disk's sides take no distance, so its reads form none
         row("rho_disk", disk_pairs, None, lambda z, w, _: (rho(np.abs(z), np.abs(w)), rho(z, w))),
@@ -743,21 +771,24 @@ def verify_proof_chain(
 
 
 # op -> (what the op needs of its catalog function, InequalityCase defaults,
-# whether it reads the disk-pair stream, which its checker then takes as
-# ``stream``).  Needs: "weight", a weight whose domain holds the Re-image;
-# "disk", a disk codomain; "strip", the Re-image (-1, 1); None, no function
-# or weight at all.  A ``weight`` is accepted only by "weight" ops, a
-# ``factor`` only by ops whose defaults carry one.  The function-free op is
-# expanded by ``_abs_cases``, whose two disk rows read the stream.
+# and, for an op on the disk-pair stream, ``lhs(case) -> lhs_of``, the left
+# side lhs_of(f(z), f(w)) of its ``_pair_row``; its checker then takes the
+# stream as ``stream``).  Needs: "weight", a weight whose domain holds the
+# Re-image; "disk", a disk codomain; "strip", the Re-image (-1, 1); None, no
+# function or weight at all.  A ``weight`` is accepted only by "weight" ops,
+# a ``factor`` only by ops whose defaults carry one.  The function-free op is
+# expanded by ``_abs_cases``, whose two disk rows read the stream.  The
+# kernels are looked up on the module at call time, so a wrapper set there
+# sees them.
 OPS = {
-    "re_contraction": ("weight", {}, True),
-    "pointwise_gradient": ("weight", {}, False),
-    "modulus_contraction": ("disk", {}, True),
-    "schwarz_pick": ("disk", {}, True),
-    "pavlovic": ("disk", {}, False),
-    "kv_factor": ("strip", {"factor": KV_FACTOR}, True),
-    "abs_inequalities": (None, {}, True),
-    "proof_chain": ("weight", {"tol_abs": 1e-12}, False),
+    "re_contraction": ("weight", {}, lambda case: _re_lhs(case.target)),
+    "pointwise_gradient": ("weight", {}, None),
+    "modulus_contraction": ("disk", {}, lambda case: _modulus_lhs),
+    "schwarz_pick": ("disk", {}, lambda case: sigma),
+    "pavlovic": ("disk", {}, None),
+    "kv_factor": ("strip", {"factor": KV_FACTOR}, lambda case: _re_lhs(disk_diameter_weight())),
+    "abs_inequalities": (None, {}, None),
+    "proof_chain": ("weight", {"tol_abs": 1e-12}, None),
 }
 
 
@@ -917,6 +948,9 @@ class SuiteResult:
             "data": self.data_dict(),
             "meta": {
                 "wall_time": self.wall_time,
+                # from the start of a report's pass to the report: the rows that share one
+                # pass (run_suite with no margins consumer) each count that whole pass, so
+                # their times overlap and do not add up to the suite's
                 "case_wall_times": {r.case_id: r.wall_time for r in self.reports},
             },
         }
@@ -985,21 +1019,31 @@ def run_suite(
 ) -> SuiteResult:
     """Run every configured case; deterministic for a fixed config and seed.
 
-    The suite is planned first, one row ``(case, check)`` per report: one
-    per case, and the ``_abs_cases`` rows for ``abs_inequalities``.  The
-    rows that read the disk-pair stream share one ``_held`` draw of it,
-    allocated by the first read and drawn and checked by the first of them
-    in its own pass: a
-    ``verify_*`` row holds it as ``partial(verify_<op>, stream=...)``, an
-    abs row in its stream, and nothing else holds it.  Each row is popped
-    before it runs, so the draws are freed as soon as the last row that
-    reads them has made its report.  Each report is handed over as soon as
-    it is made, before the next one is made: with
-    ``on_margins``, its per-sample margins go to ``on_margins(case_id,
-    margins)`` in report order (a report without margins is skipped), such
-    as ``reprs.MarginsCsv(fh).add``; an exception it raises ends the run.  With
-    ``keep_margins`` false the report then drops its margins, so the run
-    holds those of one report at a time; only the margins CSV reads them.
+    The suite is planned first, one row ``(case, check, pair)`` per report:
+    one per case, and the ``_abs_cases`` rows for ``abs_inequalities``;
+    ``pair`` is ``(sides, on_block)`` of a row that reads the disk-pair
+    stream, else None.  How the rows run depends only on whether anything
+    reads the margins.
+
+    - With ``on_margins`` or ``keep_margins``, each row runs its ``check``
+      in plan order, and each report is handed over as soon as it is made,
+      before the next one is made: its per-sample margins go to
+      ``on_margins(case_id, margins)`` in report order (a report without
+      margins is skipped), such as ``reprs.MarginsCsv(fh).add``; an
+      exception it raises ends the run.  The rows that read the disk-pair
+      stream share one ``_held`` draw of it, allocated by the first read
+      and drawn and checked by the first of them in its own pass: a
+      ``verify_*`` row holds it as ``partial(verify_<op>, stream=...)``, an
+      abs row in its stream, and nothing else holds it.  Each row is popped
+      before it runs, so the draws are freed as soon as the last row that
+      reads them has made its report.  With ``keep_margins`` false the
+      report then drops its margins, so the run holds those of one report at
+      a time.
+    - With neither, no full-length array is made: every disk-pair row whose
+      curvature gate passes runs in one ``_verify_rows`` pass, which draws,
+      checks and forms ``sigma`` on each block once, and reduces each row's
+      margins block by block; the ball rows reduce theirs block by block
+      too.  The reports keep plan order.
     """
     errors = validate_config(config)
     if errors:
@@ -1014,28 +1058,30 @@ def run_suite(
             on_margins(report.case_id, report.margins)
         return report if keep_margins else replace(report, margins=None)
 
-    pairs = _held(spec, partial(_disk_pairs, spec))
+    shared = not keep_margins and on_margins is None  # nothing reads the margins
+    pairs = partial(_disk_pairs, spec) if shared else _held(spec, partial(_disk_pairs, spec))
     stream = _stream(spec, pairs, _sigma)
     plan = []
     for cs in config.cases:
-        needs, _, reads = OPS[cs.op]
+        needs, _, lhs = OPS[cs.op]
         if needs is None:  # the function-free family: one row per distance
-            plan += _abs_cases(spec, config.ball_dims, pairs)
+            plan += _abs_cases(spec, config.ball_dims, pairs, keep=not shared)
         else:
             # Looked up on the module, so a wrapper set on the module attribute is used.
-            check = globals()[f"verify_{cs.op}"]
-            plan.append((_build_case(cs), partial(check, stream=stream) if reads else check))
+            check, case = globals()[f"verify_{cs.op}"], _build_case(cs)
+            pair = lhs and _pair_row(cs.op, case)
+            plan.append((case, partial(check, stream=stream) if lhs else check, pair))
+    # with no consumer, the disk-pair rows make their reports at once: case id -> report
+    rows = [(case, *pair) for case, _, pair in plan if pair and shared]
+    made = {r.case_id: r for r in _verify_rows(spec, config.workers, stream, rows, False)}
     del pairs, stream  # the rows alone hold the draws
     while plan:
-        case, check = plan.pop(0)
-        report = check(case, spec, config.workers)
+        case, check, _ = plan.pop(0)
+        report = made.pop(case.id, None) or check(case, spec, config.workers)
         del check  # the last row that reads the held draws frees them, before the hand-over
         reports.append(hand_over(report))
         del report  # it may hold margins that hand_over dropped
     overall = all(r.status == "pass" for r in reports)
     return SuiteResult(
-        overall_pass=overall,
-        reports=tuple(reports),
-        seed=spec.seed,
-        wall_time=time.perf_counter() - t0,
+        overall_pass=overall, reports=tuple(reports), seed=spec.seed, wall_time=time.perf_counter() - t0
     )

@@ -319,6 +319,37 @@ class TestVerify:
             f"workers: 0 is not an integer in 1..{harness.MAX_WORKERS}",
         ]
 
+    @pytest.mark.parametrize("csv", [False, True], ids=["shared-pass", "csv-out"])
+    def test_glibc_keeps_the_block_heap_only_without_a_csv(self, tmp_path, capsys, monkeypatch, csv):
+        # Without --csv-out no full-length array is freed, which is what
+        # raises glibc's mmap and trim thresholds by itself; so verify sets
+        # them, and a --csv-out run keeps glibc's defaults.
+        import ctypes
+
+        calls = []
+
+        class Mallopt:
+            def __call__(self, param, value):
+                calls.append((self.argtypes, param, value))
+                return 1
+
+        class Libc:
+            mallopt = Mallopt()
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        argv = ["verify", "--count", "64"] + (["--csv-out", str(tmp_path / "m.csv")] if csv else [])
+        assert main(argv) == 0
+        capsys.readouterr()
+        int_pair = (ctypes.c_int, ctypes.c_int)
+        assert calls == ([] if csv else [(int_pair, -3, 4 << 20), (int_pair, -1, 16 << 20)])
+
+    def test_no_mallopt_leaves_the_heap_alone(self, capsys, monkeypatch):
+        import ctypes
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a libc without mallopt
+        assert main(["verify", "--count", "64"]) == 0
+        capsys.readouterr()
+
     def test_count_too_large_for_memory_exits_2(self, capsys):
         # numpy refuses the 14 PiB stream at once, so nothing is allocated
         rc = main(["verify", "--count", "1000000000000000"])

@@ -17,7 +17,7 @@ from functools import cache, partial
 import numpy as np
 import pytest
 
-from hypcontract import ball, harness, reprs
+from hypcontract import ball, blockstats, harness, reprs
 from hypcontract.catalog import catalog, get
 from hypcontract.cli import main
 from hypcontract.disk import rho, sigma
@@ -577,14 +577,14 @@ class TestTheorem2Oracle:
     @pytest.mark.parametrize("op", ["schwarz_pick", "modulus_contraction"])
     def test_pair_sup_ratio_is_at_most_the_sup_dilation(self, op, name, monkeypatch):
         ratios = []
-        driver = harness._verify_pairs
+        original = harness._verify_pairs
 
-        def with_ratios(case, spec, workers, sides, stream=None, on_block=None):
+        def with_ratios(case, spec, workers, sides, on_block=None, stream=None):
             def ratio(a, z, w, lhs, d):
                 apart = d > 0  # the degenerate last pair has no ratio
                 ratios.append(np.max(lhs[apart] / d[apart], initial=0.0))
 
-            return driver(case, spec, workers, sides, stream, ratio)
+            return original(case, spec, workers, sides, ratio, stream)
 
         monkeypatch.setattr(harness, "_verify_pairs", with_ratios)
         case = InequalityCase(id=f"{op}:{name}", function=get(name))
@@ -776,14 +776,18 @@ class TestDeterminism:
 
 class TestFinalize:
     def test_mean_of_finite_margins_whose_sum_overflows(self):
+        def mean(m):
+            return blockstats.of(m, 1e-9).mean()
+
         margins = np.array([8e307, 9e307, -1e307, 7e307])
         with np.errstate(over="ignore"):
             assert np.mean(margins) == np.inf
-            assert harness._mean(margins) == pytest.approx(5.75e307, rel=1e-15)
+            assert blockstats.of(margins, 1e-9).overflows
+            assert mean(margins) == pytest.approx(5.75e307, rel=1e-15)
             # a finite plain mean keeps its bits; an infinite margin keeps its mean
             small = np.random.default_rng(2).standard_normal(1000)
-            assert harness._mean(small) == float(np.mean(small))
-            assert harness._mean(np.append(margins, np.inf)) == np.inf
+            assert mean(small) == float(np.mean(small))
+            assert mean(np.append(margins, np.inf)) == np.inf
 
     @pytest.mark.parametrize("tol_rel", [-1e-9, -math.inf, math.nan])
     def test_rejects_a_negative_or_nan_tol_rel(self, tol_rel):
@@ -1492,10 +1496,11 @@ class TestKeepMargins:
         assert dropped.margins_csv() == "case_id,sample_index,margin\n"
 
     def test_peak_memory_is_the_stream_and_one_case(self):
-        # What a suite holds at once: the shared stream's draws (z and w: 32 B
-        # per sample), the running case's margins (8 B per sample) and block
-        # slack, the temporaries of the blocks in flight, which does not grow
-        # with the count.  Measured at 2**17 samples and 2 workers: peaks of
+        # What a suite whose margins go to a consumer holds at once: the
+        # shared stream's draws (z and w: 32 B per sample), the running case's
+        # margins (8 B per sample) and block slack, the temporaries of the
+        # blocks in flight, which does not grow with the count.  Measured at
+        # 2**17 samples and 2 workers: peaks of
         # 8.8 to 13.1 MB, the highest in the dimension-3 ball report, where the
         # stream is gone and two ball blocks hold about 5.4 MB of temporaries
         # each (the disk cases peak at 8.9 to 9.4 MB); so the slack is 8.5 MiB.
@@ -1507,7 +1512,8 @@ class TestKeepMargins:
         slack = 17 * 2**19  # 8.5 MiB
         tracemalloc.start()
         try:
-            result = run_suite(default_config(count=count, workers=2), keep_margins=False)
+            config = default_config(count=count, workers=2)
+            result = run_suite(config, keep_margins=False, on_margins=lambda case_id, m: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1515,9 +1521,9 @@ class TestKeepMargins:
         assert peak <= (32 + 8) * count + slack
 
     def test_disk_cases_hold_the_draws_and_one_case(self):
-        # The four pair ops alone, so the peak is on the shared stream: its
-        # draws (32 B per sample), the running case's margins (8 B per sample)
-        # and block slack.  Measured at 2**19 samples and 2 workers: peaks of
+        # The four pair ops alone, with a margins consumer, so the peak is on
+        # the shared stream: its draws (32 B per sample), the running case's
+        # margins (8 B per sample) and block slack.  Measured at 2**19 samples and 2 workers: peaks of
         # 24.2 to 25.2 MB.  A stream that also held sigma (8 B per sample
         # more) peaked at 28.1 to 29.1 MB, so the slack of 6 MiB puts the
         # bound, 27.3 MB, about halfway between the two.
@@ -1532,12 +1538,30 @@ class TestKeepMargins:
         }
         tracemalloc.start()
         try:
-            result = run_suite(config, keep_margins=False)
+            result = run_suite(config, keep_margins=False, on_margins=lambda case_id, m: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert result.overall_pass
         assert peak <= (32 + 8) * count + slack
+
+    def test_with_no_consumer_a_suite_holds_no_full_length_array(self):
+        # Nothing reads the margins, so the disk-pair cases share one pass and
+        # every case reduces its margins block by block: no stream draws, no
+        # margins.  What is left is the blocks in flight, highest in the
+        # dimension-3 ball report, and each case's statistics (its pairwise
+        # leaf sums: 4,096 at this count, 32 kB).  Measured at 2**19 samples
+        # and 2 workers: peaks of 10.4 to 11.7 MB.  Holding the stream and one
+        # case's margins, 40 B a sample, made it about 29 MB; so the bound,
+        # 14 MiB, has no term per sample.
+        tracemalloc.start()
+        try:
+            result = run_suite(default_config(count=2**19, workers=2), keep_margins=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.overall_pass
+        assert peak <= 14 * 2**20
 
     def test_a_bare_call_holds_its_margins_and_blocks(self):
         # A bare verify_* call draws the disk pairs on every read, so it holds
@@ -1583,6 +1607,114 @@ class TestKeepMargins:
         whole = result.margins_csv()
         monkeypatch.setattr(reprs, "CSV_BLOCK_ROWS", 7)
         assert result.margins_csv() == whole
+
+
+def _ci_suites(count, workers):
+    """The suites of CI's worker-count step, by name."""
+    base = default_config(count=count, workers=workers)
+    return {
+        "default": base,
+        "high_dims": replace(base, cases=(CaseSpec(op="abs_inequalities"),), ball_dims=(4, 5, 6, 7, 8)),
+        "violations": replace(
+            base,
+            cases=(
+                CaseSpec(op="kv_factor", function="strip_map", factor=1.0),
+                CaseSpec(op="abs_inequalities"),
+            ),
+        ),
+        "boundary_biased": replace(base, sample=replace(base.sample, scheme="boundary_biased")),
+        "release_order": replace(
+            base,
+            cases=(
+                CaseSpec(op="re_contraction", function="strip_map", weight="disk_diameter"),
+                CaseSpec(op="abs_inequalities"),
+                CaseSpec(op="schwarz_pick", function="power"),
+            ),
+        ),
+    }
+
+
+def _consumed_and_shared(config):
+    """``run_suite`` of ``config`` with a margins consumer, and with none."""
+    columns = []
+    consumed = run_suite(config, keep_margins=False, on_margins=lambda case_id, m: columns.append(m))
+    shared = run_suite(config, keep_margins=False)
+    assert columns  # the consumer path ran
+    return consumed, shared
+
+
+class TestSharedPass:
+    """With no margins consumer the disk-pair rows share one pass, with the data of the other path."""
+
+    @pytest.mark.parametrize("name", list(_ci_suites(1, 1)))
+    def test_ci_suites_keep_their_data(self, name):
+        consumed, shared = _consumed_and_shared(_ci_suites(3 * CHUNK_SIZE + 5, 3)[name])
+        assert shared.data_json() == consumed.data_json()
+        assert shared.overall_pass == (name not in ("violations", "release_order"))
+        assert all(r.margins is None for r in shared.reports)
+
+    @pytest.mark.parametrize("count", [1, 7, 129])
+    def test_short_streams_keep_their_data(self, count):
+        consumed, shared = _consumed_and_shared(default_config(count=count, workers=2))
+        assert shared.data_json() == consumed.data_json()
+
+    def test_a_failed_gate_keeps_its_report_and_place(self):
+        config = SuiteConfig(
+            sample=SampleSpec(count=2 * CHUNK_SIZE + 3),
+            cases=(
+                CaseSpec(op="schwarz_pick", function="power"),
+                CaseSpec(op="re_contraction", function="strip_map", weight="disk_diameter"),
+                CaseSpec(op="re_contraction", function="strip_map", weight="strip"),
+            ),
+        )
+        consumed, shared = _consumed_and_shared(config)
+        assert [r.status for r in shared.reports] == ["pass", "hypothesis-not-met", "pass"]
+        assert shared.data_json() == consumed.data_json()
+
+    def test_threads_fill_the_statistics_of_every_row(self, monkeypatch):
+        # More workers than cores, one chunk a block and frequent thread
+        # switches: a lost block or a slot written twice would move the data.
+        config = default_config(count=6 * CHUNK_SIZE + 5, workers=1)
+        serial = run_suite(config, keep_margins=False, on_margins=lambda case_id, m: None)
+        monkeypatch.setattr(harness, "BLOCK_CHUNKS", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            shared = run_suite(replace(config, workers=8), keep_margins=False)
+        finally:
+            sys.setswitchinterval(interval)
+        assert shared.data_json() == serial.data_json()
+
+    def test_each_block_is_drawn_and_its_sigma_formed_once(self, monkeypatch):
+        count = 3 * harness.BLOCK_CHUNKS * CHUNK_SIZE + 5
+        config = default_config(count=count, workers=2)
+        expected = run_suite(config, keep_margins=False, on_margins=lambda case_id, m: None)
+        drawn, formed = [], []  # list.append is atomic
+        disk_chunk, sigma_of = harness.disk_pair_chunk, harness.sigma
+
+        def counting(spec, a, b):
+            drawn.append((a, b))
+            return disk_chunk(spec, a, b)
+
+        def counting_sigma(a, b, checked=False):
+            if checked:  # the stream's distance, not a case's left side
+                formed.append(len(a))
+            return sigma_of(a, b, checked)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("a shared row runs no checker")
+
+        monkeypatch.setattr(harness, "disk_pair_chunk", counting)
+        monkeypatch.setattr(harness, "sigma", counting_sigma)
+        for op in ("re_contraction", "modulus_contraction", "schwarz_pick", "kv_factor"):
+            monkeypatch.setattr(harness, f"verify_{op}", unused)
+        result = run_suite(config, keep_margins=False)
+        block = harness.BLOCK_CHUNKS * CHUNK_SIZE
+        blocks = [(a, min(a + block, count)) for a in range(0, count, block)]
+        # each block once, and chunk 0 again for each proof-chain replay
+        assert sorted(drawn) == sorted(blocks + [(0, CHUNK_SIZE)] * 2)
+        assert sorted(formed) == sorted(b - a for a, b in blocks)
+        assert result.data_json() == expected.data_json()
 
 
 @pytest.fixture(scope="module")
