@@ -6,23 +6,19 @@ full-length margins reports the same bits as one that does.
 
 ``np.mean`` of a contiguous float64 array is numpy's add reduction, ``0.0 +
 P(x)``, divided by the count, where ``P`` is its pairwise sum (N. J. Higham,
-"The accuracy of floating point summation", SIAM J. Sci. Comput. 14, 1993):
+"The accuracy of floating point summation", SIAM J. Sci. Comput. 14, 1993).
+Its tree depends only on the count: a node of at most ``LEAF`` (128) values
+is a leaf, and a node of n > 128 values is the sum of its two halves, split
+at n // 2 rounded down to a multiple of 8.  Only this split rule and the
+leaf size are mirrored here; numpy sums every node itself.  A node's sum
+depends only on its values, so ``np.add.reduce`` of a node's slice gives
+the bits the full reduction gives it.
 
-- a node of at most ``LEAF`` (128) values is a leaf.  A leaf of at least 8
-  values is summed in 8 lanes, lane j adding values j, j + 8, ... one after
-  another, then ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then its last
-  ``n % 8`` values one by one; a shorter leaf adds its values to 0.0 one by
-  one;
-- a node of n > 128 values is the sum of its two halves, split at n // 2
-  rounded down to a multiple of 8.
-
-So every leaf starts at a multiple of 8, and only the last leaf of the
-stream has a rest.  The tree depends only on the count (``Layout``).  A
-block sums the leaves that lie inside it and keeps the raw margins of the at
-most two leaves it shares with its neighbours; the shared leaves are summed
-once every block is in, and the tree is then combined level by level.  The
-lanes are added one after another, as numpy adds them: ``np.add.reduceat``
-sums each segment pairwise and misses the bits.
+So a block sums each largest node that lies wholly inside it with one
+``np.add.reduce``, and copies the rows of a leaf that crosses one of its
+bounds into a slot kept for that leaf.  Once every block is in, the tree is
+combined from the root down: a node's sum where a block made it, the sum of
+a crossing leaf's rows where it is one, else the sum of its two halves.
 
 The minimum is the minimum of the block minima.  That is ``np.min`` of the
 whole array, NaN included, because no margin is -0.0: a margin is ``rhs -
@@ -38,157 +34,84 @@ margin, so ``Stats.overflows`` tells the caller to make them.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 LEAF = 128  # numpy's PW_BLOCKSIZE
-LANES = 8
 
 
-def _split(n):
-    """Where numpy splits a node of n > ``LEAF`` values (an int or an array of them).
-
-    n // 2, rounded down to a multiple of 8.
-    """
-    half = n // 2
-    return half - half % LANES
-
-
-def _leaf_count(n: int, known: dict) -> int:
-    """The number of leaves of numpy's pairwise tree over n values, without building it."""
-    if n <= LEAF:
-        return 1
-    if n not in known:  # the nodes of one level take few sizes, so this visits few
-        known[n] = _leaf_count(_split(n), known) + _leaf_count(n - _split(n), known)
-    return known[n]
-
-
-def _leaf_plan(starts: np.ndarray, ends: np.ndarray) -> tuple:
-    """How ``_sum_leaves`` sums each leaf ``x[starts[i]:ends[i]]``; made once per block, for every row.
-
-    Every leaf starts at a multiple of 8 from ``x[0]``, so its lane groups
-    are rows of ``x`` viewed as rows of 8: ``at[k, i]`` is the row of group
-    k of the i-th leaf of at least 8 values (``full``), or of its last group
-    where it has no group k.  ``every`` groups all those leaves have;
-    ``rests`` lists each leaf's values after its groups (only the stream's
-    last leaf has any).
-    """
-    groups = (ends - starts) // LANES
-    full = groups > 0
-    k = np.arange(groups.max(initial=0))[:, None]
-    at = starts[full] // LANES + np.minimum(k, groups[full] - 1)
-    rest = np.flatnonzero(ends - starts - groups * LANES)
-    rests = [(i, range(starts[i] + groups[i] * LANES, ends[i])) for i in rest]
-    return full, at, groups[full], int(groups[full].min(initial=0)), rests
-
-
-def _sum_leaves(x: np.ndarray, plan: tuple) -> np.ndarray:
-    """numpy's pairwise sum of each leaf of ``x`` that ``plan`` (``_leaf_plan``) names.
-
-    Lane group k is added to the lanes of the leaves that have one, for k =
-    1, 2, ... in turn, as numpy adds them.
-    """
-    full, at, groups, every, rests = plan
-    s = np.zeros(len(full))  # numpy adds the values of a leaf of fewer than 8 to 0.0
-    if len(at):
-        lanes = x[: len(x) - len(x) % LANES].reshape(-1, LANES)[at]
-        r = lanes[0].copy()
-        for k in range(1, len(lanes)):
-            if k < every:
-                r += lanes[k]
-            else:  # a leaf without group k keeps its lanes
-                np.add(r, lanes[k], out=r, where=(k < groups)[:, None])
-        r01, r23, r45, r67 = r[:, 0] + r[:, 1], r[:, 2] + r[:, 3], r[:, 4] + r[:, 5], r[:, 6] + r[:, 7]
-        s[full] = (r01 + r23) + (r45 + r67)
-    for i, rest in rests:
-        for j in rest:
-            s[i] += x[j]
-    return s
+def _halves(s: int, n: int) -> tuple:
+    """The two halves ``(start, length)`` of the node of n > ``LEAF`` values from row s."""
+    half = n // 2 - n // 2 % 8
+    return (s, half), (s + half, n - half)
 
 
 class Block(NamedTuple):
-    """Where the margins of the rows [a, b) go: the leaves inside and the shared rows."""
+    """What the rows [a, b) give: the sums of the nodes inside, and the rows of the leaves across a bound."""
 
     a: int
     slot: int  # the block's index
-    leaves: slice  # the leaves inside it, in stream order
-    plan: tuple  # how to sum them (``_leaf_plan``)
-    pieces: tuple  # (lo, hi, at): rows [a + lo, a + hi) of shared leaves go to edge[at:]
+    nodes: tuple  # (s, n): the nodes of rows [s, s + n) that lie wholly inside the block
+    pieces: tuple  # (lo, hi, at): rows [lo, hi) of a leaf across a bound go to edge[at:]
 
 
 class Layout:
     """numpy's pairwise tree over ``count`` values, and the blocks of ``block`` rows over it.
 
-    Blocks start at multiples of ``block``, so a block's leaves start at
-    multiples of 8 from its first row when ``block`` is a multiple of 8 (or
-    the one block is the whole array).
+    Blocks start at multiples of ``block``.  The nodes wholly inside a block
+    that cover it are disjoint, so each is known by its first row.  A leaf
+    across a bound keeps its rows in the ``LEAF`` slots of the edge array
+    of the block it starts in; no two such leaves start in one block.
     """
 
     def __init__(self, count: int, block: int):
         self.count, self.block_rows = count, block
         self.n_blocks = -(-count // block)
-        n = _leaf_count(count, {})
-        # the largest arrays first, so a count too large to reduce fails here at once
-        self.starts, self.ends = np.empty(n, np.intp), np.empty(n, np.intp)
-        self.levels = []  # top down: (which nodes are leaves, their leaf indices)
-        offsets, sizes, found = np.zeros(1, np.intp), np.full(1, count, np.intp), 0
-        while len(sizes):
-            leaf = sizes <= LEAF
-            k = np.count_nonzero(leaf)
-            self.starts[found : found + k] = offsets[leaf]
-            self.ends[found : found + k] = offsets[leaf] + sizes[leaf]
-            self.levels.append((leaf, np.arange(found, found + k)))
-            found += k
-            offsets, sizes = offsets[~leaf], sizes[~leaf]
-            half = _split(sizes)
-            offsets = np.stack([offsets, offsets + half], axis=1).ravel()
-            sizes = np.stack([half, sizes - half], axis=1).ravel()
-        order = np.argsort(self.starts, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(n)
-        self.levels = [(leaf, rank[ids]) for leaf, ids in self.levels]
-        self.starts, self.ends = self.starts[order], self.ends[order]
-        # the leaves that span a block bound, and where their rows go in the edge array
-        self.shared = np.flatnonzero(self.starts // block != (self.ends - 1) // block)
-        lengths = self.ends[self.shared] - self.starts[self.shared]
-        self.edge_starts = np.concatenate([[0], np.cumsum(lengths)]).astype(np.intp)
-        self.n_edge = int(self.edge_starts[-1])
+
+    def _inside(self, s: int, n: int) -> bool:
+        """Whether the node of rows [s, s + n) lies wholly inside one block."""
+        return s // self.block_rows == (s + n - 1) // self.block_rows
+
+    def _slot(self, s: int) -> int:
+        """Where the rows of the leaf across a bound from row s go in the edge array."""
+        return s // self.block_rows * LEAF
 
     def block(self, a: int, b: int) -> Block:
-        """The layout of the block of rows [a, b)."""
-        i0 = int(np.searchsorted(self.starts, a))
-        i1 = max(i0, int(np.searchsorted(self.ends, b, side="right")))
-        inner = (self.starts[i0], self.ends[i1 - 1]) if i1 > i0 else (b, b)
-        pieces = []
-        for lo, hi in ((a, inner[0]), (inner[1], b)):
-            if lo < hi:
-                j = int(np.searchsorted(self.starts, lo, side="right")) - 1  # the leaf of row lo
-                q = int(np.searchsorted(self.shared, j))
-                pieces.append((lo - a, hi - a, int(self.edge_starts[q] + lo - self.starts[j])))
-        plan = _leaf_plan(self.starts[i0:i1] - a, self.ends[i0:i1] - a)
-        return Block(a, a // self.block_rows, slice(i0, i1), plan, tuple(pieces))
+        """The layout of the block of rows [a, b): the largest nodes inside it, and the leaves across its bounds."""
+        nodes, pieces = [], []
 
-    def total(self, sums: np.ndarray) -> float:
-        """The pairwise sum from the sums of the leaves, combined level by level, bottom up."""
-        below = None
-        for leaf, ranks in reversed(self.levels):
-            node = np.empty(len(leaf))
-            node[leaf] = sums[ranks]
-            if below is not None:
-                node[~leaf] = below[0::2] + below[1::2]
-            below = node
-        return 0.0 + float(below[0])
+        def cover(s, n):
+            if s + n <= a or s >= b:
+                return
+            if self._inside(s, n):
+                nodes.append((s, n))
+            elif n <= LEAF:
+                lo, hi = max(s, a), min(s + n, b)
+                pieces.append((lo, hi, self._slot(s) + lo - s))
+            else:
+                for half in _halves(s, n):
+                    cover(*half)
+
+        cover(0, self.count)
+        return Block(a, a // self.block_rows, tuple(nodes), tuple(pieces))
+
+    def total(self, sums: dict, edge: np.ndarray) -> float:
+        """The pairwise sum from the node sums (by first row) and the leaves' rows in ``edge``, top down."""
+
+        def node(s, n):
+            if self._inside(s, n):
+                return sums[s]
+            if n <= LEAF:
+                return float(np.add.reduce(edge[self._slot(s) : self._slot(s) + n]))
+            left, right = _halves(s, n)
+            return node(*left) + node(*right)
+
+        return 0.0 + node(0, self.count)
 
 
-@lru_cache(maxsize=1)
-def layout(count: int, block: int) -> Layout:
-    """The ``Layout`` of ``count`` values in blocks of ``block``, built once for the rows of a suite.
-
-    Only the last one is kept: a suite's pair rows all have its count.
-    """
-    return Layout(count, block)
+layout = Layout  # cheap to make, so every pass makes its own
 
 
 class Stats:
@@ -203,9 +126,10 @@ class Stats:
 
     def __init__(self, layout: Layout, tol_abs: float, keep: bool = False):
         self.layout, self.tol_abs = layout, tol_abs
+        # the largest array first, so a count too large to reduce fails here at once
+        self.edge = np.empty((layout.n_blocks - 1) * LEAF)
         self.margins = np.empty(layout.count) if keep else None
-        self.sums = np.empty(len(layout.starts))
-        self.edge = np.empty(layout.n_edge)
+        self.sums = {}  # s -> numpy's sum of the node from row s that a block holds
         self.mins = np.empty(layout.n_blocks)
         self.finite = np.empty(layout.n_blocks, bool)
         self.near = {}  # first row of a block -> its candidate rows and their margins
@@ -222,15 +146,17 @@ class Stats:
             self._reduce(block, np.subtract(rhs, lhs, out=self.margins[block.a : block.a + len(rhs)]))
 
     def _reduce(self, block: Block, m: np.ndarray) -> None:
+        a = block.a
         low = self.mins[block.slot] = np.min(m)
         self.finite[block.slot] = np.isfinite(m).all()
         if not low >= -self.tol_abs:  # a NaN minimum can hide a candidate
             near = np.nonzero(m < -self.tol_abs)[0]
             if len(near):
-                self.near[block.a] = near + block.a, m[near]
-        self.sums[block.leaves] = _sum_leaves(m, block.plan)
+                self.near[a] = near + a, m[near]
+        for s, n in block.nodes:
+            self.sums[s] = float(np.add.reduce(m[s - a : s - a + n]))
         for lo, hi, at in block.pieces:
-            self.edge[at : at + hi - lo] = m[lo:hi]
+            self.edge[at : at + hi - lo] = m[lo - a : hi - a]
 
     def candidates(self) -> tuple:
         """The rows with a margin below ``-tol_abs``, in order, and their margins."""
@@ -244,10 +170,7 @@ class Stats:
     @cached_property
     def _plain_mean(self) -> float:
         """``np.mean`` of the margins; read once every block is in."""
-        lay = self.layout
-        shared = _leaf_plan(lay.edge_starts[:-1], lay.edge_starts[1:])
-        self.sums[lay.shared] = _sum_leaves(self.edge, shared)
-        return lay.total(self.sums) / lay.count
+        return self.layout.total(self.sums, self.edge) / self.layout.count
 
     @property
     def overflows(self) -> bool:

@@ -176,31 +176,32 @@ def lambda_to_weight(traj: Trajectory, k: float = 1.0) -> Weight:
     )
 
 
-def _checked(fam: WeightFamily, t):
+def _closed_form(fam: WeightFamily, t, value):
+    """``value(form, C1, u)`` at t, u = C1 t + C2, for a family member; it must be finite."""
     t_arr = np.asarray(t, dtype=float)
     if not fam.domain.contains(t_arr):
         raise ValueError("t outside the family interval")
     form = _FAMILY_FORMS[fam.kind]
     C1, C2 = form.coeffs(fam)
-    return form, C1, C1 * t_arr + C2
-
-
-def _finite(out):
-    if not np.all(np.isfinite(out)):
-        raise ValueError("t at a singularity of the family")
+    u = C1 * t_arr + C2
+    # g and g' overflow only far out on sinh, where exp(lambda) = 2 C1^2 / g(u)^2 has underflowed
+    with np.errstate(over="ignore"):
+        out = value(form, C1, u)
+        if not np.all(np.isfinite(out)):
+            if np.all(form.g(u) != 0.0):
+                raise ValueError(f"exp(lambda) underflows at t: {form.expr} is too large")
+            raise ValueError("t at a singularity of the family")
     return float(out) if out.ndim == 0 else out
 
 
 def closed_form_lambda(fam: WeightFamily, t):
     """lambda(t) = log(2 C1^2 / g(u)^2) = log(2 k^2 w(t)^2) for a family member."""
-    form, C1, u = _checked(fam, t)
-    return _finite(np.log(2.0 * C1**2) - 2.0 * np.log(np.abs(form.g(u))))
+    return _closed_form(fam, t, lambda form, C1, u: np.log(2.0 * C1**2) - 2.0 * np.log(np.abs(form.g(u))))
 
 
 def closed_form_dlambda(fam: WeightFamily, t):
     """lambda'(t) = -2 C1 g'(u) / g(u) for a family member."""
-    form, C1, u = _checked(fam, t)
-    return _finite(-2.0 * C1 * form.dg(u) / form.g(u))
+    return _closed_form(fam, t, lambda form, C1, u: -2.0 * C1 * form.dg(u) / form.g(u))
 
 
 def family_initial_state(fam: WeightFamily, t0: float) -> LiouvilleState:

@@ -66,17 +66,26 @@ COUNTS = st.one_of(
 )
 
 
+# Block sizes that are no multiple of 8 start blocks inside a lane group
+# and inside a leaf; None is the whole array as one block.
+BLOCKS = st.sampled_from([777, 1000, CHUNK_SIZE, BLOCK, None])
+
+
 @settings(derandomize=True, max_examples=80, deadline=None)
-@given(count=COUNTS, seed=st.integers(0, 2**32 - 1), specials=st.booleans())
-@example(count=BLOCK - 1, seed=1, specials=False)
-@example(count=BLOCK, seed=2, specials=False)
-@example(count=BLOCK + 1, seed=3, specials=False)
-@example(count=100_000, seed=4, specials=False)
-@example(count=1_000_000, seed=5, specials=False)
-@example(count=1_000_000, seed=6, specials=True)
-def test_block_statistics_are_numpys(count, seed, specials):
+@given(count=COUNTS, block=BLOCKS, seed=st.integers(0, 2**32 - 1), specials=st.booleans())
+@example(count=BLOCK - 1, block=BLOCK, seed=1, specials=False)
+@example(count=BLOCK, block=BLOCK, seed=2, specials=False)
+@example(count=BLOCK + 1, block=BLOCK, seed=3, specials=False)
+@example(count=100_000, block=BLOCK, seed=4, specials=False)
+@example(count=1_000_000, block=BLOCK, seed=5, specials=False)
+@example(count=1_000_000, block=BLOCK, seed=6, specials=True)
+@example(count=4_097, block=777, seed=7, specials=False)
+@example(count=100_000, block=777, seed=8, specials=False)
+@example(count=100_000, block=1000, seed=9, specials=True)
+@example(count=1_000_000, block=None, seed=10, specials=True)
+def test_block_statistics_are_numpys(count, block, seed, specials):
     m = _margins(count, seed, specials)
-    _assert_numpy_stats(_reduced(m, seed=seed), m)
+    _assert_numpy_stats(_reduced(m, block or count, seed), m)
 
 
 @pytest.mark.parametrize("block", [CHUNK_SIZE, BLOCK])
@@ -106,7 +115,7 @@ def test_the_sum_starts_from_numpys_identity(count):
 def test_whole_array_is_one_block():
     m = _margins(10_201, 7, specials=False)  # the polar grid's size
     stats = blockstats.of(m, TOL_ABS)
-    assert stats.layout.n_blocks == 1 and stats.layout.n_edge == 0
+    assert stats.layout.n_blocks == 1 and stats.edge.size == 0
     _assert_numpy_stats(stats, m)
 
 
@@ -130,9 +139,9 @@ def test_no_margin_is_negative_zero():
 
 
 def test_a_count_that_cannot_be_reduced_fails_at_once():
-    # the leaf arrays of 10**15 values need 62 TB, which numpy refuses at once
+    # the crossing-leaf slots of 10**15 values need 62 TB, which numpy refuses at once
     with pytest.raises(MemoryError):
-        blockstats.Layout(10**15, BLOCK)
+        blockstats.Stats(blockstats.Layout(10**15, BLOCK), TOL_ABS)
 
 
 @pytest.mark.parametrize("keep_margins", [True, False])

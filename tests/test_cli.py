@@ -908,14 +908,22 @@ class TestOde:
             ["--t1", "1", "--family", "sin", "--C", "7"],
             ["--t1", "1", "--family", "linear", "--C1", "5", "--C", "1"],
             ["--t1", "1", "--family", "linear", "--C", "1"],
+            # far out on sinh exp(lambda) underflows; further out cosh, then
+            # sinh overflow first, and sinh has no singularity there
+            ["--t0", "700", "--t1", "701"],
+            ["--t0", "710", "--t1", "711"],
+            ["--t0", "800", "--t1", "801"],
         ],
     )
-    def test_bad_input_exits_2(self, capsys, flags):
+    def test_bad_input_exits_2(self, capsys, recwarn, flags):
         rc = main(["ode", "--family", "sinh", "--C2", "1", "--t0", "0.1", *flags])
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.err.startswith("error:")
         assert captured.out == ""
+        assert "Warning" not in captured.err and not recwarn.list
+        if "--t0" in flags:
+            assert captured.err.startswith("error: exp(lambda) underflows at ")
 
     @pytest.mark.parametrize(
         "flags,message",
