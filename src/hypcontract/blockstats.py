@@ -79,7 +79,7 @@ class Layout:
         return s // self.block_rows * LEAF
 
     def block(self, a: int, b: int) -> Block:
-        """The layout of the block of rows [a, b): the largest nodes inside it, and the leaves across its bounds."""
+        """The layout of the block of rows [a, b): its largest nodes, and the leaves across its bounds."""
         nodes, pieces = [], []
 
         def cover(s, n):

@@ -184,12 +184,11 @@ def _closed_form(fam: WeightFamily, t, value):
     form = _FAMILY_FORMS[fam.kind]
     C1, C2 = form.coeffs(fam)
     u = C1 * t_arr + C2
-    # g and g' overflow only far out on sinh, where exp(lambda) = 2 C1^2 / g(u)^2 has underflowed
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # sinh and cosh overflow far out, 1 / g near a zero
         out = value(form, C1, u)
         if not np.all(np.isfinite(out)):
-            if np.all(form.g(u) != 0.0):
-                raise ValueError(f"exp(lambda) underflows at t: {form.expr} is too large")
+            if np.all(np.abs(form.g(u)) >= 1.0):
+                raise ValueError(f"{form.expr} is too large at t: the closed form overflows")
             raise ValueError("t at a singularity of the family")
     return float(out) if out.ndim == 0 else out
 

@@ -908,10 +908,10 @@ class TestOde:
             ["--t1", "1", "--family", "sin", "--C", "7"],
             ["--t1", "1", "--family", "linear", "--C1", "5", "--C", "1"],
             ["--t1", "1", "--family", "linear", "--C", "1"],
-            # far out on sinh exp(lambda) underflows; further out cosh, then
-            # sinh overflow first, and sinh has no singularity there
+            # far out on sinh exp(lambda) underflows; further out 2 cosh, then
+            # sinh overflow, though sinh has no singularity there
             ["--t0", "700", "--t1", "701"],
-            ["--t0", "710", "--t1", "711"],
+            ["--t0", "709", "--t1", "709.5"],
             ["--t0", "800", "--t1", "801"],
         ],
     )
@@ -922,8 +922,11 @@ class TestOde:
         assert captured.err.startswith("error:")
         assert captured.out == ""
         assert "Warning" not in captured.err and not recwarn.list
+        far_out = {"700": "exp(lambda) underflows at the initial state",
+                   "709": "sinh(C1 t + C2) is too large at t: the closed form overflows",
+                   "800": "sinh(C1 t + C2) is too large at t: the closed form overflows"}
         if "--t0" in flags:
-            assert captured.err.startswith("error: exp(lambda) underflows at ")
+            assert captured.err == f"error: {far_out[flags[1]]}\n"
 
     @pytest.mark.parametrize(
         "flags,message",
