@@ -2,7 +2,11 @@
 
 This module owns one decision: how per-block results rebuild ``np.min`` and
 ``np.mean`` of a stream's margins, so that a pass that never holds the
-full-length margins reports the same bits as one that does.
+full-length margins reports the same bits as one that does.  Every sampled
+report's statistics come from here, reduced block by block in the one pass
+of ``harness._verify_rows``, whatever its stream: the disk- and ball-pair
+streams, the polar grid (10,201 points, one block) and the proof chain's
+pairs (at most 128, one block).  No report reduces a whole array itself.
 
 ``np.mean`` of a contiguous float64 array is numpy's add reduction, ``0.0 +
 P(x)``, divided by the count, where ``P`` is its pairwise sum (N. J. Higham,
@@ -111,9 +115,6 @@ class Layout:
         return 0.0 + node(0, self.count)
 
 
-layout = Layout  # cheap to make, so every pass makes its own
-
-
 class Stats:
     """One stream's margin statistics, filled block by block in any order, and its margins if kept.
 
@@ -184,11 +185,3 @@ class Stats:
         scale = np.max(np.abs(self.margins))
         return float(np.mean(self.margins / scale) * scale)
 
-
-def of(margins: np.ndarray, tol_abs: float) -> Stats:
-    """The statistics of a whole array, reduced as one block; it is kept as their ``margins``."""
-    n = len(margins)
-    stats = Stats(Layout(n, n), tol_abs)
-    stats._reduce(stats.layout.block(0, n), margins)
-    stats.margins = margins
-    return stats

@@ -7,16 +7,22 @@ one row ``(case, check, pair)`` per report: the checker ``verify_<op>`` of a
 case, or, for ``abs_inequalities``, one row of ``_abs_cases`` per distance;
 ``pair`` holds the sides of a row on the disk-pair stream.  With a margins
 consumer it calls each ``check(case, spec, workers)`` in turn; with none,
-the disk-pair rows share one pass.  Every sampled pair inequality goes
-through one function, ``_verify_rows``, which runs one or more rows over one
-pass of a stream: the four pair ops (``re_contraction``, ``modulus_contraction``,
-``schwarz_pick``, ``kv_factor``, whose sides ``_pair_row`` makes) and the
-``abs_inequalities`` rows, two on the disk-pair stream and one on the
-ball-pair stream of each dimension.  Every stream comes from one constructor,
-``_stream(spec, pairs, kernel)``: ``stream(a, b) -> (z, w, d)`` gives the
-pairs ``pairs(a, b)`` of rows [a, b), on chunk bounds, and their distance
-``d = kernel(z, w)`` on the manifold (None with no kernel); each case
-supplies only its ``sides(z, w, d) -> (lhs, rhs)``.
+the disk-pair rows share one pass.  Every report is made by one function,
+``_verify_rows``, which runs one or more rows over one pass of a stream
+``stream(a, b) -> (z, w, d)`` of the pairs of rows [a, b), on chunk
+bounds; each case supplies only its ``sides(z, w, d) -> (lhs, rhs)`` and,
+for its extras, an ``on_block`` reducer.  The streams and their ``d``:
+
+- the pair streams, from one constructor, ``_stream(spec, pairs, kernel)``,
+  whose ``d = kernel(z, w)`` is the pairs' distance on the manifold (None
+  with no kernel): the disk-pair stream of the four pair ops
+  (``re_contraction``, ``modulus_contraction``, ``schwarz_pick``,
+  ``kv_factor``, whose sides ``_pair_row`` makes) and of two
+  ``abs_inequalities`` rows, and the ball-pair stream of each dimension;
+- the polar grid of ``pointwise_gradient`` and ``pavlovic``, each point
+  paired with itself (``_grid_row``), whose ``d`` is None and f(z);
+- ``proof_chain``'s first 128 pairs of chunk 0, whose ``d`` holds the two
+  links of each pair's replayed chain.
 
 Pairs come from seeded substreams: one PCG64 stream per fixed-size chunk of
 1024 samples, keyed by seed, ball dimension and chunk index.  The chunk keys
@@ -25,10 +31,10 @@ own key, straight into the read's arrays, and then forms the points of all
 its rows at once, with the bits of each chunk formed on its own.  The unit
 of evaluation is the block, ``BLOCK_CHUNKS`` consecutive chunks:
 ``_map_chunks`` runs the blocks on the calling thread and ``workers - 1``
-more, and each block reads its rows of the stream in one draw, evaluates the
-catalog map and the distance kernels once on all of them, and writes its
-rows of full-length arrays in place.  Neither chunk nor block boundaries
-depend on the worker count, so a suite is bitwise reproducible at any
+more, but no more threads than blocks, and each block reads its rows of the
+stream in one draw, evaluates the catalog map and the distance kernels once
+on all of them, and writes its rows of full-length arrays in place.  Neither
+chunk nor block boundaries depend on the worker count, so a suite is bitwise reproducible at any
 parallelism level.  No stream holds a distance: each read forms ``d`` on
 its own rows.  A stream draws the rows of each read and holds nothing,
 except the disk-pair stream within a ``run_suite`` call whose margins go to
@@ -49,8 +55,11 @@ full-length array, its margins, only when something reads them: a bare
 rows share one pass, which draws each block once.  The sides of the
 violation candidates are formed again: each chunk that holds one is read
 again through the stream, and its candidates go through the same
-``sides``, so the bits agree.  ``kv_factor`` reduces its supremum ratio and
-that ratio's pair in the same pass, one slot per block.
+``sides``, so the bits agree.  The extras are reduced in the same pass,
+one slot per block: ``_sup`` keeps a block's largest value and its pair
+(``kv_factor``'s supremum ratio, ``pointwise_gradient``'s largest left
+side), ``_part_mins`` the size and minimum of parts of a block
+(``pavlovic``'s branches, ``proof_chain``'s links).
 
 A block gives the bits its chunks would give one at a time only while every
 kernel is elementwise and blind to array size.  numpy breaks the second: a
@@ -71,8 +80,9 @@ one CSV block at a time.
 
 A sampled pair with margin below -(tol_abs + tol_rel*|rhs|) is a violation;
 the hypotheses are theorems, so violations indicate implementation bugs.  The
-final sample of every stream is intentionally degenerate (w = z) to exercise
-the equal-point conventions (margin 0; excluded from ratio suprema).
+final sample of every pair stream is intentionally degenerate (w = z) to
+exercise the equal-point conventions (margin 0; excluded from ratio suprema);
+the proof chain's pairs have none.
 
 Checkers that rely on the curvature hypothesis (the distance-level and
 gradient-level contraction and the proof-chain replay) first gate on
@@ -173,7 +183,7 @@ class InequalityCase:
     tol_rel: float = 1e-9
 
     def __post_init__(self):
-        # _finalize picks violation candidates by tol_abs alone, which needs this.
+        # _verify_rows picks violation candidates by tol_abs alone, which needs this.
         if not self.tol_rel >= 0.0:
             raise ValueError(f"tol_rel must be >= 0, got {self.tol_rel!r}")
 
@@ -288,13 +298,15 @@ def _map_chunks(spec: SampleSpec, one: Callable, workers: int) -> None:
 
     A block is ``BLOCK_CHUNKS`` consecutive chunks (fewer at the end of the
     stream); each evaluates one block and writes its rows in place.  The
-    calling thread and ``workers - 1`` started ones take the blocks in row
-    order.  Once a block has failed no thread starts another, and the
-    exception of the lowest failing block is raised, as a serial loop would
-    raise it: every block below a started one has started.
+    calling thread and ``workers - 1`` started ones, but no more threads
+    than blocks, take the blocks in row order.  Once a block has failed no
+    thread starts another, and the exception of the lowest failing block is
+    raised, as a serial loop would raise it: every block below a started one
+    has started.
     """
     block = BLOCK_CHUNKS * CHUNK_SIZE
-    starts = iter(range(0, spec.count, block))  # next() on it is atomic under the GIL
+    blocks = range(0, spec.count, block)
+    starts = iter(blocks)  # next() on it is atomic under the GIL
     failed = {}  # first row of a failed block -> its exception
 
     def work():
@@ -306,7 +318,7 @@ def _map_chunks(spec: SampleSpec, one: Callable, workers: int) -> None:
             except BaseException as exc:
                 failed[a] = exc
 
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    threads = [threading.Thread(target=work) for _ in range(min(workers, len(blocks)) - 1)]
     for t in threads:
         t.start()
     work()
@@ -322,7 +334,9 @@ def _stream(spec: SampleSpec, pairs: Callable, kernel: Callable | None) -> Calla
     ``pairs(a, b) -> (z, w)`` gives the rows.  The read that ends the stream
     makes its last pair degenerate, the only place that does.  ``d =
     kernel(z, w)``, the pairs' distance on the manifold, or None with no
-    kernel, for sides that take none.
+    kernel, for sides that take none.  This is the stream of every
+    ``_verify_rows`` pass but two kinds: the polar grid's (``_grid_row``)
+    and the proof chain's, whose pairs hold no degenerate one to add.
     """
 
     def stream(a, b):
@@ -379,84 +393,12 @@ def _sigma(z, w):
     return sigma(z, w, checked=True)
 
 
-def _rows_of(*arrays) -> Callable:
-    """The row lookup ``rows -> tuple(x[rows] for x in arrays)``."""
-    return lambda rows: tuple(x[rows] for x in arrays)
-
-
-def _finalize(
-    case: InequalityCase, spec_seed: int, margins: np.ndarray | None, rows_at: Callable, t0: float,
-    extras: dict | None = None, stats: blockstats.Stats | None = None,
-) -> VerificationReport:
-    """The report of the margins (rhs - lhs per sample), read from their statistics.
-
-    ``stats`` (``blockstats.Stats``) were reduced block by block in the
-    margins' pass, and ``margins`` are theirs (None unless kept); without
-    them, ``margins`` are reduced as one block.  ``rows_at(rows) -> (z, w, lhs, rhs)`` gives the
-    pairs and both sides on a sorted index array.  With tol_rel >= 0 a
-    violation is also below -tol_abs, so both sides and the relative
-    tolerance are formed only on those candidates: ``rows_at`` is called
-    once, on them (never on none), and must give the bits whose difference
-    made their margins.
-    """
-    stats = stats or blockstats.of(margins, case.tol_abs)
-    near, near_margins = stats.candidates()
-    violations = []
-    if len(near):
-        z, w, lhs, rhs = rows_at(near)
-        tol = case.tol_abs + case.tol_rel * np.abs(rhs)
-        for k in np.nonzero(near_margins < -tol)[0]:
-            violations.append(
-                {
-                    "index": int(near[k]),
-                    "z": _serialize_point(z[k]),
-                    "w": _serialize_point(w[k]),
-                    "lhs": float(lhs[k]),
-                    "rhs": float(rhs[k]),
-                    "margin": float(near_margins[k]),
-                }
-            )
-    return VerificationReport(
-        case_id=case.id,
-        status="violated" if violations else "pass",
-        samples_used=stats.count,
-        min_margin=stats.min(),
-        mean_margin=stats.mean(),
-        violations=tuple(violations),
-        seed=spec_seed,
-        wall_time=time.perf_counter() - t0,
-        extras=extras or {},
-        margins=margins,
-    )
-
-
-def _gate(case: InequalityCase, seed: int, t0: float) -> VerificationReport | None:
-    """The hypothesis-not-met report if ``case.target`` fails curv_w <= -1, else None."""
-    gate = verify_curvature_bound(case.target)
-    if gate.passed:
-        return None
-    return VerificationReport(
-        case_id=case.id,
-        status="hypothesis-not-met",
-        samples_used=0,
-        min_margin=None,
-        mean_margin=None,
-        violations=(),
-        seed=seed,
-        wall_time=time.perf_counter() - t0,
-        extras={
-            "max_curvature": gate.max_curvature,
-            "curvature_argmax": gate.argmax,
-            "required": "curv_w <= -1",
-        },
-    )
-
-
 def _verify_pairs(case, spec, workers, sides, on_block=None, stream=None, keep=True):
     """lhs <= rhs over a pair stream, for ``sides(z, w, d) -> (lhs, rhs)``: one row of ``_verify_rows``.
 
     ``stream`` defaults to the disk-pair stream of ``spec`` drawn on every
-    read (``d = sigma(z, w)``); a suite row passes its own.
+    read (``d = sigma(z, w)``); a suite row, a grid case and the proof chain
+    pass their own.
     """
     stream = stream or _stream(spec, partial(_disk_pairs, spec), _sigma)
     return _verify_rows(spec, workers, stream, [(case, sides, on_block)], keep)[0]
@@ -465,35 +407,53 @@ def _verify_pairs(case, spec, workers, sides, on_block=None, stream=None, keep=T
 def _verify_rows(spec: SampleSpec, workers: int, stream: Callable, rows: list, keep: bool) -> list:
     """The reports of ``rows``, ``(case, sides, on_block)`` each, from one pass over ``stream``.
 
-    A row whose case carries a target weight first gates on it (``_gate``);
-    a failed gate is its report, and it reads nothing.  ``stream(a, b) ->
-    (z, w, d)`` (``_stream``) gives the pairs of rows [a, b), on chunk
-    bounds, and their distance ``d``.  Each block reads it once and runs
-    every row's ``sides`` on its pairs; each row reduces its block's margins
-    into its ``blockstats.Stats``, allocated before the pass, which with
-    ``keep`` also keeps them whole for the report.  A row without them whose
-    mean overflows on finite margins is run again with them, for its scaled
-    mean.  The violation candidates and
-    their pairs take one path on every stream, ``rows_at``: each chunk that
-    holds one is read again through the stream on its own, and its picked
-    pairs (and distances, if the stream forms any) go through the same
-    ``sides``, whose kernels are elementwise, so they give the bits of the
-    block.  If given, ``on_block(a, z, w, lhs, d)`` sees the pairs, left
-    side and distance of each block in that pass, ``a`` the block's first
-    row, and its ``extras()``, if it has them, go into the report.
+    This is the one place a report is made.  A row whose case carries a
+    target weight first gates on it: if the weight fails curv_w <= -1, its
+    report is ``hypothesis-not-met`` and it reads nothing.  ``stream(a, b)
+    -> (z, w, d)`` gives the pairs of rows [a, b), on chunk bounds, and what
+    the sides take besides them: the pairs' distance on a pair stream
+    (``_stream``), f(z) or None on the polar grid (``_grid_row``), the two
+    links of each pair on the proof chain's pairs.  Each block reads it once
+    and runs every row's ``sides`` on its pairs; each row reduces its
+    block's margins (rhs - lhs) into its ``blockstats.Stats``, allocated
+    before the pass, which with ``keep`` also keeps them whole for the
+    report.  A row without them whose mean overflows on finite margins is
+    run again with them, for its scaled mean.  If given, ``on_block(a, z,
+    w, lhs, d)`` sees the pairs, left side and ``d`` of each block in that
+    pass, ``a`` the block's first row, and its ``extras()``, if it has
+    them, go into the report.
+
+    A violation is a margin below -(tol_abs + tol_rel*|rhs|); with tol_rel
+    >= 0 it is also below -tol_abs, so both sides and the relative
+    tolerance are formed only on the rows below -tol_abs, the candidates,
+    and on every stream by one path, ``rows_at``: each chunk that holds one
+    is read again through the stream on its own, and its picked pairs (and
+    their ``d``, if the stream forms one) go through the same ``sides``,
+    whose kernels are elementwise, so they give the bits of the block.
     """
     t0 = time.perf_counter()
-    gates = [case.target is not None and _gate(case, spec.seed, t0) for case, _, _ in rows]
-    rows = [row for row, failed in zip(rows, gates) if not failed]
-    if not rows:
-        return gates
-    layout = blockstats.layout(spec.count, BLOCK_CHUNKS * CHUNK_SIZE)
-    stats = [blockstats.Stats(layout, case.tol_abs, keep) for case, _, _ in rows]
+    reports, live = [], []  # None for each row of ``live``, the rows whose gate passes
+    for case, sides, on_block in rows:
+        gate = case.target is not None and verify_curvature_bound(case.target)
+        if gate and not gate.passed:
+            reports.append(VerificationReport(
+                case_id=case.id, status="hypothesis-not-met", samples_used=0, min_margin=None,
+                mean_margin=None, violations=(), seed=spec.seed, wall_time=time.perf_counter() - t0,
+                extras={"max_curvature": gate.max_curvature, "curvature_argmax": gate.argmax,
+                        "required": "curv_w <= -1"},
+            ))
+        else:
+            reports.append(None)
+            live.append((case, sides, on_block))
+    if not live:
+        return reports
+    layout = blockstats.Layout(spec.count, BLOCK_CHUNKS * CHUNK_SIZE)
+    stats = [blockstats.Stats(layout, case.tol_abs, keep) for case, _, _ in live]
 
     def one(a, b):
         z, w, d = stream(a, b)
         block = layout.block(a, b)
-        for (_, sides, on_block), st in zip(rows, stats):
+        for (_, sides, on_block), st in zip(live, stats):
             lhs, rhs = sides(z, w, d)
             st.add(block, rhs, lhs)
             if on_block:
@@ -510,13 +470,27 @@ def _verify_rows(spec: SampleSpec, workers: int, stream: Callable, rows: list, k
 
     _map_chunks(spec, one, workers)
     made = []
-    for (case, sides, on_block), st in zip(rows, stats):
+    for (case, sides, on_block), st in zip(live, stats):
         if st.margins is None and st.overflows:
             made += _verify_rows(spec, workers, stream, [(case, sides, on_block)], True)
-        else:
-            extras = on_block.extras() if hasattr(on_block, "extras") else None
-            made.append(_finalize(case, spec.seed, st.margins, partial(rows_at, sides), t0, extras, st))
-    return [failed or made.pop(0) for failed in gates]
+            continue
+        near, near_margins = st.candidates()
+        violations = []
+        if len(near):
+            z, w, lhs, rhs = rows_at(sides, near)
+            tol = case.tol_abs + case.tol_rel * np.abs(rhs)
+            for k in np.nonzero(near_margins < -tol)[0]:
+                violations.append({
+                    "index": int(near[k]), "z": _serialize_point(z[k]), "w": _serialize_point(w[k]),
+                    "lhs": float(lhs[k]), "rhs": float(rhs[k]), "margin": float(near_margins[k]),
+                })
+        made.append(VerificationReport(
+            case_id=case.id, status="violated" if violations else "pass", samples_used=st.count,
+            min_margin=st.min(), mean_margin=st.mean(), violations=tuple(violations), seed=spec.seed,
+            wall_time=time.perf_counter() - t0, margins=st.margins,
+            extras=on_block.extras() if hasattr(on_block, "extras") else {},
+        ))
+    return [report or made.pop(0) for report in reports]
 
 
 def verify_re_contraction(
@@ -556,19 +530,35 @@ def polar_grid(n_r: int = 101, n_theta: int = 101, radius_cap: float = 0.99) -> 
 _GRID_SPEC = SampleSpec(count=1)
 
 
+def _grid_row(case, spec, workers, sides, on_block, d=None) -> VerificationReport:
+    """``case`` on the polar grid up to ``spec``'s radius cap: one row of ``_verify_rows``.
+
+    Each grid point is paired with itself, and the stream gives ``d(z)`` of
+    its points, or None with no ``d``.
+    """
+    z = polar_grid(radius_cap=spec.radius_cap)
+    stream = lambda a, b: (z[a:b], z[a:b], d and d(z[a:b]))
+    return _verify_pairs(case, replace(spec, count=z.size), workers, sides, on_block, stream)
+
+
 def verify_pointwise_gradient(
     case: InequalityCase, spec: SampleSpec = _GRID_SPEC, workers: int = 1
 ) -> VerificationReport:
-    """Surface gradient bound w(Re f(z)) |f'(z)| (1-|z|^2)/2 <= 1 on the polar grid."""
-    t0 = time.perf_counter()
-    failed = _gate(case, spec.seed, t0)
-    if failed:
-        return failed
-    z = polar_grid(radius_cap=spec.radius_cap)
-    lhs = _gradient_lhs(case.target, case.function, z)
-    rhs = np.ones_like(lhs)
-    extras = {"max_lhs": float(np.max(lhs)), "argmax": _serialize_point(z[int(np.argmax(lhs))])}
-    return _finalize(case, spec.seed, rhs - lhs, _rows_of(z, z, lhs, rhs), t0, extras)
+    """Surface gradient bound w(Re f(z)) |f'(z)| (1-|z|^2)/2 <= 1 on the polar grid.
+
+    Gated on curv_w <= -1 (by ``_verify_rows``).  The largest left side and
+    its point are recorded (``_sup``).
+    """
+
+    def sides(z, w, _):
+        lhs = _gradient_lhs(case.target, case.function, z)
+        return lhs, np.ones_like(lhs)
+
+    def extras(sup, z, w):
+        return {"max_lhs": sup, "argmax": _serialize_point(z)}
+
+    on_block = _sup(lambda z, w, lhs, d: lhs, extras)
+    return _grid_row(case, spec, workers, sides, on_block)
 
 
 def verify_modulus_contraction(
@@ -598,21 +588,22 @@ def verify_pavlovic(
     |f'| equals the upper gradient of |f| off the zero set and still dominates
     it at zeros; both branches are recorded separately in the extras.
     """
-    t0 = time.perf_counter()
     f = case.function
-    z = polar_grid(radius_cap=spec.radius_cap)
-    fz = f.eval(z)
-    lhs = np.abs(f.deriv(z)) * (1.0 - np.abs(z) ** 2)
-    rhs = 1.0 - np.abs(fz) ** 2
-    zero = np.abs(fz) <= 1e-12
-    margins = rhs - lhs
-    extras = {
-        "n_zero_branch": int(np.sum(zero)),
-        "n_nonzero_branch": int(np.sum(~zero)),
-        "min_margin_zero": float(np.min(margins[zero])) if np.any(zero) else None,
-        "min_margin_nonzero": float(np.min(margins[~zero])) if np.any(~zero) else None,
-    }
-    return _finalize(case, spec.seed, margins, _rows_of(z, z, lhs, rhs), t0, extras)
+
+    def sides(z, w, fz):
+        return np.abs(f.deriv(z)) * (1.0 - np.abs(z) ** 2), 1.0 - np.abs(fz) ** 2
+
+    def branches(z, w, lhs, fz):  # the margins where f(z) is zero, and elsewhere
+        zero = np.abs(fz) <= 1e-12
+        margins = 1.0 - np.abs(fz) ** 2 - lhs
+        return margins[zero], margins[~zero]
+
+    def extras(n, low):
+        return {"n_zero_branch": n[0], "n_nonzero_branch": n[1],
+                "min_margin_zero": low[0], "min_margin_nonzero": low[1]}
+
+    on_block = _part_mins(branches, extras)
+    return _grid_row(case, spec, workers, sides, on_block, f.eval)
 
 
 def verify_kv_factor(
@@ -622,33 +613,62 @@ def verify_kv_factor(
 
     The left side is the distance of the weight 2/(1-t^2) on (-1, 1), i.e.
     |2 atanh U(z) - 2 atanh U(w)| for U = Re f.  The empirical supremum of the
-    ratio lhs/sigma is recorded (``_sup_ratio``).
+    ratio lhs/sigma, with pairs at sigma = 0 excluded, is recorded (``_sup``).
     """
     return _verify_pairs(case, spec, workers, *_pair_row("kv_factor", case), stream)
 
 
-def _sup_ratio(factor: float) -> Callable:
-    """``kv_factor``'s ``on_block``: the sup of lhs/sigma and its pair, reduced in the margins' pass.
+def _per_block(block: Callable, extras: Callable) -> Callable:
+    """An ``on_block`` that keeps ``block(z, w, lhs, d)`` of each block, with ``extras()``.
 
-    Pairs with sigma = 0 are excluded.  Each block keeps its largest ratio
-    and that ratio's pair, and ``np.argmax`` over the blocks in stream order
-    picks the first largest (or first NaN), as it would over the whole ratio.
+    ``block`` gives a tuple; ``extras()`` is ``extras(*columns)``, where
+    column i holds item i of every block's tuple, in row order.
     """
-    sups = {}  # first row of a block -> (its sup ratio, the pair where it occurs)
+    kept = {}  # first row of a block -> what it keeps
 
-    def block_sup(a, z, w, lhs, s):
-        ratio = np.where(s > 0.0, lhs / np.where(s > 0.0, s, 1.0), 0.0)
-        k = int(np.argmax(ratio))
-        sups[a] = ratio[k], (z[k], w[k])
+    def on_block(a, z, w, lhs, d):
+        kept[a] = block(z, w, lhs, d)
 
-    def extras():
-        ratios, pairs = zip(*(sups[a] for a in sorted(sups)))
-        j = int(np.argmax(ratios))
-        pair = [_serialize_point(x) for x in pairs[j]]
-        return {"factor": factor, "sup_ratio": float(ratios[j]), "sup_ratio_pair": pair}
+    on_block.extras = lambda: extras(*zip(*(kept[a] for a in sorted(kept))))
+    return on_block
 
-    block_sup.extras = extras
-    return block_sup
+
+def _sup(value: Callable, extras: Callable) -> Callable:
+    """An ``on_block`` reducing the sup of ``value(z, w, lhs, d)`` and its pair; ``extras(sup, z, w)``.
+
+    Each block keeps its largest value and that value's pair, and ``np.argmax``
+    over the blocks in row order picks the first largest (or first NaN), as it
+    would over the whole array.
+    """
+
+    def block(z, w, lhs, d):
+        v = value(z, w, lhs, d)
+        k = int(np.argmax(v))
+        return v[k], z[k], w[k]
+
+    def combine(sups, zs, ws):
+        j = int(np.argmax(sups))
+        return extras(float(sups[j]), zs[j], ws[j])
+
+    return _per_block(block, combine)
+
+
+def _part_mins(parts: Callable, extras: Callable) -> Callable:
+    """An ``on_block`` reducing each array of ``parts(z, w, lhs, d)`` to its size and minimum.
+
+    ``extras(sizes, mins)`` gets them over all blocks, part by part; a part
+    empty in every block has the minimum None.
+    """
+
+    def block(z, w, lhs, d):
+        return tuple((x.size, np.min(x) if x.size else None) for x in parts(z, w, lhs, d))
+
+    def combine(*columns):  # per part, its (size, minimum) in each block
+        lows = [[low for _, low in col if low is not None] for col in columns]
+        sizes = [sum(n for n, _ in col) for col in columns]
+        return extras(sizes, [float(np.min(x)) if x else None for x in lows])
+
+    return _per_block(block, combine)
 
 
 def _pair_row(op: str, case: InequalityCase) -> tuple:
@@ -659,7 +679,17 @@ def _pair_row(op: str, case: InequalityCase) -> tuple:
     """
     f, lhs_of = case.function, OPS[op][2](case)
     sides = lambda z, w, s: (lhs_of(f.eval(z), f.eval(w)), case.factor * s)
-    return sides, _sup_ratio(case.factor) if op == "kv_factor" else None
+    if op != "kv_factor":
+        return sides, None
+
+    def ratio(z, w, lhs, s):
+        return np.where(s > 0.0, lhs / np.where(s > 0.0, s, 1.0), 0.0)
+
+    def extras(sup, z, w):
+        pair = [_serialize_point(z), _serialize_point(w)]
+        return {"factor": case.factor, "sup_ratio": sup, "sup_ratio_pair": pair}
+
+    return sides, _sup(ratio, extras)
 
 
 def verify_abs_inequalities(
@@ -722,52 +752,47 @@ def verify_proof_chain(
 
     whose integrand is exactly the gradient-bound left side, hence <= 1.  The
     replayed chain is d_w(Re f(z), Re f(w)) <= I <= sigma(z, w); both link
-    margins are checked at tolerance 1e-12 on the first 128 pairs of the
-    stream.  The replay is serial; ``workers`` is accepted for the common
-    checker call shape.
+    margins are checked at tolerance 1e-12 on the first 128 pairs of chunk 0
+    of the disk-pair stream, which hold no degenerate pair.  Its stream
+    replays each pair on its own, serially, and gives the two links (I -
+    d_w, sigma - I) as its ``d``; the margin is the smaller link.
     """
-    t0 = time.perf_counter()
     weight, f = case.target, case.function
-    failed = _gate(case, spec.seed, t0)
-    if failed:
-        return failed
-
-    count = min(spec.count, 128)
-    z, w = disk_pair_chunk(spec, 0, min(spec.count, CHUNK_SIZE))  # chunk 0, no degenerate pair
-    z, w = z[:count], w[:count]
     x_nodes, wq = leggauss(8)
     tq = 0.5 * (x_nodes + 1.0)
     wt = 0.5 * wq
 
-    first_link = np.empty(count)
-    second_link = np.empty(count)
-    for i in range(count):
-        zi, wi = complex(z[i]), complex(w[i])
-        zeta = mobius(zi, wi)
-        r = abs(zeta)
-        if r == 0.0:
-            first_link[i] = 0.0
-            second_link[i] = 0.0
-            continue
-        sig = 2.0 * math.atanh(r)
-        n_panels = max(32, int(16.0 * sig))
-        edges = np.linspace(0.0, sig, n_panels + 1)
-        widths = np.diff(edges)
-        s = edges[:-1, np.newaxis] + widths[:, np.newaxis] * tq[np.newaxis, :]
-        pts = mobius(zi, np.tanh(0.5 * s) * (zeta / r))
-        integral = float(np.sum(widths * (_gradient_lhs(weight, f, pts) @ wt)))
-        d_w = omega_distance(weight, float(np.real(f.eval(zi))), float(np.real(f.eval(wi))))
-        first_link[i] = integral - d_w
-        second_link[i] = sig - integral
+    def links(a, b):
+        z, w = disk_pair_chunk(spec, 0, min(spec.count, CHUNK_SIZE))  # chunk 0 is drawn whole
+        z, w = z[a:b], w[a:b]
+        d = np.empty((b - a, 2))
+        for i in range(b - a):
+            zi, wi = complex(z[i]), complex(w[i])
+            zeta = mobius(zi, wi)
+            r = abs(zeta)
+            if r == 0.0:
+                d[i] = 0.0
+                continue
+            sig = 2.0 * math.atanh(r)
+            n_panels = max(32, int(16.0 * sig))
+            edges = np.linspace(0.0, sig, n_panels + 1)
+            widths = np.diff(edges)
+            s = edges[:-1, np.newaxis] + widths[:, np.newaxis] * tq[np.newaxis, :]
+            pts = mobius(zi, np.tanh(0.5 * s) * (zeta / r))
+            integral = float(np.sum(widths * (_gradient_lhs(weight, f, pts) @ wt)))
+            d_w = omega_distance(weight, float(np.real(f.eval(zi))), float(np.real(f.eval(wi))))
+            d[i] = integral - d_w, sig - integral
+        return z, w, d
 
-    margins = np.minimum(first_link, second_link)
-    lhs = -margins
-    rhs = np.zeros(count)
-    extras = {
-        "min_first_link": float(np.min(first_link)),
-        "min_second_link": float(np.min(second_link)),
-    }
-    return _finalize(case, spec.seed, rhs - lhs, _rows_of(z, w, lhs, rhs), t0, extras)
+    def sides(z, w, d):  # the margin is the smaller link
+        return -np.minimum(d[:, 0], d[:, 1]), np.zeros(len(d))
+
+    def extras(n, low):
+        return {"min_first_link": low[0], "min_second_link": low[1]}
+
+    on_block = _part_mins(lambda z, w, lhs, d: d.T, extras)
+    pairs = replace(spec, count=min(spec.count, 128))
+    return _verify_pairs(case, pairs, workers, sides, on_block, links)
 
 
 # op -> (what the op needs of its catalog function, InequalityCase defaults,

@@ -194,8 +194,19 @@ def _closed_form(fam: WeightFamily, t, value):
 
 
 def closed_form_lambda(fam: WeightFamily, t):
-    """lambda(t) = log(2 C1^2 / g(u)^2) = log(2 k^2 w(t)^2) for a family member."""
-    return _closed_form(fam, t, lambda form, C1, u: np.log(2.0 * C1**2) - 2.0 * np.log(np.abs(form.g(u))))
+    """lambda(t) = log(2 C1^2 / g(u)^2) = log(2 k^2 w(t)^2) for a family member.
+
+    2 C1^2 must be a positive finite float: a C1 whose square overflows or
+    underflows to 0 raises ValueError naming it.
+    """
+    C1 = _FAMILY_FORMS[fam.kind].coeffs(fam)[0]
+    try:
+        scale = 2.0 * C1**2
+    except OverflowError:  # a float power raises where a product would give inf
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"C1 = {C1:g} is out of range: 2 C1^2 is {scale:g}, not a positive finite float")
+    return _closed_form(fam, t, lambda form, C1, u: np.log(scale) - 2.0 * np.log(np.abs(form.g(u))))
 
 
 def closed_form_dlambda(fam: WeightFamily, t):

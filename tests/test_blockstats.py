@@ -102,7 +102,7 @@ def test_lanes_are_added_one_after_another():
     # is lost; summed pairwise first, they would count
     m = np.zeros(128)
     m[0::8] = [1.0] + [2.0**-53] * 15
-    assert blockstats.of(m, TOL_ABS).mean().hex() == float(np.mean(m)).hex() == (1.0 / 128).hex()
+    assert _reduced(m, len(m)).mean().hex() == float(np.mean(m)).hex() == (1.0 / 128).hex()
 
 
 @pytest.mark.parametrize("count", [1, 9, 200, BLOCK + 3])
@@ -113,8 +113,9 @@ def test_the_sum_starts_from_numpys_identity(count):
 
 
 def test_whole_array_is_one_block():
-    m = _margins(10_201, 7, specials=False)  # the polar grid's size
-    stats = blockstats.of(m, TOL_ABS)
+    # the polar grid's size: its cases reduce their margins in one block of a pass
+    m = _margins(harness.polar_grid().size, 7, specials=False)
+    stats = _reduced(m)
     assert stats.layout.n_blocks == 1 and stats.edge.size == 0
     _assert_numpy_stats(stats, m)
 

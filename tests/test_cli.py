@@ -913,6 +913,9 @@ class TestOde:
             ["--t0", "700", "--t1", "701"],
             ["--t0", "709", "--t1", "709.5"],
             ["--t0", "800", "--t1", "801"],
+            # 2 C1^2 of the closed form underflows to 0
+            ["--C1", "1e-300", "--t0", "0", "--t1", "1"],
+            ["--family", "sin", "--C1", "1e-170", "--t0", "0", "--t1", "1"],
         ],
     )
     def test_bad_input_exits_2(self, capsys, recwarn, flags):
@@ -922,11 +925,18 @@ class TestOde:
         assert captured.err.startswith("error:")
         assert captured.out == ""
         assert "Warning" not in captured.err and not recwarn.list
-        far_out = {"700": "exp(lambda) underflows at the initial state",
-                   "709": "sinh(C1 t + C2) is too large at t: the closed form overflows",
-                   "800": "sinh(C1 t + C2) is too large at t: the closed form overflows"}
-        if "--t0" in flags:
-            assert captured.err == f"error: {far_out[flags[1]]}\n"
+        messages = {
+            "700": "exp(lambda) underflows at the initial state",
+            "709": "sinh(C1 t + C2) is too large at t: the closed form overflows",
+            "800": "sinh(C1 t + C2) is too large at t: the closed form overflows",
+            "1e300": "C1 = 1e+300 is out of range: 2 C1^2 is inf, not a positive finite float",
+            "1e-300": "C1 = 1e-300 is out of range: 2 C1^2 is 0, not a positive finite float",
+            "1e-170": "C1 = 1e-170 is out of range: 2 C1^2 is 0, not a positive finite float",
+        }
+        given = dict(zip(flags[::2], flags[1::2]))
+        key = given.get("--C1", given.get("--t0"))
+        if key in messages:
+            assert captured.err == f"error: {messages[key]}\n"
 
     @pytest.mark.parametrize(
         "flags,message",
