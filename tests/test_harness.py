@@ -680,6 +680,21 @@ class TestBlockReduction:
             harness._serialize_point(w[i]),
         ]
 
+    def test_part_minima_are_the_full_array_ones(self):
+        # pavlovic's branches and the proof chain's links reduce this way; their
+        # passes have one block, so blocks in any order are checked here
+        rng = np.random.default_rng(1)
+        m = rng.standard_normal(5000)
+        zero = rng.random(5000) < 0.01
+        zero[:2000] = False  # a part empty in the first blocks
+        m[np.nonzero(~zero)[0][3900]] = np.nan  # a NaN in a later block of the other part
+        on_block = harness._part_mins(lambda z, w, lhs, d: (lhs[d], lhs[~d], lhs[:0]), lambda n, low: (n, low))
+        for a in (3000, 0, 1000, 4000, 2000):
+            on_block(a, None, None, m[a : a + 1000], zero[a : a + 1000])
+        sizes, lows = on_block.extras()
+        assert sizes == [int(zero.sum()), int((~zero).sum()), 0]
+        assert lows[0] == float(np.min(m[zero])) and np.isnan(lows[1]) and lows[2] is None
+
     def test_violation_sides_give_the_block_margin_bits(self):
         spec = SampleSpec(count=BLOCKS_COUNT, seed=11)
         case = InequalityCase(id="schwarz_pick:blaschke_product", function=get("blaschke_product"),
