@@ -87,10 +87,14 @@ def _checked_norms(z) -> tuple:
     return z, norms
 
 
-def mobius(a, w):
-    """Ball automorphism phi_a(w); phi_a(a) = 0, phi_a(0) = a, involution."""
-    a = check_ball_point(a)
-    w = check_ball_point(w)
+def mobius(a, w, checked=False):
+    """Ball automorphism phi_a(w); phi_a(a) = 0, phi_a(0) = a, involution.
+
+    ``checked`` true says that a and w are complex ndarrays that have passed
+    ``check_ball_point`` already, so they are not checked again.
+    """
+    if not checked:
+        a, w = check_ball_point(a), check_ball_point(w)
     a2 = np.real(inner(a, a))
     wa = inner(w, a)
     s = np.sqrt(1.0 - a2)
@@ -102,19 +106,24 @@ def mobius(a, w):
     return num / (1.0 - wa)[..., np.newaxis]
 
 
-def rho(z, w):
-    """Pseudo-hyperbolic distance |phi_z(w)|, in [0, 1)."""
-    return norm(mobius(z, w))
+def rho(z, w, checked=False):
+    """Pseudo-hyperbolic distance |phi_z(w)|, in [0, 1); ``checked`` as for ``mobius``."""
+    return norm(mobius(z, w, checked))
 
 
-def beta(z, w):
-    """Bergman distance log((1+rho)/(1-rho)), computed as 2*atanh(rho)."""
-    return 2.0 * np.arctanh(rho(z, w))
+def beta(z, w, checked=False):
+    """Bergman distance log((1+rho)/(1-rho)), computed as 2*atanh(rho); ``checked`` as for ``mobius``."""
+    return 2.0 * np.arctanh(rho(z, w, checked))
 
 
-def embed_modulus(z):
-    """Map z to the real point (|z|,) of the disk slice B^1, shape ``(..., 1)``."""
-    return np.asarray(_checked_norms(z)[1], dtype=complex)[..., np.newaxis]
+def embed_modulus(z, checked=False):
+    """Map z to the real point (|z|,) of the disk slice B^1, shape ``(..., 1)``; ``checked`` as for ``mobius``.
+
+    The embedded point of a checked point is admissible too, so ``beta`` of
+    two of them may be formed with ``checked`` as well.
+    """
+    norms = norm(z) if checked else _checked_norms(z)[1]
+    return np.asarray(norms, dtype=complex)[..., np.newaxis]
 
 
 def bergman_form(z, u, v):

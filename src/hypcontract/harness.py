@@ -10,8 +10,10 @@ consumer it calls each ``check(case, spec, workers)`` in turn; with none,
 the disk-pair rows share one pass.  Every report is made by one function,
 ``_verify_rows``, which runs one or more rows over one pass of a stream
 ``stream(a, b) -> (z, w, d)`` of the pairs of rows [a, b), on chunk
-bounds; each case supplies only its ``sides(z, w, d) -> (lhs, rhs)`` and,
-for its extras, an ``on_block`` reducer.  The streams and their ``d``:
+bounds; each case supplies only its ``sides(z, w, d) -> (lhs, rhs)`` (on
+the images f(z), f(w) in place of z, w for a row with a catalog map ``f``,
+which the four pair ops have) and, for its extras, an ``on_block`` reducer.
+The streams and their ``d``:
 
 - the pair streams, from one constructor, ``_stream(spec, pairs, kernel)``,
   whose ``d = kernel(z, w)`` is the pairs' distance on the manifold (None
@@ -29,21 +31,27 @@ Pairs come from seeded substreams: one PCG64 stream per fixed-size chunk of
 define the stream: a read of rows [a, b) draws each of its chunks from its
 own key, straight into the read's arrays, and then forms the points of all
 its rows at once, with the bits of each chunk formed on its own.  The unit
-of evaluation is the block, ``BLOCK_CHUNKS`` consecutive chunks:
-``_map_chunks`` runs the blocks on the calling thread and ``workers - 1``
-more, but no more threads than blocks, and each block reads its rows of the
-stream in one draw, evaluates the catalog map and the distance kernels once
-on all of them, and writes its rows of full-length arrays in place.  Neither
-chunk nor block boundaries depend on the worker count, so a suite is bitwise reproducible at any
-parallelism level.  No stream holds a distance: each read forms ``d`` on
-its own rows.  A stream draws the rows of each read and holds nothing,
-except the disk-pair stream within a ``run_suite`` call whose margins go to
-a consumer: there the plan rows that read it share one ``_held`` draw,
-full-length ``z`` and ``w`` (allocated by the first read) whose chunks the
-first reading row draws and checks in its own pass, and they are freed
-once the last of those rows has made its report.  A case whose curvature
-gate fails reads nothing.  A disk-pair read forms ``sigma`` without
-checking the pairs again, since they were checked where drawn.
+of evaluation is the block, consecutive chunks that hold the same number of
+complex coordinates on every stream: ``BLOCK_CHUNKS`` chunks of a stream of
+points with one coordinate (the disk-pair stream, the grid, the proof
+chain's pairs), ``max(1, BLOCK_CHUNKS // n)`` chunks of the ball-pair stream
+of dimension n.  ``_map_chunks`` runs the blocks on the calling thread and
+``workers - 1`` more, but no more threads than blocks, and each block reads
+its rows of the stream in one draw, evaluates each catalog map of its rows
+once on z and once on w and the distance kernels once, all on all of its
+rows, and writes its rows of full-length arrays in place.  Neither chunk nor
+block boundaries depend on the worker count, so a suite is bitwise
+reproducible at any parallelism level.  No stream holds a distance: each
+read forms ``d`` on its own rows.  A stream draws the rows of each read and
+holds nothing, except the disk-pair stream within a ``run_suite`` call
+whose margins go to a consumer: there the plan rows that read it share one
+``_held`` draw, full-length ``z`` and ``w`` (allocated by the first read)
+whose chunks the first reading row draws and checks in its own pass, and
+they are freed once the last of those rows has made its report.  A case
+whose curvature gate fails reads nothing.  A disk-pair read forms
+``sigma``, and a ball-pair read ``beta``, without checking the points
+again, since they were checked where drawn (``_disk_pairs``,
+``_ball_pairs``).
 
 Each block reduces every row's two sides to their difference, the margins
 (margin = rhs - lhs), and reduces those to the report's statistics in the
@@ -52,9 +60,10 @@ same pass (``blockstats``: the minimum, the mean with the bits of
 full-length array, its margins, only when something reads them: a bare
 ``verify_*`` call, or a ``run_suite`` with ``keep_margins`` or
 ``on_margins``.  A ``run_suite`` with neither holds none: its disk-pair
-rows share one pass, which draws each block once.  The sides of the
+rows share one pass, which draws each block once and takes its rows map by
+map, holding the images of one map at a time.  The sides of the
 violation candidates are formed again: each chunk that holds one is read
-again through the stream, and its candidates go through the same
+again through the stream, and its candidates go through the same map and
 ``sides``, so the bits agree.  The extras are reduced in the same pass,
 one slot per block: ``_sup`` keeps a block's largest value and its pair
 (``kv_factor``'s supremum ratio, ``pointwise_gradient``'s largest left
@@ -66,7 +75,8 @@ kernel is elementwise and blind to array size.  numpy breaks the second: a
 commutative op whose right operand is a temporary of at least 256 KiB is
 computed in place into that temporary with the operands swapped, and the
 product of two complex arrays is not bitwise commutative (a real factor is
-harmless).  Chunks (at most 48 KiB) never reach the threshold, blocks do; so
+harmless).  Chunks (at most 128 KiB, in dimension 8) never reach the
+threshold, blocks of 256 KiB of coordinates (dimensions 1, 2, 4 and 8) do; so
 a kernel on the block path binds the right-hand temporary of a complex
 product to a name first (the sites say so), and the tests compare the draws
 and every kernel on one block against its chunks.
@@ -119,9 +129,12 @@ from .weights import (
 KV_FACTOR = 4.0 / math.pi
 DEFAULT_SEED = 101
 CHUNK_SIZE = 1024
-# Chunks per block, a thread's unit of work.  Evaluation cost per numpy call is
-# a few microseconds, so per-chunk work spends the run trading the GIL; blocks
-# of 16 amortize it.
+# Chunks per block of a stream of points with one complex coordinate, a thread's
+# unit of work.  Evaluation cost per numpy call is a few microseconds, so
+# per-chunk work spends the run trading the GIL; blocks of 16 amortize it.  A
+# stream of points in C^n takes BLOCK_CHUNKS // n chunks a block (at least one),
+# so every block holds about as many coordinates, and as many bytes of
+# temporaries.  Read at call time.
 BLOCK_CHUNKS = 16
 MAX_WORKERS = 64
 # The layout version of the ``data`` payload, the only one a config may name.
@@ -293,18 +306,19 @@ def ball_pair_chunk(spec: SampleSpec, dim: int, a: int, b: int):
     return vec[0], vec[1]
 
 
-def _map_chunks(spec: SampleSpec, one: Callable, workers: int) -> None:
+def _map_chunks(spec: SampleSpec, one: Callable, workers: int, block: int | None = None) -> None:
     """``one(a, b)`` for the rows [a, b) of every block, on ``workers`` threads.
 
-    A block is ``BLOCK_CHUNKS`` consecutive chunks (fewer at the end of the
-    stream); each evaluates one block and writes its rows in place.  The
+    A block is ``block`` consecutive rows, a multiple of the chunk size, by
+    default ``BLOCK_CHUNKS`` chunks (fewer at the end of the stream); each
+    call evaluates one block and writes its rows in place.  The
     calling thread and ``workers - 1`` started ones, but no more threads
     than blocks, take the blocks in row order.  Once a block has failed no
     thread starts another, and the exception of the lowest failing block is
     raised, as a serial loop would raise it: every block below a started one
     has started.
     """
-    block = BLOCK_CHUNKS * CHUNK_SIZE
+    block = block or BLOCK_CHUNKS * CHUNK_SIZE
     blocks = range(0, spec.count, block)
     starts = iter(blocks)  # next() on it is atomic under the GIL
     failed = {}  # first row of a failed block -> its exception
@@ -360,6 +374,15 @@ def _disk_pairs(spec: SampleSpec, a: int, b: int):
     return z, w
 
 
+def _ball_pairs(spec: SampleSpec, dim: int, a: int, b: int):
+    """The ball-pair draws of rows [a, b) in dimension ``dim``, checked, so ``ball.beta`` checks none.
+
+    ``partial(_ball_pairs, spec, dim)`` is the ``pairs`` of a ball-pair ``_stream``.
+    """
+    z, w = ball_pair_chunk(spec, dim, a, b)  # looked up on the modules, as _disk_pairs does
+    return ball.check_ball_point(z), ball.check_ball_point(w)
+
+
 def _held(spec: SampleSpec, pairs: Callable) -> Callable:
     """``pairs`` held in full-length ``z`` and ``w``, each chunk drawn by the first read of it.
 
@@ -393,19 +416,20 @@ def _sigma(z, w):
     return sigma(z, w, checked=True)
 
 
-def _verify_pairs(case, spec, workers, sides, on_block=None, stream=None, keep=True):
+def _verify_pairs(case, spec, workers, sides, on_block=None, stream=None, keep=True, f=None, dim=1):
     """lhs <= rhs over a pair stream, for ``sides(z, w, d) -> (lhs, rhs)``: one row of ``_verify_rows``.
 
     ``stream`` defaults to the disk-pair stream of ``spec`` drawn on every
     read (``d = sigma(z, w)``); a suite row, a grid case and the proof chain
-    pass their own.
+    pass their own, a ball row its stream of points in C^``dim``.  With a
+    map ``f``, ``sides`` take the images f(z), f(w) in place of the pairs.
     """
     stream = stream or _stream(spec, partial(_disk_pairs, spec), _sigma)
-    return _verify_rows(spec, workers, stream, [(case, sides, on_block)], keep)[0]
+    return _verify_rows(spec, workers, stream, [(case, f, sides, on_block)], keep, dim)[0]
 
 
-def _verify_rows(spec: SampleSpec, workers: int, stream: Callable, rows: list, keep: bool) -> list:
-    """The reports of ``rows``, ``(case, sides, on_block)`` each, from one pass over ``stream``.
+def _verify_rows(spec: SampleSpec, workers: int, stream: Callable, rows: list, keep: bool, dim=1) -> list:
+    """The reports of ``rows``, ``(case, f, sides, on_block)`` each, from one pass over ``stream``.
 
     This is the one place a report is made.  A row whose case carries a
     target weight first gates on it: if the weight fails curv_w <= -1, its
@@ -413,91 +437,104 @@ def _verify_rows(spec: SampleSpec, workers: int, stream: Callable, rows: list, k
     -> (z, w, d)`` gives the pairs of rows [a, b), on chunk bounds, and what
     the sides take besides them: the pairs' distance on a pair stream
     (``_stream``), f(z) or None on the polar grid (``_grid_row``), the two
-    links of each pair on the proof chain's pairs.  Each block reads it once
-    and runs every row's ``sides`` on its pairs; each row reduces its
-    block's margins (rhs - lhs) into its ``blockstats.Stats``, allocated
-    before the pass, which with ``keep`` also keeps them whole for the
-    report.  A row without them whose mean overflows on finite margins is
-    run again with them, for its scaled mean.  If given, ``on_block(a, z,
-    w, lhs, d)`` sees the pairs, left side and ``d`` of each block in that
-    pass, ``a`` the block's first row, and its ``extras()``, if it has
-    them, go into the report.
+    links of each pair on the proof chain's pairs.  Its points have ``dim``
+    complex coordinates, and a block is ``max(1, BLOCK_CHUNKS // dim)``
+    chunks, so a block of any stream holds about as many coordinates.
+
+    Each block reads the stream once.  It takes the rows map by map, the
+    rows whose catalog map ``f`` has one name (or that have none): it
+    evaluates the map once on z and once on w, runs those rows' ``sides``
+    on the images f(z), f(w) (on z, w where ``f`` is None), and drops the
+    images before the next map.  Each row reduces its block's margins (rhs
+    - lhs) into its ``blockstats.Stats``, allocated before the pass, which
+    with ``keep`` also keeps them whole for the report.  A row without them
+    whose mean overflows on finite margins is run again with them, for its
+    scaled mean.  If given, ``on_block(a, z, w, lhs, d)`` sees the pairs
+    (not their images), left side and ``d`` of each block in that pass,
+    ``a`` the block's first row, and its ``extras()``, if it has them, go
+    into the report.
 
     A violation is a margin below -(tol_abs + tol_rel*|rhs|); with tol_rel
     >= 0 it is also below -tol_abs, so both sides and the relative
     tolerance are formed only on the rows below -tol_abs, the candidates,
     and on every stream by one path, ``rows_at``: each chunk that holds one
     is read again through the stream on its own, and its picked pairs (and
-    their ``d``, if the stream forms one) go through the same ``sides``,
-    whose kernels are elementwise, so they give the bits of the block.
+    their ``d``, if the stream forms one) go through the same map and
+    ``sides``, whose kernels are elementwise, so they give the bits of the
+    block.
     """
     t0 = time.perf_counter()
-    reports, live = [], []  # None for each row of ``live``, the rows whose gate passes
-    for case, sides, on_block in rows:
+    layout = blockstats.Layout(spec.count, max(1, BLOCK_CHUNKS // dim) * CHUNK_SIZE)
+    # live: the rows whose gate passes, with their report's index and their stats; maps: a
+    # map's name (None for no map) -> the map, and its live rows' sides, on_block and stats
+    reports, live, maps = [None] * len(rows), [], {}
+    for i, (case, f, sides, on_block) in enumerate(rows):
         gate = case.target is not None and verify_curvature_bound(case.target)
         if gate and not gate.passed:
-            reports.append(VerificationReport(
+            reports[i] = VerificationReport(
                 case_id=case.id, status="hypothesis-not-met", samples_used=0, min_margin=None,
                 mean_margin=None, violations=(), seed=spec.seed, wall_time=time.perf_counter() - t0,
                 extras={"max_curvature": gate.max_curvature, "curvature_argmax": gate.argmax,
                         "required": "curv_w <= -1"},
-            ))
+            )
         else:
-            reports.append(None)
-            live.append((case, sides, on_block))
+            st = blockstats.Stats(layout, case.tol_abs, keep)
+            live.append((i, case, f, sides, on_block, st))
+            maps.setdefault(f and f.name, (f, []))[1].append((sides, on_block, st))
     if not live:
         return reports
-    layout = blockstats.Layout(spec.count, BLOCK_CHUNKS * CHUNK_SIZE)
-    stats = [blockstats.Stats(layout, case.tol_abs, keep) for case, _, _ in live]
+    images = lambda f, z, w: (f.eval(z), f.eval(w)) if f else (z, w)
 
     def one(a, b):
         z, w, d = stream(a, b)
         block = layout.block(a, b)
-        for (_, sides, on_block), st in zip(live, stats):
-            lhs, rhs = sides(z, w, d)
-            st.add(block, rhs, lhs)
-            if on_block:
-                on_block(a, z, w, lhs, d)
+        for f, group in maps.values():
+            fz, fw = images(f, z, w)
+            for sides, on_block, st in group:
+                lhs, rhs = sides(fz, fw, d)
+                st.add(block, rhs, lhs)
+                if on_block:
+                    on_block(a, z, w, lhs, d)
+            del fz, fw  # freed before the next map's images are formed
 
-    def rows_at(sides, rows):
+    def rows_at(f, sides, rows):
         picked, chunk_of = [], rows // CHUNK_SIZE
         for ci in sorted(set(chunk_of.tolist())):  # np.unique would import numpy.ma
             a = ci * CHUNK_SIZE
             k = rows[chunk_of == ci] - a
             z, w, d = (x if x is None else x[k] for x in stream(a, min(a + CHUNK_SIZE, spec.count)))
-            picked.append((z, w, *sides(z, w, d)))
+            picked.append((z, w, *sides(*images(f, z, w), d)))
         return tuple(np.concatenate(part) for part in zip(*picked))
 
-    _map_chunks(spec, one, workers)
-    made = []
-    for (case, sides, on_block), st in zip(live, stats):
+    _map_chunks(spec, one, workers, layout.block_rows)
+    for i, case, f, sides, on_block, st in live:
         if st.margins is None and st.overflows:
-            made += _verify_rows(spec, workers, stream, [(case, sides, on_block)], True)
+            reports[i] = _verify_rows(spec, workers, stream, [(case, f, sides, on_block)], True, dim)[0]
             continue
         near, near_margins = st.candidates()
         violations = []
         if len(near):
-            z, w, lhs, rhs = rows_at(sides, near)
+            z, w, lhs, rhs = rows_at(f, sides, near)
             tol = case.tol_abs + case.tol_rel * np.abs(rhs)
             for k in np.nonzero(near_margins < -tol)[0]:
                 violations.append({
                     "index": int(near[k]), "z": _serialize_point(z[k]), "w": _serialize_point(w[k]),
                     "lhs": float(lhs[k]), "rhs": float(rhs[k]), "margin": float(near_margins[k]),
                 })
-        made.append(VerificationReport(
+        reports[i] = VerificationReport(
             case_id=case.id, status="violated" if violations else "pass", samples_used=st.count,
             min_margin=st.min(), mean_margin=st.mean(), violations=tuple(violations), seed=spec.seed,
             wall_time=time.perf_counter() - t0, margins=st.margins,
             extras=on_block.extras() if hasattr(on_block, "extras") else {},
-        ))
-    return [report or made.pop(0) for report in reports]
+        )
+    return reports
 
 
 def verify_re_contraction(
     case: InequalityCase, spec: SampleSpec, workers: int = 1, stream: Callable | None = None
 ) -> VerificationReport:
     """d_w(Re f(z), Re f(w)) <= sigma(z, w), gated on curv_w <= -1 (by ``_verify_rows``)."""
-    return _verify_pairs(case, spec, workers, *_pair_row("re_contraction", case), stream)
+    return _verify_pairs(case, spec, workers, *_pair_row("re_contraction", case), stream, f=case.function)
 
 
 def _re_lhs(weight: Weight) -> Callable:
@@ -565,7 +602,7 @@ def verify_modulus_contraction(
     case: InequalityCase, spec: SampleSpec, workers: int = 1, stream: Callable | None = None
 ) -> VerificationReport:
     """sigma(|f(z)|, |f(w)|) <= sigma(z, w) for disk-codomain entries."""
-    return _verify_pairs(case, spec, workers, *_pair_row("modulus_contraction", case), stream)
+    return _verify_pairs(case, spec, workers, *_pair_row("modulus_contraction", case), stream, f=case.function)
 
 
 def _modulus_lhs(fz, fw):
@@ -577,7 +614,7 @@ def verify_schwarz_pick(
     case: InequalityCase, spec: SampleSpec, workers: int = 1, stream: Callable | None = None
 ) -> VerificationReport:
     """sigma(f(z), f(w)) <= sigma(z, w) for disk-codomain entries."""
-    return _verify_pairs(case, spec, workers, *_pair_row("schwarz_pick", case), stream)
+    return _verify_pairs(case, spec, workers, *_pair_row("schwarz_pick", case), stream, f=case.function)
 
 
 def verify_pavlovic(
@@ -615,7 +652,7 @@ def verify_kv_factor(
     |2 atanh U(z) - 2 atanh U(w)| for U = Re f.  The empirical supremum of the
     ratio lhs/sigma, with pairs at sigma = 0 excluded, is recorded (``_sup``).
     """
-    return _verify_pairs(case, spec, workers, *_pair_row("kv_factor", case), stream)
+    return _verify_pairs(case, spec, workers, *_pair_row("kv_factor", case), stream, f=case.function)
 
 
 def _per_block(block: Callable, extras: Callable) -> Callable:
@@ -674,11 +711,13 @@ def _part_mins(parts: Callable, extras: Callable) -> Callable:
 def _pair_row(op: str, case: InequalityCase) -> tuple:
     """``(sides, on_block)`` of a disk-pair op's case: lhs_of(f(z), f(w)) <= factor * sigma(z, w).
 
-    ``lhs_of`` is the op's in ``OPS``; the checkers and ``run_suite``'s
+    ``lhs_of`` is the op's in ``OPS``.  ``sides(fz, fw, s)`` take the images
+    under the case's map f (a row's ``f`` in ``_verify_rows``), which the
+    pass forms once for all its rows on f; the checkers and ``run_suite``'s
     shared pass both take a case's sides from here.
     """
-    f, lhs_of = case.function, OPS[op][2](case)
-    sides = lambda z, w, s: (lhs_of(f.eval(z), f.eval(w)), case.factor * s)
+    lhs_of = OPS[op][2](case)
+    sides = lambda fz, fw, s: (lhs_of(fz, fw), case.factor * s)
     if op != "kv_factor":
         return sides, None
 
@@ -716,28 +755,25 @@ def _abs_cases(spec: SampleSpec, dims: tuple, disk_pairs: Callable, keep: bool =
     workers)`` makes a row's report, as a ``verify_*`` checker does, with
     its margins only if ``keep``; ``pair``, ``(sides, on_block)`` of a disk
     row and None of a ball row, is what ``run_suite``'s shared pass runs.
+    A ball row's blocks are sized by its dimension, and its points are
+    checked where drawn (``_ball_pairs``), so neither ``beta`` checks them.
     """
 
-    def beta_sides(z, w, b):
-        return ball.beta(ball.embed_modulus(z), ball.embed_modulus(w)), b
+    # beta is looked up on the module at call time, so a wrapper set there sees it
+    beta = lambda z, w: ball.beta(z, w, checked=True)
 
-    # the ball draw and beta are looked up on the module at call time, so a wrapper set there
-    # sees them
-    def ball_pairs(dim):
-        return lambda a, b: ball_pair_chunk(spec, dim, a, b)
+    def beta_sides(z, w, b):  # beta of the points (|z|,) and (|w|,) of B^1
+        return ball.beta(*(ball.embed_modulus(x, checked=True) for x in (z, w)), checked=True), b
 
-    def beta(z, w):
-        return ball.beta(z, w)
-
-    def row(name, pairs, kernel, sides):
+    def row(name, pairs, kernel, sides, dim=1):
         case = InequalityCase(id=f"abs_{name}", tol_abs=1e-12, tol_rel=0.0)
-        check = partial(_verify_pairs, sides=sides, stream=_stream(spec, pairs, kernel), keep=keep)
+        check = partial(_verify_pairs, sides=sides, stream=_stream(spec, pairs, kernel), keep=keep, dim=dim)
         return case, check, (sides, None) if pairs is disk_pairs else None
 
     return [  # rho_disk's sides take no distance, so its reads form none
         row("rho_disk", disk_pairs, None, lambda z, w, _: (rho(np.abs(z), np.abs(w)), rho(z, w))),
         row("sigma_disk", disk_pairs, _sigma, lambda z, w, d: (_modulus_lhs(z, w), d)),
-    ] + [row(f"beta_ball_n{dim}", ball_pairs(dim), beta, beta_sides) for dim in dims]
+    ] + [row(f"beta_ball_n{dim}", partial(_ball_pairs, spec, dim), beta, beta_sides, dim) for dim in dims]
 
 
 def verify_proof_chain(
@@ -1016,11 +1052,7 @@ def _non_finite(value, path: str):
         items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
     else:
         return None
-    for p, v in items:
-        found = _non_finite(v, p)
-        if found:
-            return found
-    return None
+    return next((found for p, v in items if (found := _non_finite(v, p))), None)  # depth first
 
 
 def _to_json(payload: dict) -> str:
@@ -1066,9 +1098,10 @@ def run_suite(
       a time.
     - With neither, no full-length array is made: every disk-pair row whose
       curvature gate passes runs in one ``_verify_rows`` pass, which draws,
-      checks and forms ``sigma`` on each block once, and reduces each row's
-      margins block by block; the ball rows reduce theirs block by block
-      too.  The reports keep plan order.
+      checks and forms ``sigma`` on each block once, evaluates each catalog
+      map there once on z and once on w for all of its rows, and reduces
+      each row's margins block by block; the ball rows reduce theirs block by
+      block too.  The reports keep plan order.
     """
     errors = validate_config(config)
     if errors:
@@ -1096,8 +1129,9 @@ def run_suite(
             check, case = globals()[f"verify_{cs.op}"], _build_case(cs)
             pair = lhs and _pair_row(cs.op, case)
             plan.append((case, partial(check, stream=stream) if lhs else check, pair))
-    # with no consumer, the disk-pair rows make their reports at once: case id -> report
-    rows = [(case, *pair) for case, _, pair in plan if pair and shared]
+    # with no consumer, the disk-pair rows make their reports at once, each map
+    # evaluated once a block for all its rows: case id -> report
+    rows = [(case, case.function, *pair) for case, _, pair in plan if pair and shared]
     made = {r.case_id: r for r in _verify_rows(spec, config.workers, stream, rows, False)}
     del pairs, stream  # the rows alone hold the draws
     while plan:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hypcontract import ball as ball_module
 from hypcontract import disk, harness
 from hypcontract.ball import (
     _sum_last,
@@ -278,3 +279,25 @@ class TestBergmanForm:
 
 def test_log_three_constant_consistency():
     assert LOG_3 == pytest.approx(math.log(3.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5])
+def test_checked_points_keep_their_bits_and_skip_the_checks(monkeypatch, dim):
+    z, w = _samples(dim, 6_000, 5, cap=0.999), _samples(dim, 6_000, 6, cap=0.999)
+    w[-1] = z[-1]
+    plain = {
+        "mobius": mobius(z, w), "rho": rho(z, w), "beta": beta(z, w),
+        "embedded": beta(embed_modulus(z), embed_modulus(w)),
+    }
+    checks = []
+    original = ball_module._checked_norms
+    monkeypatch.setattr(ball_module, "_checked_norms", lambda x: (checks.append(x), original(x))[1])
+    checked = {
+        "mobius": mobius(z, w, checked=True), "rho": rho(z, w, checked=True),
+        "beta": beta(z, w, checked=True),
+        "embedded": beta(embed_modulus(z, checked=True), embed_modulus(w, checked=True), checked=True),
+    }
+    assert {k: v.tobytes() for k, v in checked.items()} == {k: v.tobytes() for k, v in plain.items()}
+    assert checks == []
+    beta(embed_modulus(z), embed_modulus(w))
+    assert len(checks) == 4  # both points, then both embedded points

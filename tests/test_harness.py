@@ -591,12 +591,12 @@ class TestTheorem2Oracle:
         ratios = []
         original = harness._verify_pairs
 
-        def with_ratios(case, spec, workers, sides, on_block=None, stream=None):
+        def with_ratios(case, spec, workers, sides, on_block=None, stream=None, **kwargs):
             def ratio(a, z, w, lhs, d):
                 apart = d > 0  # the degenerate last pair has no ratio
                 ratios.append(np.max(lhs[apart] / d[apart], initial=0.0))
 
-            return original(case, spec, workers, sides, ratio, stream)
+            return original(case, spec, workers, sides, ratio, stream, **kwargs)  # kwargs: the map f
 
         monkeypatch.setattr(harness, "_verify_pairs", with_ratios)
         case = InequalityCase(id=f"{op}:{name}", function=get(name))
@@ -1427,12 +1427,21 @@ ELISION_BYTES = 256 * 1024
 
 
 def _one_block(pair_chunk, *dim):
-    """The pairs of one full block, drawn chunk by chunk, and its chunk bounds."""
-    n = harness.BLOCK_CHUNKS * CHUNK_SIZE
+    """The pairs of one full block of the stream's own width, drawn chunk by chunk, and its chunk bounds.
+
+    A block of points in C^n is ``max(1, BLOCK_CHUNKS // n)`` chunks.
+    """
+    n = max(1, harness.BLOCK_CHUNKS // max(dim, default=1)) * CHUNK_SIZE
     spec = SampleSpec(count=n + 1, seed=63)
     z, w = pair_chunk(spec, *dim, 0, n)
-    assert z.nbytes >= ELISION_BYTES
     bounds = [(a, a + CHUNK_SIZE) for a in range(0, n, CHUNK_SIZE)]
+    return z, w, bounds
+
+
+@pytest.fixture(scope="module")
+def disk_block():
+    z, w, bounds = _one_block(disk_pair_chunk)
+    assert z.nbytes >= ELISION_BYTES
     return z, w, bounds
 
 
@@ -1440,11 +1449,6 @@ def _assert_block_equals_chunks(fn, bounds, *args):
     block = np.asarray(fn(*args))
     chunks = np.concatenate([np.asarray(fn(*(x[a:b] for x in args))) for a, b in bounds])
     assert block.tobytes() == chunks.tobytes()
-
-
-@pytest.fixture(scope="module")
-def disk_block():
-    return _one_block(disk_pair_chunk)
 
 
 class TestBlockElision:
@@ -1486,24 +1490,33 @@ class TestBlockElision:
         f = get(function)
         _assert_block_equals_chunks(lhs_of, bounds, f.eval(z), f.eval(w))
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("dim", range(1, 9))
     def test_ball_beta(self, dim):
+        # At its own block width, 16, 8, 5, 4, 3, 2, 2 and 2 chunks: the
+        # coordinates of dimensions 1, 2, 4 and 8 reach numpy's threshold, the
+        # others stay below it.  Dimensions 4 to 8 sum through np.sum.
         z, w, bounds = _one_block(harness.ball_pair_chunk, dim)
+        assert (z.nbytes >= ELISION_BYTES) == (dim in (1, 2, 4, 8))
         _assert_block_equals_chunks(ball.beta, bounds, z, w)
         embed = ball.embed_modulus
         _assert_block_equals_chunks(lambda a, b: ball.beta(embed(a), embed(b)), bounds, z, w)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_suite_bytes_do_not_depend_on_the_block_size(self, monkeypatch, workers):
+        # the default suite, and the ball rows of every dimension, whose blocks
+        # are max(1, BLOCK_CHUNKS // dim) chunks: one chunk each at BLOCK_CHUNKS 1
         config = default_config(seed=63, count=40_000, workers=workers)
-        blocks = run_suite(config)
-        monkeypatch.setattr(harness, "BLOCK_CHUNKS", 1)
-        chunks = run_suite(config)
-        assert blocks.overall_pass
-        assert blocks.data_json() == chunks.data_json()
-        # digests, so that a failure does not diff two 14 MB strings
-        csv = [hashlib.sha256(r.margins_csv().encode()).hexdigest() for r in (blocks, chunks)]
-        assert csv[0] == csv[1]
+        balls = replace(config, cases=(CaseSpec(op="abs_inequalities"),), ball_dims=tuple(range(1, 9)))
+        for suite in (config, balls):
+            blocks = run_suite(suite)
+            with monkeypatch.context() as m:
+                m.setattr(harness, "BLOCK_CHUNKS", 1)
+                chunks = run_suite(suite)
+            assert blocks.overall_pass
+            assert blocks.data_json() == chunks.data_json()
+            # digests, so that a failure does not diff two 14 MB strings
+            csv = [hashlib.sha256(r.margins_csv().encode()).hexdigest() for r in (blocks, chunks)]
+            assert csv[0] == csv[1]
 
 
 class TestBallViolationRecords:
@@ -1522,9 +1535,9 @@ class TestBallViolationRecords:
         target_z = np.array([pair(i)[0] for i in targets])
         original = ball.beta
 
-        def forced(z, w):
+        def forced(z, w, checked=False):
             # beta(z, w) reads -1 at the target pairs; the embedded points never match
-            out = original(z, w)
+            out = original(z, w, checked)
             hit = np.all(np.asarray(z)[:, None, :] == target_z[None, :, :], axis=-1).any(axis=1)
             out[hit] = -1.0
             return out
@@ -1559,10 +1572,12 @@ class TestKeepMargins:
         # shared stream's draws (z and w: 32 B per sample), the running case's
         # margins (8 B per sample) and block slack, the temporaries of the
         # blocks in flight, which does not grow with the count.  Measured at
-        # 2**17 samples and 2 workers: peaks of
-        # 8.8 to 13.1 MB, the highest in the dimension-3 ball report, where the
-        # stream is gone and two ball blocks hold about 5.4 MB of temporaries
-        # each (the disk cases peak at 8.9 to 9.4 MB); so the slack is 8.5 MiB.
+        # 2**17 samples and 2 workers: peaks of 8.8 to 9.2 MB, in the disk
+        # cases, since a ball block holds as many coordinates as a disk block.
+        # With ball blocks of 16 chunks in every dimension the peaks were 8.8
+        # to 13.1 MB, the highest in the dimension-3 ball report, where two
+        # ball blocks held about 5.4 MB of temporaries each; so the slack is
+        # 8.5 MiB.
         # Keeping the abs reports' margins until verify_abs_inequalities
         # returned peaked at 15.2 to 16.4 MB, keeping the stream through the
         # ball reports at 17.9 MB, and both together with every case's lhs and
@@ -1607,12 +1622,15 @@ class TestKeepMargins:
     def test_with_no_consumer_a_suite_holds_no_full_length_array(self):
         # Nothing reads the margins, so the disk-pair cases share one pass and
         # every case reduces its margins block by block: no stream draws, no
-        # margins.  What is left is the blocks in flight, highest in the
-        # dimension-3 ball report, and each case's statistics (its pairwise
-        # leaf sums: 4,096 at this count, 32 kB).  Measured at 2**19 samples
-        # and 2 workers: peaks of 10.4 to 11.7 MB.  Holding the stream and one
-        # case's margins, 40 B a sample, made it about 29 MB; so the bound,
-        # 14 MiB, has no term per sample.
+        # margins.  What is left is the blocks in flight and each case's
+        # statistics (its pairwise node sums and block slots, a few kB).  A
+        # ball block holds as many coordinates as a disk block, so the peak is
+        # in the shared pass, whose blocks each hold one map's images at a
+        # time.  Measured at 2**19 samples and 2 workers: peaks of 6.2 to 6.6
+        # MiB.  Ball blocks of 16 chunks in every dimension, the highest in
+        # the dimension-3 report, peaked at 10.8 to 11.6 MiB, and holding the
+        # stream and one case's margins, 40 B a sample, about 29 MB; so the
+        # bound, 9 MiB, has no term per sample.
         tracemalloc.start()
         try:
             result = run_suite(default_config(count=2**19, workers=2), keep_margins=False)
@@ -1620,7 +1638,7 @@ class TestKeepMargins:
         finally:
             tracemalloc.stop()
         assert result.overall_pass
-        assert peak <= 14 * 2**20
+        assert peak <= 9 * 2**20
 
     def test_a_bare_call_holds_its_margins_and_blocks(self):
         # A bare verify_* call draws the disk pairs on every read, so it holds
@@ -1774,6 +1792,65 @@ class TestSharedPass:
         assert sorted(drawn) == sorted(blocks + [(0, CHUNK_SIZE)] * 2)
         assert sorted(formed) == sorted(b - a for a, b in blocks)
         assert result.data_json() == expected.data_json()
+
+    def test_each_map_is_evaluated_once_a_block(self, monkeypatch):
+        # The maps are wrapped where run_suite resolves them, as the benchmark's
+        # traced run wraps them, so every case gets its own HoloFunction.  The
+        # 15 disk-pair rows with a map use 8 maps: each block evaluates each
+        # map once on z and once on w, 16 calls, not 2 for each row (30).
+        count = 3 * harness.BLOCK_CHUNKS * CHUNK_SIZE + 5
+        config = default_config(count=count, workers=2)
+        expected = run_suite(config, keep_margins=False, on_margins=lambda case_id, m: None)
+        calls = []  # (name, rows) of every eval call; list.append is atomic
+        get_of = harness.catalog_get
+
+        def counting_get(name):
+            f = get_of(name)
+            return replace(f, eval=lambda z: (calls.append((name, np.size(z))), f.eval(z))[1])
+
+        monkeypatch.setattr(harness, "catalog_get", counting_get)
+        result = run_suite(config, keep_margins=False)
+        assert result.data_json() == expected.data_json()
+        block = harness.BLOCK_CHUNKS * CHUNK_SIZE
+        sizes = [min(block, count - a) for a in range(0, count, block)]
+        # the grid rows evaluate 10,201 points and the proof chain single points and paths
+        assert not {10_201, 1} & set(sizes)
+        assert Counter(rows for _, rows in calls if rows in sizes) == {block: 16 * 3, 5: 16}
+        per_map = Counter(name for name, rows in calls if rows in sizes)
+        assert len(per_map) == 8 and set(per_map.values()) == {2 * len(sizes)}
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_ball_blocks_are_sized_by_dimension_and_checked_once(self, monkeypatch, shared):
+        # a block of points in C^n is max(1, BLOCK_CHUNKS // n) chunks, so it
+        # holds as many coordinates in every dimension; each draws and checks
+        # its two points once, and beta checks them no more
+        count = 20 * CHUNK_SIZE + 7
+        config = replace(
+            default_config(count=count, workers=2),
+            cases=(CaseSpec(op="abs_inequalities"),), ball_dims=(1, 2, 3, 5, 8),
+        )
+        expected = run_suite(config, keep_margins=False, on_margins=lambda case_id, m: None)
+        reads, checks = [], Counter()
+        draw, norms_of = harness.ball_pair_chunk, ball._checked_norms
+
+        def counting_draw(spec, dim, a, b):
+            reads.append((dim, a, b))
+            return draw(spec, dim, a, b)
+
+        def counting_norms(z):
+            checks[np.shape(z)[-1], len(z)] += 1
+            return norms_of(z)
+
+        monkeypatch.setattr(harness, "ball_pair_chunk", counting_draw)
+        monkeypatch.setattr(ball, "_checked_norms", counting_norms)
+        result = run_suite(config, keep_margins=not shared)
+        assert result.data_json() == expected.data_json()
+        want = []
+        for dim in config.ball_dims:
+            block = max(1, harness.BLOCK_CHUNKS // dim) * CHUNK_SIZE
+            want += [(dim, a, min(a + block, count)) for a in range(0, count, block)]
+        assert sorted(reads) == sorted(want)
+        assert checks == Counter((dim, b - a) for dim, a, b in want for point in "zw")
 
 
 @pytest.fixture(scope="module")
